@@ -8,8 +8,6 @@ k-fold weighted voting and entity-level span F1 scoring.
 """
 
 from propner.kbstore import (
-    EntityContext,
-    EntityNames,
     EntityRecord,
     KnowledgeBase,
     build_context,
@@ -29,7 +27,7 @@ from propner.matcher import (
     resolve_overlaps,
     retrieve,
 )
-from propner.augmenter import AttentionMask, AugmentedInput, Segment, assemble, build_attention_mask
+from propner.augmenter import AttentionMask, AugmentedInput, Segment, assemble
 from propner.encoder import ToyEncoderModel, TrainConfig, gradient_check, masked_attention, predict, train
 from propner.ensemble import FoldPlan, WeightedPredictions, kfold_split, repair_bio, weighted_vote
 from propner.evaluator import EvalReport, extract_spans, score

@@ -14,7 +14,7 @@ entities can never see each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,13 +53,19 @@ class AttentionMask:
 
 @dataclass
 class AugmentedInput:
+    """An assembled input. ``mask`` is computed from the layout and
+    ``mask_mode`` at construction, so it cannot disagree with them."""
+
     tokens: list[str]
     n_sentence: int
     segments: list[Segment]
-    mask: AttentionMask
     label_alignment: list[str | None]
     sentence_id: str = ""
     mask_mode: str = "default"
+    mask: AttentionMask = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.mask = _mask_from_layout(len(self.tokens), self.n_sentence, self.segments, self.mask_mode)
 
 
 def _segment_suffix(sentence: Sentence, pair: EntityMatch) -> list[str]:
@@ -74,8 +80,6 @@ def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mo
     pairs are then laid out in sentence order. Gold tags, when present, are
     aligned to positions 1..n; every other position is ignored by the loss.
     """
-    if mask_mode not in MASK_MODES:
-        raise ValueError(f"unknown mask mode {mask_mode!r}")
     n = len(sentence.tokens)
     if max_len < n + 2:
         raise SentenceTooLongError(
@@ -113,42 +117,30 @@ def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mo
     if sentence.gold_tags is not None:
         label_alignment[1 : n + 1] = sentence.gold_tags
 
-    mask = _mask_from_layout(len(tokens), n, segments, mask_mode)
     return AugmentedInput(
         tokens=tokens,
         n_sentence=n,
         segments=segments,
-        mask=mask,
         label_alignment=label_alignment,
         sentence_id=sentence.id,
         mask_mode=mask_mode,
     )
 
 
+def _segment_slice(positions: frozenset[int], name: str, low: int, high: int) -> slice:
+    """The contiguous run ``positions`` covers, checked to lie in [low, high)."""
+    if not positions:
+        raise ValueError(f"empty {name} range")
+    start, stop = min(positions), max(positions) + 1
+    if len(positions) != stop - start:
+        raise ValueError(f"{name} positions are not contiguous")
+    if start < low or stop > high:
+        raise ValueError(f"{name} range [{start}, {stop}) outside [{low}, {high})")
+    return slice(start, stop)
+
+
 def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode: str) -> AttentionMask:
-    bits = np.zeros((size, size), dtype=np.uint8)
-    block = n_sentence + 2
-    bits[:block, :block] = 1
-    in_segment = set()
-    for seg in segments:
-        ent = sorted(seg.entity_positions)
-        ctx = sorted(seg.context_positions)
-        in_segment.update(ctx)
-        bits[np.ix_(ent, ctx)] = 1
-        if mode == "default":
-            bits[np.ix_(ctx, ent)] = 1
-            bits[np.ix_(ctx, ctx)] = 1
-    if mode == "default":
-        # "$" separators are the appended positions owned by no segment;
-        # self-attention keeps their softmax rows defined.
-        for pos in range(block, size):
-            if pos not in in_segment:
-                bits[pos, pos] = 1
-    return AttentionMask(size=size, bits=bits)
-
-
-def build_attention_mask(aug: AugmentedInput, mode: str = "default") -> AttentionMask:
-    """Entity-aware mask for an assembled input.
+    """Entity-aware mask of a layout.
 
     Both modes set the full sentence block (queries and keys below
     n_sentence+2) and let each entity span attend its own segment. The
@@ -156,10 +148,33 @@ def build_attention_mask(aug: AugmentedInput, mode: str = "default") -> Attentio
     query rows; the default mode additionally mirrors entity<->segment
     attention, lets a segment attend itself, and gives "$" separators
     diagonal self-attention, so every query row has at least one key.
+    Entity ranges must lie in the sentence, context ranges after [SEP],
+    and no two ranges may overlap.
     """
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
-    return _mask_from_layout(len(aug.tokens), aug.n_sentence, aug.segments, mode)
+    block = n_sentence + 2
+    if n_sentence < 0 or size < block:
+        raise ValueError(f"{size} tokens cannot hold a sentence of {n_sentence} plus [CLS] and [SEP]")
+    bits = np.zeros((size, size), dtype=np.uint8)
+    bits[:block, :block] = 1
+    spans = []
+    for seg in segments:
+        ent = _segment_slice(seg.entity_positions, "entity", 1, n_sentence + 1)
+        ctx = _segment_slice(seg.context_positions, "context", block, size)
+        spans += (ent, ctx)
+        bits[ent, ctx] = 1
+        if mode == "default":
+            bits[ctx, ent] = 1
+            bits[ctx, ctx] = 1
+    spans.sort()
+    if any(cur.start < prev.stop for prev, cur in zip(spans, spans[1:])):
+        raise ValueError("segment ranges overlap")
+    if mode == "default":
+        # Diagonal cells from (block, block) on, a flat stride of size+1.
+        # Segment diagonals are set already; this adds the "$" separators.
+        bits.flat[block * (size + 1) :: size + 1] = 1
+    return AttentionMask(size=size, bits=bits)
 
 
 def _ranges(positions: frozenset[int]) -> list[int]:
@@ -167,8 +182,9 @@ def _ranges(positions: frozenset[int]) -> list[int]:
 
 
 def to_json_dict(aug: AugmentedInput) -> dict:
-    """JSON-serializable form. The all-ones sentence block is implicit; only
-    set bits outside it are listed, keeping files compact and reproducible."""
+    """JSON-serializable form (format 1). ``mask_bits`` lists the set bits
+    outside the implicit all-ones sentence block for readers of the format;
+    ``from_json_dict`` ignores it and derives the mask from the layout."""
     block = aug.n_sentence + 2
     rows, cols = np.nonzero(aug.mask.bits)
     extra_bits = [[int(i), int(j)] for i, j in zip(rows, cols) if i >= block or j >= block]
@@ -187,29 +203,39 @@ def to_json_dict(aug: AugmentedInput) -> dict:
     }
 
 
+def _positions(seg: dict, name: str, size: int) -> frozenset[int]:
+    start, stop = seg[name]
+    # Bounded before the set is built, so a huge range cannot exhaust
+    # memory; AugmentedInput then checks where the range may lie.
+    if not 0 <= start <= stop <= size:
+        raise ValueError(f"{name} range [{start}, {stop}) outside the {size} tokens")
+    return frozenset(range(start, stop))
+
+
 def from_json_dict(data: dict) -> AugmentedInput:
-    tokens = list(data["tokens"])
-    n = int(data["n_sentence"])
+    """Rebuild an input from its JSON form. Raises KeyError, TypeError or
+    ValueError on a malformed record."""
+    tokens = data["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+        raise TypeError("'tokens' must be a list of strings")
+    n = data["n_sentence"]
     segments = [
         Segment(
-            entity_positions=frozenset(range(seg["entity"][0], seg["entity"][1])),
-            context_positions=frozenset(range(seg["context"][0], seg["context"][1])),
+            entity_positions=_positions(seg, "entity", len(tokens)),
+            context_positions=_positions(seg, "context", len(tokens)),
         )
         for seg in data["segments"]
     ]
-    size = len(tokens)
-    bits = np.zeros((size, size), dtype=np.uint8)
-    bits[: n + 2, : n + 2] = 1
-    for i, j in data["mask_bits"]:
-        bits[i, j] = 1
-    label_alignment: list[str | None] = [None] * size
-    if data.get("gold_tags") is not None:
-        label_alignment[1 : n + 1] = data["gold_tags"]
+    label_alignment: list[str | None] = [None] * len(tokens)
+    gold = data.get("gold_tags")
+    if gold is not None:
+        if not isinstance(gold, list) or len(gold) != n or not all(isinstance(tag, str) for tag in gold):
+            raise ValueError(f"'gold_tags' must be null or {n} strings, one per sentence token")
+        label_alignment[1 : n + 1] = gold
     return AugmentedInput(
         tokens=tokens,
         n_sentence=n,
         segments=segments,
-        mask=AttentionMask(size=size, bits=bits),
         label_alignment=label_alignment,
         sentence_id=data.get("id", ""),
         mask_mode=data.get("mask_mode", "default"),
@@ -223,10 +249,18 @@ def write_jsonl(augs: list[AugmentedInput], path) -> None:
 
 
 def read_jsonl(path) -> list[AugmentedInput]:
+    """Load an aug-JSONL file; a malformed line raises a one-line ValueError
+    naming ``path:line``."""
     augs = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 augs.append(from_json_dict(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_number}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
     return augs

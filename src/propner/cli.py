@@ -16,7 +16,9 @@ import argparse
 import json
 import logging
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -52,54 +54,45 @@ class ConllParseError(ValueError):
     pass
 
 
+def _read_blocks(path) -> Iterator[tuple[str | None, list[tuple[int, list[str]]]]]:
+    """Blank-line separated blocks as (id from a ``# id <string>`` header or
+    None, rows). Any line not starting with ``# id``, ``#love _ _ O``
+    included, is a row: its line number and its whitespace-separated fields."""
+    sentence_id: str | None = None
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        # The blank line chained after the file closes its last block.
+        for line_number, raw in enumerate(chain(handle, [""]), start=1):
+            fields = raw.split()
+            if fields[:2] == ["#", "id"]:
+                if len(fields) != 3:
+                    raise ConllParseError(f"line {line_number}: header must look like '# id <string>'")
+                if rows:
+                    raise ConllParseError(f"line {line_number}: '# id' header inside a sentence block")
+                sentence_id = fields[2]
+            elif fields:
+                rows.append((line_number, fields))
+            elif rows:
+                yield sentence_id, rows
+                sentence_id, rows = None, []
+            elif sentence_id is not None:
+                raise ConllParseError(f"header for id {sentence_id!r} has no token lines")
+
+
 def read_conll(path) -> list[Sentence]:
     """Parse a dataset file into sentences; block index becomes the id when
     no ``# id`` header is present."""
     sentences: list[Sentence] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-    sentence_id: str | None = None
-    has_tags: bool | None = None
-
-    def flush() -> None:
-        nonlocal tokens, tags, sentence_id, has_tags
-        if tokens:
-            sid = sentence_id if sentence_id is not None else str(len(sentences))
-            sentences.append(Sentence(sid, tokens, tags if has_tags else None))
-        elif sentence_id is not None:
-            raise ConllParseError(f"header for id {sentence_id!r} has no token lines")
-        tokens, tags, sentence_id, has_tags = [], [], None, None
-
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped:
-                flush()
-                continue
-            if stripped.startswith("#"):
-                if tokens:
-                    raise ConllParseError(f"line {line_number}: comment inside a sentence block")
-                parts = stripped[1:].split()
-                if len(parts) < 2 or parts[0] != "id":
-                    raise ConllParseError(f"line {line_number}: header must look like '# id <string>'")
-                sentence_id = parts[1]
-                continue
-            fields = stripped.split()
-            if len(fields) == 4:
-                token, tag = fields[0], fields[3]
-            elif len(fields) == 3:
-                token, tag = fields[0], None
-            else:
+    for sentence_id, rows in _read_blocks(path):
+        labeled = len(rows[0][1]) == 4
+        for line_number, fields in rows:
+            if len(fields) not in (3, 4):
                 raise ConllParseError(f"line {line_number}: expected 3 or 4 columns, got {len(fields)}")
-            tagged = tag is not None
-            if has_tags is None:
-                has_tags = tagged
-            elif has_tags != tagged:
+            if (len(fields) == 4) != labeled:
                 raise ConllParseError(f"line {line_number}: mixed labeled and unlabeled lines in one block")
-            tokens.append(token)
-            if tagged:
-                tags.append(tag)
-    flush()
+        sid = sentence_id if sentence_id is not None else str(len(sentences))
+        tags = [fields[3] for _, fields in rows] if labeled else None
+        sentences.append(Sentence(sid, [fields[0] for _, fields in rows], tags))
     return sentences
 
 
@@ -129,24 +122,11 @@ def _read_tag_sequences(path) -> list[list[str]]:
     """Tag sequences from either prediction output (2 columns) or dataset
     format (4 columns with tags)."""
     result: list[list[str]] = []
-    tags: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped:
-                if tags:
-                    result.append(tags)
-                    tags = []
-                continue
-            if stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) == 2 or len(fields) == 4:
-                tags.append(fields[-1])
-            else:
+    for _, rows in _read_blocks(path):
+        for line_number, fields in rows:
+            if len(fields) not in (2, 4):
                 raise ConllParseError(f"line {line_number}: expected 2 or 4 columns, got {len(fields)}")
-    if tags:
-        result.append(tags)
+        result.append([fields[-1] for _, fields in rows])
     return result
 
 

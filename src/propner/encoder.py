@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from propner.augmenter import AttentionMask, AugmentedInput
+from propner.augmenter import AugmentedInput
 
 UNK_TOKEN = "[UNK]"
 
@@ -139,14 +139,17 @@ def masked_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    mask: AttentionMask | np.ndarray,
+    bits: np.ndarray,
     allow_empty_rows: bool = False,
-) -> np.ndarray:
-    """Scaled dot-product attention over the keys each query may see."""
-    bits = mask.bits if isinstance(mask, AttentionMask) else np.asarray(mask)
-    scores = q @ k.T / np.sqrt(k.shape[-1])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over the keys each query may see.
+
+    ``q``, ``k`` and ``v`` may carry leading head axes that share ``bits``.
+    Returns the output and the attention weights.
+    """
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(k.shape[-1])
     weights = _masked_softmax(scores, bits, allow_empty_rows)
-    return weights @ v
+    return weights @ v, weights
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -176,9 +179,7 @@ def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool)
         qh = _split_heads(q, model.n_heads)
         kh = _split_heads(k, model.n_heads)
         vh = _split_heads(v, model.n_heads)
-        scores = qh @ kh.swapaxes(1, 2) / np.sqrt(model.head_dim)
-        weights = _masked_softmax(scores, bits, allow_empty_rows=True)
-        heads = weights @ vh
+        heads, weights = masked_attention(qh, kh, vh, bits, allow_empty_rows=True)
         merged = _merge_heads(heads)
         attn_out = merged @ p[prefix + "wo"]
         x1 = x + attn_out
@@ -222,39 +223,32 @@ def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndar
     return np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
 
 
-def _loss_only(model: ToyEncoderModel, aug: AugmentedInput) -> float:
+def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool) -> tuple[float, np.ndarray, dict | None]:
+    """Mean cross-entropy over labeled positions, its gradient with respect
+    to the logits, and the forward cache (None unless ``want_cache``)."""
     positions, targets = _label_targets(model, aug)
     if len(positions) == 0:
         raise ValueError(f"input {aug.sentence_id!r} has no labeled positions")
-    logits, _, _ = _forward_pass(model, aug, want_cache=False)
-    picked = logits[positions]
-    shifted = picked - picked.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(logsumexp - shifted[np.arange(len(targets)), targets]))
-
-
-def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over labeled positions and its full gradient."""
-    positions, targets = _label_targets(model, aug)
-    if len(positions) == 0:
-        raise ValueError(f"input {aug.sentence_id!r} has no labeled positions")
-    p = model.params
-    logits, _, cache = _forward_pass(model, aug, want_cache=True)
-
+    logits, _, cache = _forward_pass(model, aug, want_cache)
     picked = logits[positions]
     shifted = picked - picked.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
-    probs = exp / denom
-    logsumexp = np.log(denom[:, 0])
-    loss = float(np.mean(logsumexp - shifted[np.arange(len(targets)), targets]))
+    rows = np.arange(len(targets))
+    loss = float(np.mean(np.log(denom[:, 0]) - shifted[rows, targets]))
+    d_picked = exp / denom
+    d_picked[rows, targets] -= 1.0
+    d_logits = np.zeros_like(logits)
+    d_logits[positions] = d_picked / len(targets)
+    return loss, d_logits, cache
+
+
+def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy over labeled positions and its full gradient."""
+    p = model.params
+    loss, d_logits, cache = _cross_entropy(model, aug, want_cache=True)
 
     grads = {name: np.zeros_like(value) for name, value in p.items()}
-    d_logits = np.zeros_like(logits)
-    d_picked = probs.copy()
-    d_picked[np.arange(len(targets)), targets] -= 1.0
-    d_logits[positions] = d_picked / len(targets)
-
     final = cache["final"]
     grads["cls.w"] += final.T @ d_logits
     grads["cls.b"] += d_logits.sum(axis=0)
@@ -372,9 +366,9 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
         for flat in flat_indices:
             original = param.flat[flat]
             param.flat[flat] = original + epsilon
-            loss_plus = _loss_only(model, aug)
+            loss_plus = _cross_entropy(model, aug, want_cache=False)[0]
             param.flat[flat] = original - epsilon
-            loss_minus = _loss_only(model, aug)
+            loss_minus = _cross_entropy(model, aug, want_cache=False)[0]
             param.flat[flat] = original
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             exact = analytic[name].flat[flat]

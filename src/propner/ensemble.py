@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TAG_PATTERN = re.compile(r"^(O|[BI]-\S+)$")
+TAG_PATTERN = re.compile(r"^(O|[BI]-\S+)$")
 
 
 @dataclass
@@ -105,7 +105,7 @@ def repair_bio(tags: list[str]) -> list[str]:
     repaired = []
     prev_type = None
     for tag in tags:
-        if not _TAG_PATTERN.match(tag):
+        if not TAG_PATTERN.match(tag):
             raise ValueError(f"invalid BIO tag {tag!r}")
         if tag == "O":
             repaired.append(tag)

@@ -8,12 +8,9 @@ that appear in gold.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from propner.ensemble import repair_bio
-
-_TAG_PATTERN = re.compile(r"^(O|[BI]-\S+)$")
+from propner.ensemble import TAG_PATTERN, repair_bio
 
 
 @dataclass
@@ -67,7 +64,7 @@ def extract_spans(tags: list[str]) -> set[tuple[int, int, str]]:
                 spans.add((start, i, current))
                 current = None
             continue
-        if not _TAG_PATTERN.match(tag):
+        if not TAG_PATTERN.match(tag):
             raise ValueError(f"invalid BIO tag {tag!r}")
         prefix, entity_type = tag.split("-", 1)
         if prefix == "B":

@@ -74,22 +74,6 @@ class EntityRecord:
 
 
 @dataclass
-class EntityNames:
-    """All surface forms of one entity in one language."""
-
-    qid: str
-    names: set[str]
-
-
-@dataclass
-class EntityContext:
-    """The " | "-joined property labels describing one entity."""
-
-    qid: str
-    context: str
-
-
-@dataclass
 class KnowledgeBase:
     """Compiled dictionary. Treated as immutable once built or loaded, so it
     can be shared freely across concurrent readers."""
@@ -223,7 +207,7 @@ def parse_dump(stream: Iterable[bytes | str], report: DumpErrorReport | None = N
                 report.add(line_number, str(exc))
 
 
-def entity_names(record: EntityRecord, language: str) -> EntityNames:
+def entity_names(record: EntityRecord, language: str) -> set[str]:
     """Label, sitelink title and aliases for one language, deduplicated."""
     names = set()
     label = record.labels.get(language, "")
@@ -235,7 +219,7 @@ def entity_names(record: EntityRecord, language: str) -> EntityNames:
     for alias in record.aliases.get(language, []):
         if alias:
             names.add(alias)
-    return EntityNames(record.qid, names)
+    return names
 
 
 def _check_mask(property_mask: Iterable[str]) -> frozenset[str]:
@@ -246,7 +230,7 @@ def _check_mask(property_mask: Iterable[str]) -> frozenset[str]:
     return mask
 
 
-def build_context(record: EntityRecord, label_lookup: dict[str, str], property_mask: Iterable[str]) -> EntityContext:
+def build_context(record: EntityRecord, label_lookup: dict[str, str], property_mask: Iterable[str]) -> str:
     """Join the labels of the enabled property values with " | ".
 
     Field order is instance-of, subclass-of, occupation; list order within a
@@ -265,7 +249,7 @@ def build_context(record: EntityRecord, label_lookup: dict[str, str], property_m
             cleaned = " ".join(label.split())
             if cleaned:
                 parts.append(cleaned)
-    return EntityContext(record.qid, CONTEXT_SEPARATOR.join(parts))
+    return CONTEXT_SEPARATOR.join(parts)
 
 
 def build_knowledge_base(
@@ -293,11 +277,11 @@ def build_knowledge_base(
         if label:
             label_lookup[qid] = label
 
-    contexts = {qid: build_context(record, label_lookup, mask).context for qid, record in by_qid.items()}
+    contexts = {qid: build_context(record, label_lookup, mask) for qid, record in by_qid.items()}
 
     surface_qids: dict[str, set[str]] = {}
     for qid, record in by_qid.items():
-        for name in sorted(entity_names(record, language).names):
+        for name in sorted(entity_names(record, language)):
             surface = normalize_surface(name)
             if not surface:
                 logger.info("dropping name %r of %s: normalizes to empty", name, qid)

@@ -4,11 +4,11 @@ PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`."""
 import contextlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from propner.augmenter import AugmentedInput
 from propner.cli import main
 from propner.encoder import TrainConfig, build_vocab, gradient_check, hidden_states, init_model, masked_attention
 from propner.ensemble import WeightedPredictions, repair_bio, weighted_vote
@@ -88,7 +88,7 @@ def test_criterion_3_masked_attention_and_gradients():
         for _ in range(10):
             t, d = int(rng.integers(2, 8)), 8
             v = rng.normal(size=(t, d))
-            out = masked_attention(rng.normal(size=(t, d)), rng.normal(size=(t, d)), v, np.eye(t, dtype=np.uint8))
+            out = masked_attention(rng.normal(size=(t, d)), rng.normal(size=(t, d)), v, np.eye(t, dtype=np.uint8))[0]
             assert np.array_equal(out, v)
 
         for trial in range(20):
@@ -118,13 +118,7 @@ def test_criterion_4_context_isolation_strict_one_layer():
                 for position in sorted(segment.context_positions):
                     tokens = list(aug.tokens)
                     tokens[position] = "mutated"
-                    mutated = AugmentedInput(
-                        tokens=tokens,
-                        n_sentence=aug.n_sentence,
-                        segments=aug.segments,
-                        mask=aug.mask,
-                        label_alignment=aug.label_alignment,
-                    )
+                    mutated = replace(aug, tokens=tokens)
                     changed = hidden_states(model, mutated)
                     for k, other in enumerate(aug.segments):
                         if k == target:

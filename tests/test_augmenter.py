@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from propner.augmenter import (
     AugmentedInput,
+    Segment,
     SentenceTooLongError,
     assemble,
-    build_attention_mask,
     from_json_dict,
     to_json_dict,
 )
@@ -71,7 +73,7 @@ class TestMask:
     def test_no_pairs_all_ones_both_modes(self):
         aug = assemble(VICTOR_SENTENCE, [], 64)
         for mode in ("default", "strict-paper"):
-            mask = build_attention_mask(aug, mode)
+            mask = replace(aug, mask_mode=mode).mask
             assert mask.bits.shape == (7, 7)
             assert mask.bits.all()
 
@@ -120,7 +122,7 @@ class TestMask:
         aug = assemble(sentence, pairs, 64, "default")
         sep = aug.tokens.index("$")
         assert aug.mask.bits[sep].sum() == 1 and aug.mask.bits[sep, sep] == 1
-        strict = build_attention_mask(aug, "strict-paper")
+        strict = replace(aug, mask_mode="strict-paper").mask
         assert strict.bits[sep].sum() == 0
 
     def test_pure_function_of_layout(self):
@@ -130,10 +132,9 @@ class TestMask:
             tokens=aug.tokens,
             n_sentence=aug.n_sentence,
             segments=list(reversed(aug.segments)),
-            mask=aug.mask,
             label_alignment=aug.label_alignment,
         )
-        assert np.array_equal(build_attention_mask(shuffled, "default").bits, aug.mask.bits)
+        assert np.array_equal(replace(shuffled, mask_mode="default").mask.bits, aug.mask.bits)
 
     def test_sentence_rows_attend_context_only_from_entity(self):
         rng = np.random.default_rng(17)
@@ -145,10 +146,22 @@ class TestMask:
                 if i not in entity_positions and len(aug.tokens) > block:
                     assert aug.mask.bits[i, block:].sum() == 0
 
+    @pytest.mark.parametrize("segments", [
+        [Segment(frozenset({1, 2}), frozenset({7, 9}))],  # context not contiguous
+        [Segment(frozenset({0, 1}), frozenset({7}))],  # entity covers [CLS]
+        [Segment(frozenset({1}), frozenset({6, 7}))],  # context covers [SEP]
+        [Segment(frozenset(), frozenset({7}))],
+        [Segment(frozenset({1, 2}), frozenset(range(7, 12))), Segment(frozenset({4}), frozenset({11, 12}))],
+    ])
+    def test_bad_layout_rejected(self, segments):
+        aug = assemble(VICTOR_SENTENCE, [VICTOR_PAIR], 64)
+        with pytest.raises(ValueError):
+            replace(aug, segments=segments)
+
     def test_unknown_mode_rejected(self):
         aug = assemble(VICTOR_SENTENCE, [], 64)
         with pytest.raises(ValueError):
-            build_attention_mask(aug, "loose")
+            replace(aug, mask_mode="loose").mask
         with pytest.raises(ValueError):
             assemble(VICTOR_SENTENCE, [], 64, "loose")
 

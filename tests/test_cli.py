@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propner.cli import ConllParseError, main, read_conll, write_conll
+from propner.cli import ConllParseError, _read_tag_sequences, main, read_conll, write_conll
 from propner.matcher import Sentence
 
 from conftest import table_dump_lines
@@ -247,3 +247,119 @@ class TestDeterminism:
         main(["split", "--data", str(data_file), "--k", "2", "--seed", "7", "--out", str(first)])
         main(["split", "--data", str(data_file), "--k", "2", "--seed", "7", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+AUG_DEFECTS = [
+    "negative entity range",
+    "context range past the end",
+    "empty entity range",
+    "gold tags longer than the sentence",
+    "unknown mask mode",
+    "missing key",
+    "tokens not a list",
+    "malformed JSON",
+]
+
+
+def _break_line_2(path, defect: str) -> None:
+    """Apply one named defect, or hand-edited mask bits, to line 2 of an
+    aug-JSONL file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    segment = record["segments"][0]
+    if defect == "negative entity range":
+        segment["entity"] = [-1, 2]
+    elif defect == "context range past the end":
+        segment["context"] = [segment["context"][0], len(record["tokens"]) + 3]
+    elif defect == "empty entity range":
+        segment["entity"] = [2, 2]
+    elif defect == "gold tags longer than the sentence":
+        record["gold_tags"].append("O")
+    elif defect == "unknown mask mode":
+        record["mask_mode"] = "loose"
+    elif defect == "missing key":
+        del record["segments"]
+    elif defect == "tokens not a list":
+        record["tokens"] = " ".join(record["tokens"])
+    elif defect == "mask bits edited by hand":
+        record["mask_bits"] = [[-1, -1], [0, 99]]
+    lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestAugFileValidation:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A valid aug-JSONL file (line 2 is sentence s2, which has one
+        segment) and a model trained on it."""
+        root = tmp_path_factory.mktemp("aug")
+        dump = root / "dump.jsonl"
+        dump.write_text("\n".join(table_dump_lines()) + "\n", encoding="utf-8")
+        data = root / "data.conll"
+        write_conll(
+            [
+                Sentence("s1", ["Victor", "Cousin", "met", "a", "stranger"], ["B-PER", "I-PER", "O", "O", "O"]),
+                Sentence("s2", ["the", "human", "walked"], ["O", "B-OTH", "O"]),
+            ],
+            data,
+        )
+        assert main(["build-kb", "--dump", str(dump), "--lang", "en", "--out", str(root / "kb")]) == 0
+        aug = root / "aug.jsonl"
+        assert main(["augment", "--kb", str(root / "kb"), "--data", str(data), "--out", str(aug), "--max-len", "64"]) == 0
+        model = root / "model.bin"
+        assert main(["train", "--aug", str(aug), "--out", str(model), "--seed", "1", "--epochs", "1", "--max-len", "64"]) == 0
+        return aug, model
+
+    def _broken_copy(self, trained, tmp_path, defect):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(trained[0].read_bytes())
+        _break_line_2(path, defect)
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("defect", AUG_DEFECTS)
+    def test_defect_is_one_error_line(self, trained, tmp_path, capsys, command, defect):
+        broken = self._broken_copy(trained, tmp_path, defect)
+        if command == "train":
+            argv = ["train", "--aug", str(broken), "--out", str(tmp_path / "m.bin"), "--seed", "1", "--epochs", "1",
+                    "--max-len", "64"]
+        else:
+            argv = ["predict", "--model", str(trained[1]), "--aug", str(broken), "--out", str(tmp_path / "p.tsv")]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{broken}:2:" in err and "Traceback" not in err
+
+    def test_hand_edited_mask_bits_are_ignored(self, trained, tmp_path):
+        from propner import augmenter
+
+        edited = self._broken_copy(trained, tmp_path, "mask bits edited by hand")
+        assert [aug.mask for aug in augmenter.read_jsonl(edited)] == [aug.mask for aug in augmenter.read_jsonl(trained[0])]
+        assert main(["predict", "--model", str(trained[1]), "--aug", str(edited), "--out", str(tmp_path / "p.tsv")]) == 0
+
+
+class TestHashTokens:
+    def test_hash_token_in_dataset(self, tmp_path):
+        path = tmp_path / "x.conll"
+        path.write_text("# id t1\n#love _ _ O\nit _ _ O\n\n#tag _ _\n", encoding="utf-8")
+        first, second = read_conll(path)
+        assert (first.id, first.tokens, first.gold_tags) == ("t1", ["#love", "it"], ["O", "O"])
+        assert (second.id, second.tokens, second.gold_tags) == ("1", ["#tag"], None)
+
+    @pytest.mark.parametrize("header", ["# id two words", "# id"])
+    def test_malformed_id_header_is_not_a_token(self, tmp_path, header):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(f"{header}\na\tO\n", encoding="utf-8")
+        with pytest.raises(ConllParseError, match="line 1"):
+            _read_tag_sequences(pred)
+
+    def test_hash_token_in_predictions(self, tmp_path, capsys):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("# id t1\n#love _ _ B-X\nit _ _ O\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("# id t1\n#love\tB-X\nit\tO\n\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", "--gold", str(gold), "--pred", str(pred), "--report", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["micro"]["f1"] == 1.0

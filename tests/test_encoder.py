@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from propner.augmenter import AugmentedInput, assemble
+from propner.augmenter import assemble
 from propner.encoder import (
     DegenerateMaskError,
     TrainConfig,
@@ -42,7 +44,7 @@ class TestMaskedAttention:
         q = rng.normal(size=(1, 6))
         k = rng.normal(size=(5, 6))
         v = rng.normal(size=(5, 6))
-        got = masked_attention(q, k, v, np.ones((1, 5), np.uint8))
+        got = masked_attention(q, k, v, np.ones((1, 5), np.uint8))[0]
         scores = (q @ k.T / np.sqrt(6))[0]
         weights = reference_softmax_row(scores, list(range(5)))
         assert np.allclose(got, weights @ v, atol=1e-12)
@@ -51,7 +53,7 @@ class TestMaskedAttention:
         rng = np.random.default_rng(1)
         q = rng.normal(size=(4, 8))
         v = rng.normal(size=(4, 8))
-        assert np.array_equal(masked_attention(q, q, v, np.eye(4, dtype=np.uint8)), v)
+        assert np.array_equal(masked_attention(q, q, v, np.eye(4, dtype=np.uint8))[0], v)
 
     def test_two_bit_row_matches_reference(self):
         rng = np.random.default_rng(2)
@@ -61,7 +63,7 @@ class TestMaskedAttention:
         bits = np.ones((6, 6), np.uint8)
         bits[0] = 0
         bits[0, [2, 5]] = 1
-        out = masked_attention(q, k, v, bits)
+        out = masked_attention(q, k, v, bits)[0]
         scores = (q @ k.T / np.sqrt(4))[0]
         weights = reference_softmax_row(scores, [2, 5])
         assert np.allclose(out[0], weights @ v, atol=1e-12)
@@ -88,11 +90,39 @@ class TestMaskedAttention:
     def test_empty_row_allowed_gives_zero_output(self):
         bits = np.zeros((2, 2), np.uint8)
         bits[1, 1] = 1
-        out = masked_attention(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), 7.0), bits, allow_empty_rows=True)
+        out = masked_attention(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), 7.0), bits, allow_empty_rows=True)[0]
         assert (out[0] == 0.0).all() and np.allclose(out[1], 7.0)
 
 
+    def test_head_axes_match_per_head_calls(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (rng.normal(size=(3, 5, 4)) for _ in range(3))
+        bits = (rng.random((5, 5)) < 0.5).astype(np.uint8)
+        bits[np.arange(5), np.arange(5)] = 1
+        out, weights = masked_attention(q, k, v, bits)
+        for head in range(3):
+            head_out, head_weights = masked_attention(q[head], k[head], v[head], bits)
+            assert np.array_equal(out[head], head_out) and np.array_equal(weights[head], head_weights)
+
+
 class TestForward:
+    def test_forward_runs_masked_attention_once_per_layer(self, monkeypatch):
+        import propner.encoder as encoder
+
+        seen = []
+        original = encoder.masked_attention
+
+        def spy(q, k, v, bits, allow_empty_rows=False):
+            seen.append(bits)
+            return original(q, k, v, bits, allow_empty_rows)
+
+        monkeypatch.setattr(encoder, "masked_attention", spy)
+        aug = two_pair_aug("default")
+        model = tiny_model([aug])
+        forward(model, aug)
+        assert len(seen) == model.n_layers == 2
+        assert all(bits is aug.mask.bits for bits in seen)
+
     def test_zero_classifier_zero_logits(self):
         aug = assemble(Sentence("s", ["a", "b"], ["O", "O"]), [], 16)
         model = tiny_model([aug])
@@ -119,13 +149,7 @@ class TestForward:
     def test_unknown_token_maps_to_unk(self):
         aug = assemble(Sentence("s", ["a", "b"], ["O", "O"]), [], 16)
         model = tiny_model([aug])
-        mutated = AugmentedInput(
-            tokens=["[CLS]", "zzz", "b", "[SEP]"],
-            n_sentence=2,
-            segments=[],
-            mask=aug.mask,
-            label_alignment=aug.label_alignment,
-        )
+        mutated = replace(aug, tokens=["[CLS]", "zzz", "b", "[SEP]"])
         forward(model, mutated)  # must not raise
 
     def test_too_long_input_rejected(self):
@@ -151,13 +175,7 @@ class TestContextIsolation:
             position = sorted(aug.segments[target].context_positions)[0]
             tokens = list(aug.tokens)
             tokens[position] = "mutated-token"
-            mutated = AugmentedInput(
-                tokens=tokens,
-                n_sentence=aug.n_sentence,
-                segments=aug.segments,
-                mask=aug.mask,
-                label_alignment=aug.label_alignment,
-            )
+            mutated = replace(aug, tokens=tokens)
             other = hidden_states(model, mutated)
             for k, segment in enumerate(aug.segments):
                 if k == target:
@@ -253,7 +271,7 @@ class TestGradientCheck:
     def test_unreachable_value_row_has_zero_gradient(self):
         # strict mode: no query attends a "$" separator, so the loss cannot
         # depend on its embedding row; both gradient routes must agree on 0
-        from propner.encoder import _loss_and_grads, _loss_only
+        from propner.encoder import _cross_entropy, _loss_and_grads
 
         sentence = Sentence("s", ["a", "b", "c", "d"], ["B-X", "O", "B-X", "O"])
         pairs = [EntityMatch(0, 1, "a", "Q1", "x"), EntityMatch(2, 3, "c", "Q2", "y")]
@@ -262,9 +280,9 @@ class TestGradientCheck:
         _, grads = _loss_and_grads(model, aug)
         sep_row = model.vocab["$"]
         assert (grads["embed"][sep_row] == 0.0).all()
-        base = _loss_only(model, aug)
+        base = _cross_entropy(model, aug, want_cache=False)[0]
         model.params["embed"][sep_row, 0] += 1e-4
-        assert _loss_only(model, aug) == base
+        assert _cross_entropy(model, aug, want_cache=False)[0] == base
 
     def test_epsilon_range_enforced(self):
         aug = assemble(Sentence("s", ["a"], ["O"]), [], 16)

@@ -113,26 +113,26 @@ class TestEntityNames:
             aliases={"en": ["human being", "humankind", ""]},
             sitelink_titles={"en": "Human"},
         )
-        assert entity_names(record, "en").names == {"human", "Human", "human being", "humankind"}
+        assert entity_names(record, "en") == {"human", "Human", "human being", "humankind"}
 
     def test_other_language_empty(self):
-        assert entity_names(victor_record(), "de").names == set()
+        assert entity_names(victor_record(), "de") == set()
 
 
 class TestBuildContext:
     def test_full_mask_victor(self):
         ctx = build_context(victor_record(), VICTOR_LOOKUP, FULL_PROPERTY_MASK)
-        assert ctx.context == "human | philosopher | politician"
+        assert ctx == "human | philosopher | politician"
 
     def test_empty_properties(self):
         record = EntityRecord(qid="Q1", labels={"en": "x"})
-        assert build_context(record, VICTOR_LOOKUP, FULL_PROPERTY_MASK).context == ""
+        assert build_context(record, VICTOR_LOOKUP, FULL_PROPERTY_MASK) == ""
 
     def test_instanceof_only_mask(self):
         # independently derived: filtering the field lists by hand leaves
         # only instanceof [Q5] -> "human"
         ctx = build_context(victor_record(), VICTOR_LOOKUP, {"instanceof"})
-        assert ctx.context == "human"
+        assert ctx == "human"
 
     def test_unknown_mask_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestBuildContext:
     def test_label_whitespace_sanitized(self):
         record = EntityRecord(qid="Q1", instanceof=["Q2"])
         ctx = build_context(record, {"Q2": "two\twords\nhere"}, FULL_PROPERTY_MASK)
-        assert ctx.context == "two words here"
+        assert ctx == "two words here"
 
 
 class TestBuildKnowledgeBase:
@@ -187,8 +187,8 @@ class TestBuildKnowledgeBase:
 
     @given(st.sets(st.sampled_from(["instanceof", "subclassof", "occupation"])))
     def test_submask_context_is_subsequence(self, mask):
-        full = build_context(victor_record(), VICTOR_LOOKUP, FULL_PROPERTY_MASK).context.split(" | ")
-        sub = build_context(victor_record(), VICTOR_LOOKUP, mask).context
+        full = build_context(victor_record(), VICTOR_LOOKUP, FULL_PROPERTY_MASK).split(" | ")
+        sub = build_context(victor_record(), VICTOR_LOOKUP, mask)
         parts = sub.split(" | ") if sub else []
         it = iter(full)
         assert all(part in it for part in parts)
@@ -196,7 +196,7 @@ class TestBuildKnowledgeBase:
     @given(st.lists(st.sampled_from(["Q5", "Q4964182", "Q82955", "Q333634"]), max_size=6))
     def test_separator_count(self, occupation):
         record = EntityRecord(qid="Q1", occupation=list(occupation))
-        context = build_context(record, VICTOR_LOOKUP, FULL_PROPERTY_MASK).context
+        context = build_context(record, VICTOR_LOOKUP, FULL_PROPERTY_MASK)
         resolved = sum(1 for q in occupation if q in VICTOR_LOOKUP)
         if resolved:
             assert context.count(" | ") == resolved - 1
