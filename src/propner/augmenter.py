@@ -4,20 +4,27 @@ The augmented sequence is laid out as
 
     [CLS] <sentence tokens> [SEP] <segment_0> $ <segment_1> $ ...
 
-where each segment echoes the matched entity's tokens and then its context
-string split on whitespace (the "|" between property labels stays a token
-of its own). The binary mask M lets the whole sentence block attend itself
-and links each entity span to its own segment only: contexts of different
-entities can never see each other.
+where each segment belongs to one matched entity span: it echoes the span's
+tokens and then its context string split on whitespace (the "|" between
+property labels stays a token of its own). A span that names several
+entities gets one segment whose context lists their labels in the order
+given, each label once. The binary mask M lets the whole sentence block
+attend itself and links each entity span to its own segment only: contexts
+of different spans can never see each other.
+
+An input holds what its aug-JSONL line holds: segment ranges, gold tags for
+the sentence tokens, and the mask mode; the mask is derived from those.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
+from propner.kbstore import CONTEXT_SEPARATOR
 from propner.matcher import EntityMatch, Sentence
 
 CLS_TOKEN = "[CLS]"
@@ -33,11 +40,11 @@ class SentenceTooLongError(ValueError):
 
 @dataclass(frozen=True)
 class Segment:
-    """Sequence positions of one kept pair: entity span (in the sentence copy)
+    """Sequence positions of one kept span: the entity (in the sentence copy)
     and its appended segment (entity echo plus context tokens)."""
 
-    entity_positions: frozenset[int]
-    context_positions: frozenset[int]
+    entity_positions: range
+    context_positions: range
 
 
 @dataclass
@@ -53,90 +60,90 @@ class AttentionMask:
 
 @dataclass
 class AugmentedInput:
-    """An assembled input. ``mask`` is computed from the layout and
+    """An assembled input. ``gold_tags`` holds one tag per sentence token, or
+    None when unlabeled. ``mask`` is computed from the layout and
     ``mask_mode`` at construction, so it cannot disagree with them."""
 
     tokens: list[str]
     n_sentence: int
     segments: list[Segment]
-    label_alignment: list[str | None]
+    gold_tags: list[str] | None
     sentence_id: str = ""
     mask_mode: str = "default"
     mask: AttentionMask = field(init=False)
 
     def __post_init__(self) -> None:
+        gold = self.gold_tags
+        if gold is not None and (
+            not isinstance(gold, list) or len(gold) != self.n_sentence or not all(isinstance(tag, str) for tag in gold)
+        ):
+            raise ValueError(f"'gold_tags' must be null or {self.n_sentence} strings, one per sentence token")
         self.mask = _mask_from_layout(len(self.tokens), self.n_sentence, self.segments, self.mask_mode)
 
 
-def _segment_suffix(sentence: Sentence, pair: EntityMatch) -> list[str]:
-    return sentence.tokens[pair.start : pair.end] + pair.context.split()
+def _span_context(group: list[EntityMatch]) -> str:
+    """The context of one span: a lone entity's context as it is; for several,
+    their labels in the order given, each label once."""
+    if len(group) == 1:
+        return group[0].context
+    labels = (label for pair in group for label in pair.context.split(CONTEXT_SEPARATOR) if label)
+    return CONTEXT_SEPARATOR.join(dict.fromkeys(labels))
 
 
 def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mode: str = "default") -> AugmentedInput:
     """Build the augmented token sequence, segment layout and mask.
 
-    Pairs are kept all-or-nothing in priority order (entity span length
-    desc, start asc) while the total length stays within ``max_len``; kept
-    pairs are then laid out in sentence order. Gold tags, when present, are
-    aligned to positions 1..n; every other position is ignored by the loss.
+    Adjacent pairs over the same span (one per qid of an ambiguous surface)
+    form one segment. Segments are kept all-or-nothing in priority order
+    (entity span length desc, start asc) while the total length stays within
+    ``max_len``, then laid out in sentence order.
     """
     n = len(sentence.tokens)
     if max_len < n + 2:
         raise SentenceTooLongError(
             f"sentence {sentence.id!r} needs {n + 2} positions but max_len is {max_len}"
         )
-    for prev, cur in zip(pairs, pairs[1:]):
-        if cur.start < prev.end:
-            raise ValueError("pairs must be non-overlapping and start-sorted")
+    spans = []  # (start, end, segment tokens: entity echo plus context)
+    for (start, end), group in groupby(pairs, key=lambda m: (m.start, m.end)):
+        if spans and start < spans[-1][1]:
+            raise ValueError("pairs must be start-sorted, and distinct spans must not overlap")
+        spans.append((start, end, sentence.tokens[start:end] + _span_context(list(group)).split()))
 
-    by_priority = sorted(pairs, key=lambda m: (m.start - m.end, m.start))
     kept = []
     total = n + 2
-    for pair in by_priority:
-        cost = len(_segment_suffix(sentence, pair)) + (1 if kept else 0)
+    for span in sorted(spans, key=lambda s: (s[0] - s[1], s[0])):
+        cost = len(span[2]) + (1 if kept else 0)
         if total + cost <= max_len:
-            kept.append(pair)
+            kept.append(span)
             total += cost
-    kept.sort(key=lambda m: m.start)
+    kept.sort(key=lambda s: s[0])
 
     tokens = [CLS_TOKEN, *sentence.tokens, SEP_TOKEN]
     segments = []
-    for index, pair in enumerate(kept):
+    for index, (start, end, suffix) in enumerate(kept):
         if index:
             tokens.append(SEGMENT_SEPARATOR)
-        seg_start = len(tokens)
-        tokens.extend(_segment_suffix(sentence, pair))
-        segments.append(
-            Segment(
-                entity_positions=frozenset(range(pair.start + 1, pair.end + 1)),
-                context_positions=frozenset(range(seg_start, len(tokens))),
-            )
-        )
-
-    label_alignment: list[str | None] = [None] * len(tokens)
-    if sentence.gold_tags is not None:
-        label_alignment[1 : n + 1] = sentence.gold_tags
+        segments.append(Segment(range(start + 1, end + 1), range(len(tokens), len(tokens) + len(suffix))))
+        tokens.extend(suffix)
 
     return AugmentedInput(
         tokens=tokens,
         n_sentence=n,
         segments=segments,
-        label_alignment=label_alignment,
+        gold_tags=None if sentence.gold_tags is None else list(sentence.gold_tags),
         sentence_id=sentence.id,
         mask_mode=mask_mode,
     )
 
 
-def _segment_slice(positions: frozenset[int], name: str, low: int, high: int) -> slice:
-    """The contiguous run ``positions`` covers, checked to lie in [low, high)."""
-    if not positions:
-        raise ValueError(f"empty {name} range")
-    start, stop = min(positions), max(positions) + 1
-    if len(positions) != stop - start:
-        raise ValueError(f"{name} positions are not contiguous")
-    if start < low or stop > high:
-        raise ValueError(f"{name} range [{start}, {stop}) outside [{low}, {high})")
-    return slice(start, stop)
+def _segment_slice(positions: range, name: str, low: int, high: int) -> slice:
+    """``positions`` as a slice, checked to be non-empty, unit-stepped and
+    inside [low, high)."""
+    if positions.step != 1 or not positions:
+        raise ValueError(f"{name} {positions} must be non-empty with step 1")
+    if positions.start < low or positions.stop > high:
+        raise ValueError(f"{name} range [{positions.start}, {positions.stop}) outside [{low}, {high})")
+    return slice(positions.start, positions.stop)
 
 
 def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode: str) -> AttentionMask:
@@ -177,10 +184,6 @@ def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode:
     return AttentionMask(size=size, bits=bits)
 
 
-def _ranges(positions: frozenset[int]) -> list[int]:
-    return [min(positions), max(positions) + 1]
-
-
 def to_json_dict(aug: AugmentedInput) -> dict:
     """JSON-serializable form (format 1). ``mask_bits`` lists the set bits
     outside the implicit all-ones sentence block for readers of the format;
@@ -188,28 +191,34 @@ def to_json_dict(aug: AugmentedInput) -> dict:
     block = aug.n_sentence + 2
     rows, cols = np.nonzero(aug.mask.bits)
     extra_bits = [[int(i), int(j)] for i, j in zip(rows, cols) if i >= block or j >= block]
-    gold = aug.label_alignment[1 : aug.n_sentence + 1]
     return {
         "id": aug.sentence_id,
         "tokens": list(aug.tokens),
         "n_sentence": aug.n_sentence,
         "segments": [
-            {"entity": _ranges(seg.entity_positions), "context": _ranges(seg.context_positions)}
+            {
+                "entity": [seg.entity_positions.start, seg.entity_positions.stop],
+                "context": [seg.context_positions.start, seg.context_positions.stop],
+            }
             for seg in aug.segments
         ],
         "mask_mode": aug.mask_mode,
         "mask_bits": extra_bits,
-        "gold_tags": None if any(tag is None for tag in gold) else list(gold),
+        "gold_tags": aug.gold_tags,
     }
 
 
-def _positions(seg: dict, name: str, size: int) -> frozenset[int]:
-    start, stop = seg[name]
-    # Bounded before the set is built, so a huge range cannot exhaust
-    # memory; AugmentedInput then checks where the range may lie.
-    if not 0 <= start <= stop <= size:
-        raise ValueError(f"{name} range [{start}, {stop}) outside the {size} tokens")
-    return frozenset(range(start, stop))
+def check_sentence_id(value) -> str:
+    """``value`` if it is a non-empty string without whitespace, the form a
+    ``# id <string>`` header takes, so a prediction file can carry it."""
+    if not isinstance(value, str) or value.split() != [value]:
+        raise ValueError(f"'id' must be a non-empty string without whitespace, got {value!r}")
+    return value
+
+
+def _range(bounds: list[int]) -> range:
+    start, stop = bounds
+    return range(start, stop)
 
 
 def from_json_dict(data: dict) -> AugmentedInput:
@@ -218,26 +227,12 @@ def from_json_dict(data: dict) -> AugmentedInput:
     tokens = data["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
         raise TypeError("'tokens' must be a list of strings")
-    n = data["n_sentence"]
-    segments = [
-        Segment(
-            entity_positions=_positions(seg, "entity", len(tokens)),
-            context_positions=_positions(seg, "context", len(tokens)),
-        )
-        for seg in data["segments"]
-    ]
-    label_alignment: list[str | None] = [None] * len(tokens)
-    gold = data.get("gold_tags")
-    if gold is not None:
-        if not isinstance(gold, list) or len(gold) != n or not all(isinstance(tag, str) for tag in gold):
-            raise ValueError(f"'gold_tags' must be null or {n} strings, one per sentence token")
-        label_alignment[1 : n + 1] = gold
     return AugmentedInput(
         tokens=tokens,
-        n_sentence=n,
-        segments=segments,
-        label_alignment=label_alignment,
-        sentence_id=data.get("id", ""),
+        n_sentence=data["n_sentence"],
+        segments=[Segment(_range(seg["entity"]), _range(seg["context"])) for seg in data["segments"]],
+        gold_tags=data.get("gold_tags"),
+        sentence_id=check_sentence_id(data["id"]),
         mask_mode=data.get("mask_mode", "default"),
     )
 
@@ -252,13 +247,12 @@ def read_jsonl(path) -> list[AugmentedInput]:
     """Load an aug-JSONL file; a malformed line raises a one-line ValueError
     naming ``path:line``."""
     augs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
             try:
-                augs.append(from_json_dict(json.loads(line)))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    augs.append(from_json_dict(json.loads(line)))
             except KeyError as exc:
                 raise ValueError(f"{path}:{line_number}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:

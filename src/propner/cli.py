@@ -51,7 +51,8 @@ logger = logging.getLogger(__name__)
 
 
 class ConllParseError(ValueError):
-    pass
+    def __init__(self, path, line_number: int, message: str) -> None:
+        super().__init__(f"{path}: line {line_number}: {message}")
 
 
 def _read_blocks(path) -> Iterator[tuple[str | None, list[tuple[int, list[str]]]]]:
@@ -60,15 +61,18 @@ def _read_blocks(path) -> Iterator[tuple[str | None, list[tuple[int, list[str]]]
     included, is a row: its line number and its whitespace-separated fields."""
     sentence_id: str | None = None
     rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         # The blank line chained after the file closes its last block.
-        for line_number, raw in enumerate(chain(handle, [""]), start=1):
-            fields = raw.split()
+        for line_number, raw in enumerate(chain(handle, [b""]), start=1):
+            try:
+                fields = raw.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise ConllParseError(path, line_number, str(exc)) from None
             if fields[:2] == ["#", "id"]:
                 if len(fields) != 3:
-                    raise ConllParseError(f"line {line_number}: header must look like '# id <string>'")
+                    raise ConllParseError(path, line_number, "header must look like '# id <string>'")
                 if rows:
-                    raise ConllParseError(f"line {line_number}: '# id' header inside a sentence block")
+                    raise ConllParseError(path, line_number, "'# id' header inside a sentence block")
                 sentence_id = fields[2]
             elif fields:
                 rows.append((line_number, fields))
@@ -76,7 +80,7 @@ def _read_blocks(path) -> Iterator[tuple[str | None, list[tuple[int, list[str]]]
                 yield sentence_id, rows
                 sentence_id, rows = None, []
             elif sentence_id is not None:
-                raise ConllParseError(f"header for id {sentence_id!r} has no token lines")
+                raise ConllParseError(path, line_number, f"header for id {sentence_id!r} has no token lines")
 
 
 def read_conll(path) -> list[Sentence]:
@@ -87,9 +91,9 @@ def read_conll(path) -> list[Sentence]:
         labeled = len(rows[0][1]) == 4
         for line_number, fields in rows:
             if len(fields) not in (3, 4):
-                raise ConllParseError(f"line {line_number}: expected 3 or 4 columns, got {len(fields)}")
+                raise ConllParseError(path, line_number, f"expected 3 or 4 columns, got {len(fields)}")
             if (len(fields) == 4) != labeled:
-                raise ConllParseError(f"line {line_number}: mixed labeled and unlabeled lines in one block")
+                raise ConllParseError(path, line_number, "mixed labeled and unlabeled lines in one block")
         sid = sentence_id if sentence_id is not None else str(len(sentences))
         tags = [fields[3] for _, fields in rows] if labeled else None
         sentences.append(Sentence(sid, [fields[0] for _, fields in rows], tags))
@@ -118,15 +122,17 @@ def _write_tagged(rows: list[tuple[str, list[str], list[str]]], path) -> None:
             handle.write("\n")
 
 
-def _read_tag_sequences(path) -> list[list[str]]:
-    """Tag sequences from either prediction output (2 columns) or dataset
-    format (4 columns with tags)."""
-    result: list[list[str]] = []
-    for _, rows in _read_blocks(path):
+def _read_tag_sequences(path) -> list[tuple[str, list[str]]]:
+    """(id, tags) blocks from either prediction output (2 columns) or dataset
+    format (4 columns with tags); as in ``read_conll``, a block without a
+    header takes its block index as id."""
+    result: list[tuple[str, list[str]]] = []
+    for sentence_id, rows in _read_blocks(path):
         for line_number, fields in rows:
             if len(fields) not in (2, 4):
-                raise ConllParseError(f"line {line_number}: expected 2 or 4 columns, got {len(fields)}")
-        result.append([fields[-1] for _, fields in rows])
+                raise ConllParseError(path, line_number, f"expected 2 or 4 columns, got {len(fields)}")
+        sid = sentence_id if sentence_id is not None else str(len(result))
+        result.append((sid, [fields[-1] for _, fields in rows]))
     return result
 
 
@@ -247,13 +253,42 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _sidecar_row(row) -> dict:
+    """A checked sidecar row, its ``dist`` as a (tokens, labels) float array."""
+    if not isinstance(row, dict):
+        raise ValueError("row must be a JSON object")
+    augmenter.check_sentence_id(row.get("id"))
+    for key in ("tokens", "labels"):
+        if not _is_strings(row.get(key)):
+            raise ValueError(f"{key!r} must be a list of strings")
+    n, k = len(row["tokens"]), len(row["labels"])
+    try:
+        dist = np.array(row.get("dist"))
+    except ValueError:  # ragged rows
+        dist = None
+    if dist is not None and dist.size == 0 == n * k:
+        dist = dist.reshape(n, k)
+    if dist is None or dist.shape != (n, k) or dist.dtype.kind not in "fiu" or not np.isfinite(dist).all():
+        raise ValueError(f"'dist' must be {n} rows of {k} finite numbers")
+    return {**row, "dist": dist.astype(np.float64, copy=False)}
+
+
 def _read_sidecar(path) -> list[dict]:
+    """Rows of a ``.dist.jsonl`` sidecar; a bad line raises a one-line
+    ValueError naming ``path:line``."""
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    rows.append(_sidecar_row(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
     return rows
 
 
@@ -272,7 +307,7 @@ def cmd_vote(args) -> int:
     preds = WeightedPredictions(
         labels=labels,
         weights=args.weights,
-        distributions=[[np.asarray(row["dist"], dtype=np.float64) for row in fold] for fold in folds],
+        distributions=[[row["dist"] for row in fold] for fold in folds],
     )
     voted = weighted_vote(preds, hard=args.hard)
     rows = [(row["id"], row["tokens"], tags) for row, tags in zip(first, voted)]
@@ -280,13 +315,30 @@ def cmd_vote(args) -> int:
     return 0
 
 
+def _tags_by_id(blocks: list[tuple[str, list[str]]], path) -> dict[str, list[str]]:
+    by_id: dict[str, list[str]] = {}
+    for sid, tags in blocks:
+        if sid in by_id:
+            raise ValueError(f"{path}: duplicate id {sid!r}")
+        by_id[sid] = tags
+    return by_id
+
+
 def cmd_score(args) -> int:
     gold_sentences = read_conll(args.gold)
     if any(s.gold_tags is None for s in gold_sentences):
         raise ValueError("gold file contains unlabeled sentences")
-    gold = [list(s.gold_tags) for s in gold_sentences]
-    pred = _read_tag_sequences(args.pred)
-    report = score(gold, pred)
+    gold = _tags_by_id([(s.id, s.gold_tags) for s in gold_sentences], args.gold)
+    pred = _tags_by_id(_read_tag_sequences(args.pred), args.pred)
+    for sid, tags in gold.items():
+        if sid not in pred:
+            raise ValueError(f"{args.pred}: no prediction for id {sid!r}")
+        if len(pred[sid]) != len(tags):
+            raise ValueError(f"{args.pred}: id {sid!r} has {len(pred[sid])} tags for {len(tags)} gold tokens")
+    extra = next((sid for sid in pred if sid not in gold), None)
+    if extra is not None:
+        raise ValueError(f"{args.pred}: id {extra!r} is not in {args.gold}")
+    report = score(list(gold.values()), [pred[sid] for sid in gold])
     if args.report == "json":
         _dump_json(report.to_dict(), None)
     else:

@@ -209,28 +209,27 @@ def hidden_states(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     return final
 
 
-def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray]:
+def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
+    """Label indices of the sentence tokens, positions 1..n_sentence; empty
+    when the input is unlabeled."""
     index = {label: i for i, label in enumerate(model.labels)}
-    positions = []
     targets = []
-    for pos, tag in enumerate(aug.label_alignment):
-        if tag is None:
-            continue
+    for tag in aug.gold_tags or ():
         if tag not in index:
             raise ValueError(f"tag {tag!r} not in model label set")
-        positions.append(pos)
         targets.append(index[tag])
-    return np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
+    return np.array(targets, dtype=np.int64)
 
 
 def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool) -> tuple[float, np.ndarray, dict | None]:
-    """Mean cross-entropy over labeled positions, its gradient with respect
+    """Mean cross-entropy over the sentence tokens, its gradient with respect
     to the logits, and the forward cache (None unless ``want_cache``)."""
-    positions, targets = _label_targets(model, aug)
-    if len(positions) == 0:
+    targets = _label_targets(model, aug)
+    if len(targets) == 0:
         raise ValueError(f"input {aug.sentence_id!r} has no labeled positions")
     logits, _, cache = _forward_pass(model, aug, want_cache)
-    picked = logits[positions]
+    labeled = slice(1, len(targets) + 1)
+    picked = logits[labeled]
     shifted = picked - picked.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
@@ -239,12 +238,12 @@ def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool
     d_picked = exp / denom
     d_picked[rows, targets] -= 1.0
     d_logits = np.zeros_like(logits)
-    d_logits[positions] = d_picked / len(targets)
+    d_logits[labeled] = d_picked / len(targets)
     return loss, d_logits, cache
 
 
 def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over labeled positions and its full gradient."""
+    """Mean cross-entropy over the sentence tokens and its full gradient."""
     p = model.params
     loss, d_logits, cache = _cross_entropy(model, aug, want_cache=True)
 
@@ -304,7 +303,7 @@ def train(dataset: list[AugmentedInput], config: TrainConfig) -> ToyEncoderModel
     if not dataset:
         raise ValueError("training dataset is empty")
     vocab = build_vocab(dataset)
-    labels = sorted({tag for aug in dataset for tag in aug.label_alignment if tag is not None})
+    labels = sorted({tag for aug in dataset for tag in aug.gold_tags or ()})
     model = init_model(vocab, labels, config)
 
     rng = np.random.default_rng(config.seed)

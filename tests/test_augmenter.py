@@ -28,10 +28,10 @@ class TestAssemble:
             "Victor", "Cousin", "human", "|", "philosopher", "|", "politician",
         ]
         assert len(aug.segments) == 1
-        assert aug.segments[0].entity_positions == frozenset({1, 2})
-        assert aug.segments[0].context_positions == frozenset(range(7, 14))
-        assert aug.label_alignment[1:6] == ["B-PER", "I-PER", "O", "O", "O"]
-        assert aug.label_alignment[0] is None and all(tag is None for tag in aug.label_alignment[6:])
+        assert aug.segments[0].entity_positions == range(1, 3)
+        assert aug.segments[0].context_positions == range(7, 14)
+        assert aug.gold_tags == ["B-PER", "I-PER", "O", "O", "O"]
+        assert len(aug.gold_tags) == aug.n_sentence
 
     def test_no_pairs(self):
         aug = assemble(VICTOR_SENTENCE, [], 64)
@@ -45,7 +45,7 @@ class TestAssemble:
         # base 8 tokens; long segment costs 5, short would then cost 1 + 2
         aug = assemble(sentence, [long_pair, short_pair], 13)
         assert len(aug.segments) == 1
-        assert aug.segments[0].entity_positions == frozenset({1, 2, 3})
+        assert aug.segments[0].entity_positions == range(1, 4)
         assert aug.tokens[8:] == ["a", "b", "c", "alpha", "beta"]
 
     def test_separator_between_segments_only(self):
@@ -62,11 +62,48 @@ class TestAssemble:
     def test_rejects_overlapping_pairs(self):
         with pytest.raises(ValueError):
             assemble(VICTOR_SENTENCE, [EntityMatch(0, 2, "x", "Q1"), EntityMatch(1, 3, "y", "Q2")], 64)
+        with pytest.raises(ValueError):  # a span of two pairs overlapping the next span
+            assemble(VICTOR_SENTENCE, [EntityMatch(0, 2, "x", "Q1"), EntityMatch(0, 2, "x", "Q2"), EntityMatch(1, 3, "y", "Q3")], 64)
 
     def test_empty_context_segment_is_echo_only(self):
         aug = assemble(Sentence("s", ["a", "b"]), [EntityMatch(0, 1, "a", "Q1", "")], 64)
         assert aug.tokens == ["[CLS]", "a", "b", "[SEP]", "a"]
-        assert aug.segments[0].context_positions == frozenset({4})
+        assert aug.segments[0].context_positions == range(4, 5)
+
+
+class TestAmbiguousSpan:
+    """Pairs over one span, one per qid of an ambiguous surface, as
+    ``retrieve`` returns them."""
+
+    PAIRS = [
+        EntityMatch(0, 2, "victor cousin", "Q1", "human | philosopher"),
+        EntityMatch(0, 2, "victor cousin", "Q2", "human | politician"),
+    ]
+
+    def test_one_segment_with_merged_context(self):
+        aug = assemble(VICTOR_SENTENCE, self.PAIRS, 64)
+        assert aug.segments == [Segment(range(1, 3), range(7, 14))]
+        assert aug.tokens[7:] == ["Victor", "Cousin", "human", "|", "philosopher", "|", "politician"]
+        assert "$" not in aug.tokens
+
+    def test_contexts_merge_in_the_order_given(self):
+        aug = assemble(VICTOR_SENTENCE, self.PAIRS[::-1], 64)
+        assert aug.tokens[9:] == ["human", "|", "politician", "|", "philosopher"]
+
+    def test_lone_context_kept_as_it_is(self):
+        aug = assemble(Sentence("s", ["a", "b"]), [EntityMatch(0, 1, "a", "Q1", "x | x")], 64)
+        assert aug.tokens[4:] == ["a", "x", "|", "x"]
+
+    def test_budget_keeps_or_drops_the_whole_span(self):
+        # 7 sentence positions plus a merged segment of 7 tokens
+        assert len(assemble(VICTOR_SENTENCE, self.PAIRS, 14).segments) == 1
+        assert assemble(VICTOR_SENTENCE, self.PAIRS, 13).tokens == assemble(VICTOR_SENTENCE, [], 13).tokens
+
+    def test_next_span_gets_its_own_segment(self):
+        pairs = [*self.PAIRS, EntityMatch(4, 5, "philosopher", "Q3", "occupation")]
+        aug = assemble(VICTOR_SENTENCE, pairs, 64)
+        assert [seg.entity_positions for seg in aug.segments] == [range(1, 3), range(5, 6)]
+        assert aug.tokens[14:] == ["$", "philosopher", "occupation"]
 
 
 class TestMask:
@@ -132,7 +169,7 @@ class TestMask:
             tokens=aug.tokens,
             n_sentence=aug.n_sentence,
             segments=list(reversed(aug.segments)),
-            label_alignment=aug.label_alignment,
+            gold_tags=aug.gold_tags,
         )
         assert np.array_equal(replace(shuffled, mask_mode="default").mask.bits, aug.mask.bits)
 
@@ -147,11 +184,11 @@ class TestMask:
                     assert aug.mask.bits[i, block:].sum() == 0
 
     @pytest.mark.parametrize("segments", [
-        [Segment(frozenset({1, 2}), frozenset({7, 9}))],  # context not contiguous
-        [Segment(frozenset({0, 1}), frozenset({7}))],  # entity covers [CLS]
-        [Segment(frozenset({1}), frozenset({6, 7}))],  # context covers [SEP]
-        [Segment(frozenset(), frozenset({7}))],
-        [Segment(frozenset({1, 2}), frozenset(range(7, 12))), Segment(frozenset({4}), frozenset({11, 12}))],
+        [Segment(range(1, 3), range(7, 10, 2))],  # context not contiguous
+        [Segment(range(0, 2), range(7, 8))],  # entity covers [CLS]
+        [Segment(range(1, 2), range(6, 8))],  # context covers [SEP]
+        [Segment(range(1, 1), range(7, 8))],
+        [Segment(range(1, 3), range(7, 12)), Segment(range(4, 5), range(11, 13))],
     ])
     def test_bad_layout_rejected(self, segments):
         aug = assemble(VICTOR_SENTENCE, [VICTOR_PAIR], 64)
@@ -178,7 +215,7 @@ class TestSerialization:
         aug = assemble(VICTOR_SENTENCE, [VICTOR_PAIR], 64)
         data = to_json_dict(aug)
         assert data["gold_tags"] == ["B-PER", "I-PER", "O", "O", "O"]
-        assert from_json_dict(data).label_alignment == aug.label_alignment
+        assert from_json_dict(data).gold_tags == aug.gold_tags
 
     def test_sentence_block_not_serialized(self):
         aug = assemble(VICTOR_SENTENCE, [], 64)

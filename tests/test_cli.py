@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from propner import augmenter
+from propner.augmenter import Segment
 from propner.cli import ConllParseError, _read_tag_sequences, main, read_conll, write_conll
 from propner.matcher import Sentence
 
 from conftest import table_dump_lines
+from helpers import record_line
+from oracles import rule_mask
 
 
 @pytest.fixture
@@ -258,6 +266,9 @@ AUG_DEFECTS = [
     "missing key",
     "tokens not a list",
     "malformed JSON",
+    "invalid UTF-8",
+    "id with a space",
+    "missing id",
 ]
 
 
@@ -281,10 +292,18 @@ def _break_line_2(path, defect: str) -> None:
         del record["segments"]
     elif defect == "tokens not a list":
         record["tokens"] = " ".join(record["tokens"])
+    elif defect == "id with a space":
+        record["id"] = "s 2"
+    elif defect == "missing id":
+        del record["id"]
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = "\n".join(lines).encode("utf-8") + b"\n"
+    if defect == "invalid UTF-8":
+        first_end = data.index(b"\n") + 1
+        data = data[:first_end] + b"\xff\xfe" + data[first_end:]
+    path.write_bytes(data)
 
 
 class TestAugFileValidation:
@@ -363,3 +382,209 @@ class TestHashTokens:
         capsys.readouterr()
         assert main(["score", "--gold", str(gold), "--pred", str(pred), "--report", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["micro"]["f1"] == 1.0
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stderr of one ``propner`` run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_one_error_line(code: int, err: str, *needles: str) -> None:
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, err
+
+
+class TestAmbiguousSurface:
+    def test_augment_writes_one_segment_per_span(self, tmp_path):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text(
+            "\n".join(
+                [
+                    record_line("Q1", "Paris", p31=["Q10", "Q11"]),
+                    record_line("Q2", "Paris", p31=["Q10", "Q12"]),
+                    record_line("Q10", "city"),
+                    record_line("Q11", "capital"),
+                    record_line("Q12", "commune"),
+                ]
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        data = tmp_path / "data.conll"
+        write_conll([Sentence("p1", ["Paris", "is"], ["B-LOC", "O"])], data)
+        assert main(["build-kb", "--dump", str(dump), "--lang", "en", "--out", str(tmp_path / "kb")]) == 0
+        aug_file = tmp_path / "aug.jsonl"
+        assert main(["augment", "--kb", str(tmp_path / "kb"), "--data", str(data), "--out", str(aug_file)]) == 0
+
+        [aug] = augmenter.read_jsonl(aug_file)
+        assert aug.tokens == ["[CLS]", "Paris", "is", "[SEP]", "Paris", "city", "|", "capital", "|", "commune"]
+        assert aug.segments == [Segment(range(1, 2), range(4, 10))]
+        assert np.array_equal(aug.mask.bits, rule_mask(aug.n_sentence, len(aug.tokens), aug.segments, aug.mask_mode))
+        rewritten = tmp_path / "again.jsonl"
+        augmenter.write_jsonl([aug], rewritten)
+        assert rewritten.read_bytes() == aug_file.read_bytes()
+
+
+GOLD_AB = "# id a\nVictor _ _ B-PER\nCousin _ _ I-PER\n\n# id b\nthe _ _ O\nhuman _ _ B-OTH\n\n"
+
+
+class TestScoreById:
+    def _score(self, tmp_path, pred_text: str) -> tuple[int, str, str]:
+        gold = tmp_path / "gold.conll"
+        gold.write_text(GOLD_AB, encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(pred_text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code, err = _run(["score", "--gold", str(gold), "--pred", str(pred), "--report", "json"])
+        return code, out.getvalue(), err
+
+    def test_reversed_order_pairs_by_id(self, tmp_path):
+        code, out, _ = self._score(tmp_path, "# id b\nthe\tO\nhuman\tB-OTH\n\n# id a\nVictor\tB-PER\nCousin\tI-PER\n\n")
+        assert code == 0
+        assert json.loads(out)["micro"]["f1"] == 1.0
+
+    def test_duplicate_id_is_an_error(self, tmp_path):
+        code, _, err = self._score(tmp_path, "# id a\nVictor\tB-PER\nCousin\tI-PER\n\n# id a\nthe\tO\nhuman\tB-OTH\n\n")
+        _assert_one_error_line(code, err, "duplicate id 'a'", "pred.tsv")
+
+    @pytest.mark.parametrize("pred_text,needle", [
+        ("# id a\nVictor\tB-PER\nCousin\tI-PER\n\n", "no prediction for id 'b'"),
+        (GOLD_AB.replace("_ _ ", "") + "# id c\nx\tO\n\n", "id 'c' is not in"),
+        (GOLD_AB.replace("_ _ ", "").replace("human B-OTH\n", ""), "id 'b' has 1 tags for 2 gold tokens"),
+    ])
+    def test_missing_or_extra_id_is_an_error(self, tmp_path, pred_text, needle):
+        code, _, err = self._score(tmp_path, pred_text)
+        _assert_one_error_line(code, err, needle)
+
+    def test_blocks_without_header_take_their_index(self, tmp_path):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("a\tO\n\n# id x\nb\tO\n\nc\tO\n", encoding="utf-8")
+        assert [sid for sid, _ in _read_tag_sequences(pred)] == ["0", "x", "2"]
+
+    def test_invalid_utf8_in_predictions(self, tmp_path):
+        gold = tmp_path / "gold.conll"
+        gold.write_text(GOLD_AB, encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_bytes(b"\xff\xfe# id a\n")
+        code, err = _run(["score", "--gold", str(gold), "--pred", str(pred)])
+        _assert_one_error_line(code, err, f"{pred}: line 1:")
+
+
+def _sidecar_row(**overrides) -> str:
+    row = {"id": "s1", "tokens": ["a", "b"], "labels": ["B-X", "O"], "dist": [[0.2, 0.8], [0.6, 0.4]]}
+    row.update(overrides)
+    return json.dumps({key: value for key, value in row.items() if value is not None})
+
+
+SIDECAR_DEFECTS = {
+    "not an object": "[1, 2]",
+    "missing dist": _sidecar_row(dist=None),
+    "id with a space": _sidecar_row(id="s 1"),
+    "tokens not strings": _sidecar_row(tokens=["a", 2]),
+    "labels not a list": _sidecar_row(labels="O"),
+    "dist row count": _sidecar_row(dist=[[0.2, 0.8]]),
+    "dist row length": _sidecar_row(dist=[[0.2, 0.8], [1.0]]),
+    "dist not numbers": _sidecar_row(dist=[[0.2, "0.8"], [0.6, 0.4]]),
+    "dist not finite": _sidecar_row(dist=[[0.2, 0.8], [float("nan"), 0.4]]),
+    "dist too large for a float": _sidecar_row().replace("0.6", "1" + "0" * 400),
+    "invalid UTF-8": "\udcff",
+}
+
+
+class TestSidecarValidation:
+    @pytest.mark.parametrize("defect", sorted(SIDECAR_DEFECTS))
+    def test_defect_is_one_error_line(self, tmp_path, defect):
+        sidecar = tmp_path / "p.dist.jsonl"
+        line = SIDECAR_DEFECTS[defect]
+        sidecar.write_bytes(_sidecar_row(id="s0").encode() + b"\n" + line.encode("utf-8", "surrogateescape") + b"\n")
+        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
+        _assert_one_error_line(code, err, f"{sidecar}:2:")
+
+    def test_valid_rows_vote(self, tmp_path):
+        sidecar = tmp_path / "p.dist.jsonl"
+        sidecar.write_text(_sidecar_row() + "\n" + _sidecar_row(id="s2", tokens=[], dist=[]) + "\n", encoding="utf-8")
+        out = tmp_path / "v.tsv"
+        assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\n\n"
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Valid files of each kind the robustness property mutates: an aug-JSONL
+    file, the model trained on it, its predictions with their sidecar, and
+    the gold data."""
+    root = tmp_path_factory.mktemp("robust")
+    dump = root / "dump.jsonl"
+    dump.write_text("\n".join(table_dump_lines()) + "\n", encoding="utf-8")
+    gold = root / "gold.conll"
+    write_conll(
+        [
+            Sentence("s1", ["Victor", "Cousin", "met", "a", "human"], ["B-PER", "I-PER", "O", "O", "B-OTH"]),
+            Sentence("s2", ["the", "human", "walked"], ["O", "B-OTH", "O"]),
+        ],
+        gold,
+    )
+    assert main(["build-kb", "--dump", str(dump), "--lang", "en", "--out", str(root / "kb")]) == 0
+    aug = root / "aug.jsonl"
+    assert main(["augment", "--kb", str(root / "kb"), "--data", str(gold), "--out", str(aug), "--max-len", "64"]) == 0
+    model = root / "model.bin"
+    assert main(["train", "--aug", str(aug), "--out", str(model), "--seed", "1", "--epochs", "1", "--max-len", "64"]) == 0
+    pred = root / "pred.tsv"
+    assert main(["predict", "--model", str(model), "--aug", str(aug), "--out", str(pred)]) == 0
+    return {"root": root, "aug": aug, "model": model, "pred": pred, "sidecar": root / "pred.tsv.dist.jsonl", "gold": gold}
+
+
+CHUNKS = st.one_of(
+    st.sampled_from([b"\xff", b"\xff\xfe", b"\n", b"\t", b" ", b'"', b"]", b"}", b"-1", b"1e999", b"# id ", b"null"]),
+    st.text(string.printable, min_size=1, max_size=4).map(str.encode),
+    st.binary(min_size=1, max_size=4),
+)
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["overwrite", "insert", "truncate"]), st.integers(0, 10**6), CHUNKS),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, chunk in edits:
+        at %= len(data) + 1
+        if kind == "overwrite":
+            data = data[:at] + chunk + data[at + len(chunk) :]
+        elif kind == "insert":
+            data = data[:at] + chunk + data[at:]
+        else:
+            data = data[:at]
+    return data
+
+
+class TestRobustness:
+    """A mutated input file either works or fails with exit 1 and one
+    ``error:`` line; an exception escaping ``main`` fails the test."""
+
+    @pytest.mark.parametrize("command", ["predict", "vote", "score"])
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(edits=EDITS)
+    def test_mutated_file(self, cli_files, command, edits):
+        source = {"predict": cli_files["aug"], "vote": cli_files["sidecar"], "score": cli_files["pred"]}[command]
+        mutated = cli_files["root"] / f"mutated-{source.name}"
+        mutated.write_bytes(_mutate(source.read_bytes(), edits))
+        out = str(cli_files["root"] / "out.tsv")
+        argv = {
+            "predict": ["predict", "--model", str(cli_files["model"]), "--aug", str(mutated), "--out", out],
+            "vote": ["vote", "--preds", str(cli_files["sidecar"]), str(mutated), "--weights", "1,1", "--out", out],
+            "score": ["score", "--gold", str(cli_files["gold"]), "--pred", str(mutated)],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = _run(argv)
+        if code == 0:
+            assert err == ""
+        else:
+            _assert_one_error_line(code, err)

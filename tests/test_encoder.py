@@ -204,7 +204,7 @@ class TestTrain:
         from propner.evaluator import score
 
         pred = [predict_tags(model, aug) for aug in augs]
-        gold = [[tag for tag in aug.label_alignment if tag is not None] for aug in augs]
+        gold = [aug.gold_tags for aug in augs]
         assert score(gold, pred).micro_f1 == 1.0
         assert len(model.epoch_losses) == 200
         assert model.epoch_losses[-1] < model.epoch_losses[0]
@@ -237,9 +237,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(6)
         for trial in range(3):
             aug = random_augmented(rng, "default")
-            if all(tag is None for tag in aug.label_alignment):
-                aug.label_alignment[1] = "O"
-                aug.label_alignment[min(2, len(aug.tokens) - 1)] = "B-X"
+            aug = replace(aug, gold_tags=[("O", "B-X")[i % 2] for i in range(aug.n_sentence)])
             config = TrainConfig(d_model=8, n_heads=2, n_layers=2, ff_dim=12, max_len=64, seed=trial)
             model = init_model(build_vocab([aug]), ["B-X", "O"], config)
             assert gradient_check(model, aug, 1e-4, seed=trial) < 1e-4
