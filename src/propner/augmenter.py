@@ -24,6 +24,7 @@ from itertools import groupby
 
 import numpy as np
 
+from propner.inputs import parse_lines
 from propner.kbstore import CONTEXT_SEPARATOR
 from propner.matcher import EntityMatch, Sentence
 
@@ -223,10 +224,15 @@ def _range(bounds: list[int]) -> range:
 
 def from_json_dict(data: dict) -> AugmentedInput:
     """Rebuild an input from its JSON form. Raises KeyError, TypeError or
-    ValueError on a malformed record."""
+    ValueError on a malformed record. The sentence tokens must be non-empty
+    and free of whitespace, as ``read_conll`` makes them, so a prediction
+    file can carry them."""
     tokens = data["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
         raise TypeError("'tokens' must be a list of strings")
+    sentence = tokens[1 : data["n_sentence"] + 1]
+    if " ".join(sentence).split() != sentence:
+        raise ValueError("sentence tokens must be non-empty and free of whitespace")
     return AugmentedInput(
         tokens=tokens,
         n_sentence=data["n_sentence"],
@@ -244,17 +250,6 @@ def write_jsonl(augs: list[AugmentedInput], path) -> None:
 
 
 def read_jsonl(path) -> list[AugmentedInput]:
-    """Load an aug-JSONL file; a malformed line raises a one-line ValueError
-    naming ``path:line``."""
-    augs = []
-    with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    augs.append(from_json_dict(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_number}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_number}: {exc}") from None
-    return augs
+    """Load an aug-JSONL file; a malformed line raises an InputError naming
+    ``path:line``."""
+    return parse_lines(path, lambda line: from_json_dict(json.loads(line)) if line.strip() else None)

@@ -16,9 +16,7 @@ import argparse
 import json
 import logging
 import sys
-from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -32,8 +30,9 @@ from propner.encoder import (
     save_model,
     train,
 )
-from propner.ensemble import WeightedPredictions, kfold_split, weighted_vote
+from propner.ensemble import WeightedPredictions, check_tag, kfold_split, weighted_vote
 from propner.evaluator import score
+from propner.inputs import InputError, parse_lines
 from propner.kbstore import (
     FULL_PROPERTY_MASK,
     DumpErrorReport,
@@ -50,53 +49,54 @@ from propner.synthetic import SyntheticConfig, run_synthetic_ab
 logger = logging.getLogger(__name__)
 
 
-class ConllParseError(ValueError):
-    def __init__(self, path, line_number: int, message: str) -> None:
-        super().__init__(f"{path}: line {line_number}: {message}")
-
-
-def _read_blocks(path) -> Iterator[tuple[str | None, list[tuple[int, list[str]]]]]:
-    """Blank-line separated blocks as (id from a ``# id <string>`` header or
-    None, rows). Any line not starting with ``# id``, ``#love _ _ O``
-    included, is a row: its line number and its whitespace-separated fields."""
+def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str]]]]:
+    """Blank-line separated blocks as (id, rows of whitespace-separated
+    fields). The id comes from a ``# id <string>`` header, or is the block
+    index. Any other line, ``#love _ _ O`` included, is a row of one of
+    ``widths`` fields, as many as the first row of its block. A row of 2
+    (token, tag) or 4 (token _ _ tag) fields ends in a BIO tag; each
+    distinct tag is checked once."""
+    blocks: list[tuple[str, list[list[str]]]] = []
     sentence_id: str | None = None
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, "rb") as handle:
-        # The blank line chained after the file closes its last block.
-        for line_number, raw in enumerate(chain(handle, [b""]), start=1):
-            try:
-                fields = raw.decode("utf-8").split()
-            except UnicodeDecodeError as exc:
-                raise ConllParseError(path, line_number, str(exc)) from None
-            if fields[:2] == ["#", "id"]:
-                if len(fields) != 3:
-                    raise ConllParseError(path, line_number, "header must look like '# id <string>'")
-                if rows:
-                    raise ConllParseError(path, line_number, "'# id' header inside a sentence block")
-                sentence_id = fields[2]
-            elif fields:
-                rows.append((line_number, fields))
-            elif rows:
-                yield sentence_id, rows
+    rows: list[list[str]] = []
+    tags: set[str] = set()
+
+    def parse(line: str) -> None:
+        nonlocal sentence_id, rows
+        fields = line.split()
+        if not fields:
+            if rows:
+                blocks.append((str(len(blocks)) if sentence_id is None else sentence_id, rows))
                 sentence_id, rows = None, []
             elif sentence_id is not None:
-                raise ConllParseError(path, line_number, f"header for id {sentence_id!r} has no token lines")
+                raise ValueError(f"header for id {sentence_id!r} has no token lines")
+        elif fields[0] == "#" and fields[1:2] == ["id"]:
+            if len(fields) != 3:
+                raise ValueError("header must look like '# id <string>'")
+            if rows:
+                raise ValueError("'# id' header inside a sentence block")
+            sentence_id = fields[2]
+        else:
+            width = len(fields)
+            if width not in widths:
+                raise ValueError(f"expected {widths[0]} or {widths[1]} columns, got {width}")
+            if rows and width != len(rows[0]):
+                raise ValueError(f"{width} columns in a block whose first line has {len(rows[0])}")
+            if width % 2 == 0 and fields[-1] not in tags:
+                tags.add(check_tag(fields[-1]))
+            rows.append(fields)
+
+    parse_lines(path, parse)
+    return blocks
 
 
 def read_conll(path) -> list[Sentence]:
     """Parse a dataset file into sentences; block index becomes the id when
     no ``# id`` header is present."""
-    sentences: list[Sentence] = []
-    for sentence_id, rows in _read_blocks(path):
-        labeled = len(rows[0][1]) == 4
-        for line_number, fields in rows:
-            if len(fields) not in (3, 4):
-                raise ConllParseError(path, line_number, f"expected 3 or 4 columns, got {len(fields)}")
-            if (len(fields) == 4) != labeled:
-                raise ConllParseError(path, line_number, "mixed labeled and unlabeled lines in one block")
-        sid = sentence_id if sentence_id is not None else str(len(sentences))
-        tags = [fields[3] for _, fields in rows] if labeled else None
-        sentences.append(Sentence(sid, [fields[0] for _, fields in rows], tags))
+    sentences = []
+    for sid, rows in _read_blocks(path, (3, 4)):
+        tags = [fields[3] for fields in rows] if len(rows[0]) == 4 else None
+        sentences.append(Sentence(sid, [fields[0] for fields in rows], tags))
     return sentences
 
 
@@ -126,14 +126,7 @@ def _read_tag_sequences(path) -> list[tuple[str, list[str]]]:
     """(id, tags) blocks from either prediction output (2 columns) or dataset
     format (4 columns with tags); as in ``read_conll``, a block without a
     header takes its block index as id."""
-    result: list[tuple[str, list[str]]] = []
-    for sentence_id, rows in _read_blocks(path):
-        for line_number, fields in rows:
-            if len(fields) not in (2, 4):
-                raise ConllParseError(path, line_number, f"expected 2 or 4 columns, got {len(fields)}")
-        sid = sentence_id if sentence_id is not None else str(len(result))
-        result.append((sid, [fields[-1] for _, fields in rows]))
-    return result
+    return [(sid, [fields[-1] for fields in rows]) for sid, rows in _read_blocks(path, (2, 4))]
 
 
 def _parse_properties(text: str) -> frozenset[str]:
@@ -277,35 +270,43 @@ def _sidecar_row(row) -> dict:
     return {**row, "dist": dist.astype(np.float64, copy=False)}
 
 
-def _read_sidecar(path) -> list[dict]:
-    """Rows of a ``.dist.jsonl`` sidecar; a bad line raises a one-line
-    ValueError naming ``path:line``."""
-    rows = []
-    with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    rows.append(_sidecar_row(json.loads(line)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_number}: {exc}") from None
+def _read_sidecar(path, first: list[dict] | None = None) -> list[dict]:
+    """Rows of a ``.dist.jsonl`` sidecar. Every row has the labels of the
+    file's first row, which are BIO tags; given ``first``, the rows of the
+    first prediction file, each row has the id, tokens and labels of the row
+    at its place there. A bad line raises an InputError naming ``path:line``."""
+    rows: list[dict] = []
+
+    def parse(line: str) -> None:
+        if not line.strip():
+            return
+        row = _sidecar_row(json.loads(line))
+        if first is not None:
+            if len(rows) == len(first):
+                raise ValueError(f"row {len(rows) + 1} is past the {len(first)} rows of the first prediction file")
+            for key in ("id", "tokens", "labels"):
+                if row[key] != first[len(rows)][key]:
+                    raise ValueError(f"{key!r} does not match row {len(rows) + 1} of the first prediction file")
+        elif not rows:
+            for label in row["labels"]:
+                check_tag(label)
+        elif row["labels"] != rows[0]["labels"]:
+            raise ValueError("'labels' does not match the first row")
+        rows.append(row)
+
+    parse_lines(path, parse)
+    if first is not None and len(rows) != len(first):
+        raise InputError(path, None, f"{len(rows)} rows where the first prediction file has {len(first)}")
     return rows
 
 
 def cmd_vote(args) -> int:
-    folds = [_read_sidecar(path) for path in args.preds]
-    if len(args.weights) != len(folds):
-        raise ValueError(f"{len(args.weights)} weights for {len(folds)} prediction files")
-    first = folds[0]
-    labels = first[0]["labels"] if first else []
-    for fold_index, fold in enumerate(folds):
-        if [row["id"] for row in fold] != [row["id"] for row in first]:
-            raise ValueError(f"prediction file {args.preds[fold_index]} covers different sentences")
-        for row in fold:
-            if row["labels"] != labels:
-                raise ValueError("label sets differ across prediction files")
+    if len(args.weights) != len(args.preds):
+        raise ValueError(f"{len(args.weights)} weights for {len(args.preds)} prediction files")
+    first = _read_sidecar(args.preds[0])
+    folds = [first] + [_read_sidecar(path, first) for path in args.preds[1:]]
     preds = WeightedPredictions(
-        labels=labels,
+        labels=first[0]["labels"] if first else [],
         weights=args.weights,
         distributions=[[row["dist"] for row in fold] for fold in folds],
     )
@@ -319,7 +320,7 @@ def _tags_by_id(blocks: list[tuple[str, list[str]]], path) -> dict[str, list[str
     by_id: dict[str, list[str]] = {}
     for sid, tags in blocks:
         if sid in by_id:
-            raise ValueError(f"{path}: duplicate id {sid!r}")
+            raise InputError(path, None, f"duplicate id {sid!r}")
         by_id[sid] = tags
     return by_id
 
@@ -327,17 +328,17 @@ def _tags_by_id(blocks: list[tuple[str, list[str]]], path) -> dict[str, list[str
 def cmd_score(args) -> int:
     gold_sentences = read_conll(args.gold)
     if any(s.gold_tags is None for s in gold_sentences):
-        raise ValueError("gold file contains unlabeled sentences")
+        raise InputError(args.gold, None, "contains unlabeled sentences")
     gold = _tags_by_id([(s.id, s.gold_tags) for s in gold_sentences], args.gold)
     pred = _tags_by_id(_read_tag_sequences(args.pred), args.pred)
     for sid, tags in gold.items():
         if sid not in pred:
-            raise ValueError(f"{args.pred}: no prediction for id {sid!r}")
+            raise InputError(args.pred, None, f"no prediction for id {sid!r}")
         if len(pred[sid]) != len(tags):
-            raise ValueError(f"{args.pred}: id {sid!r} has {len(pred[sid])} tags for {len(tags)} gold tokens")
+            raise InputError(args.pred, None, f"id {sid!r} has {len(pred[sid])} tags for {len(tags)} gold tokens")
     extra = next((sid for sid in pred if sid not in gold), None)
     if extra is not None:
-        raise ValueError(f"{args.pred}: id {extra!r} is not in {args.gold}")
+        raise InputError(args.pred, None, f"id {extra!r} is not in {args.gold}")
     report = score(list(gold.values()), [pred[sid] for sid in gold])
     if args.report == "json":
         _dump_json(report.to_dict(), None)
@@ -450,34 +451,50 @@ def _scan_config_path(argv: list[str]) -> str | None:
     return None
 
 
+_CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _config_value(action: argparse.Action, value: str) -> object:
+    """``value`` converted as the command line converts it for ``action``;
+    a value the command line would refuse raises ValueError."""
+    if action.nargs == 0 and action.const is True:
+        if value.lower() not in _CONFIG_BOOLS:
+            raise ValueError(f"expected true or false, got {value!r}")
+        return _CONFIG_BOOLS[value.lower()]
+    parts = [value] if action.nargs is None else value.split()
+    if not parts:
+        raise ValueError("expected at least one value")
+    try:
+        converted = [action.type(part) if action.type else part for part in parts]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(str(exc)) from None
+    if action.choices is not None and any(item not in action.choices for item in converted):
+        raise ValueError(f"expected one of {', '.join(action.choices)}, got {value!r}")
+    return converted[0] if action.nargs is None else converted
+
+
 def _apply_config_defaults(sub: argparse.ArgumentParser, path: str) -> None:
     by_flag = {}
     for action in sub._actions:
         for option in action.option_strings:
             if option.startswith("--"):
                 by_flag[option[2:]] = action
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_number}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            action = by_flag.get(key)
-            if action is None or key in ("config", "help"):
-                raise ValueError(f"{path}:{line_number}: unknown config key {key!r}")
-            if action.nargs == 0 and action.const is True:
-                converted: object = value.lower() in ("1", "true", "yes", "on")
-            elif action.nargs not in (None, 1):
-                converted = [action.type(part) if action.type else part for part in value.split()]
-            elif action.type is not None:
-                converted = action.type(value)
-            else:
-                converted = value
-            sub.set_defaults(**{action.dest: converted})
-            action.required = False
+
+    def parse(line: str) -> None:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            return
+        if "=" not in line:
+            raise ValueError("expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        action = by_flag.get(key)
+        if action is None or key in ("config", "help"):
+            raise ValueError(f"unknown config key {key!r}")
+        sub.set_defaults(**{action.dest: _config_value(action, value)})
+        action.required = False
+
+    parse_lines(path, parse)
 
 
 def main(argv=None) -> int:
@@ -488,7 +505,7 @@ def main(argv=None) -> int:
     if config_path is not None and argv and argv[0] in subs:
         try:
             _apply_config_defaults(subs[argv[0]], config_path)
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -21,12 +21,14 @@ seed and data produce bit-identical parameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from propner.augmenter import AugmentedInput
+from propner.inputs import InputError, located
 
 UNK_TOKEN = "[UNK]"
 
@@ -82,35 +84,38 @@ def build_vocab(datasets: list[AugmentedInput]) -> dict[str, int]:
     return vocab
 
 
+def _param_shapes(n_vocab: int, n_labels: int, config: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter, in the order ``init_model`` draws them."""
+    d, ff = config.d_model, config.ff_dim
+    shapes = {"embed": (n_vocab, d), "pos": (config.max_len, d)}
+    for layer in range(config.n_layers):
+        prefix = f"layers.{layer}."
+        shapes.update({prefix + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({prefix + "w1": (d, ff), prefix + "b1": (ff,), prefix + "w2": (ff, d), prefix + "b2": (d,)})
+    shapes.update({"cls.w": (d, n_labels), "cls.b": (n_labels,)})
+    return shapes
+
+
 def init_model(vocab: dict[str, int], labels: list[str], config: TrainConfig) -> ToyEncoderModel:
     if not labels:
         raise ValueError("label set is empty")
     if config.d_model % config.n_heads:
         raise ValueError(f"d_model {config.d_model} not divisible by n_heads {config.n_heads}")
     rng = np.random.default_rng(config.seed)
-    d, ff = config.d_model, config.ff_dim
-    scale = 1.0 / np.sqrt(d)
-    params: dict[str, np.ndarray] = {
-        "embed": rng.normal(0.0, 0.1, size=(len(vocab), d)),
-        "pos": rng.normal(0.0, 0.1, size=(config.max_len, d)),
-    }
-    for layer in range(config.n_layers):
-        prefix = f"layers.{layer}."
-        for name in ("wq", "wk", "wv", "wo"):
-            params[prefix + name] = rng.normal(0.0, scale, size=(d, d))
-        params[prefix + "w1"] = rng.normal(0.0, scale, size=(d, ff))
-        params[prefix + "b1"] = np.zeros(ff)
-        params[prefix + "w2"] = rng.normal(0.0, 1.0 / np.sqrt(ff), size=(ff, d))
-        params[prefix + "b2"] = np.zeros(d)
-    params["cls.w"] = rng.normal(0.0, 0.1, size=(d, len(labels)))
-    params["cls.b"] = np.zeros(len(labels))
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(len(vocab), len(labels), config).items():
+        if len(shape) == 1:  # biases start at zero
+            params[name] = np.zeros(shape)
+        else:  # embeddings and classifier at std 0.1, other weights at 1/sqrt(fan-in)
+            std = 0.1 if name in ("embed", "pos", "cls.w") else 1.0 / np.sqrt(shape[0])
+            params[name] = rng.normal(0.0, std, size=shape)
     return ToyEncoderModel(
         vocab=dict(vocab),
         labels=list(labels),
-        d_model=d,
+        d_model=config.d_model,
         n_heads=config.n_heads,
         n_layers=config.n_layers,
-        ff_dim=ff,
+        ff_dim=config.ff_dim,
         max_len=config.max_len,
         seed=config.seed,
         params=params,
@@ -407,28 +412,53 @@ def save_model(model: ToyEncoderModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyEncoderModel:
+    """Read a ``save_model`` file. A header line that is not such a header,
+    or whose array list is not the one its hyperparameters give, and a body
+    of another length than those arrays raise an InputError naming the file."""
     with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode("utf-8"))
-        if header.get("format") != _MODEL_FORMAT or header.get("version") != _MODEL_VERSION:
-            raise ValueError(f"unsupported model file {path}")
-        params = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(handle.read(count * 8), dtype="<f8").astype(np.float64)
-            if not np.isfinite(data).all():
-                raise ValueError(f"model file {path} has non-finite values in {spec['name']!r}")
-            params[spec["name"]] = data.reshape(shape)
-    hp = header["hyperparams"]
+        header_line, body = handle.readline(), handle.read()
+    with located(path, 1):
+        header = json.loads(header_line.decode("utf-8"))
+        if header["format"] != _MODEL_FORMAT or header["version"] != _MODEL_VERSION:
+            raise ValueError(f"not a {_MODEL_FORMAT} model file of version {_MODEL_VERSION}")
+        hp = header["hyperparams"]
+        keys = ("d_model", "n_heads", "n_layers", "ff_dim", "max_len", "seed")
+        config = TrainConfig(**{key: hp[key] for key in keys})
+        sizes = (config.d_model, config.n_heads, config.ff_dim, config.max_len)
+        if not all(type(size) is int and size > 0 for size in sizes) or config.d_model % config.n_heads:
+            raise ValueError("'d_model', 'n_heads', 'ff_dim', 'max_len' must be positive, 'n_heads' dividing 'd_model'")
+        # Every layer has arrays, which bounds the shape table built below.
+        if type(config.n_layers) is not int or not 0 <= config.n_layers < len(header["arrays"]):
+            raise ValueError("'n_layers' must be a non-negative integer below the number of arrays")
+        vocab, labels = hp["vocab"], hp["labels"]
+        if not isinstance(vocab, dict) or sorted(vocab.values()) != list(range(len(vocab))) or UNK_TOKEN not in vocab:
+            raise ValueError(f"'vocab' must number its tokens, {UNK_TOKEN!r} among them, from 0 on")
+        if not isinstance(labels, list) or not labels or not all(isinstance(label, str) for label in labels):
+            raise ValueError("'labels' must be a non-empty list of strings")
+        shapes = dict(sorted(_param_shapes(len(vocab), len(labels), config).items()))
+        if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]:
+            raise ValueError("the array list does not match the hyperparameters")
+        epoch_losses = list(header.get("epoch_losses", []))
+    counts = [math.prod(shape) for shape in shapes.values()]
+    if len(body) != 8 * sum(counts):
+        raise InputError(path, None, f"the arrays take {8 * sum(counts)} bytes, {len(body)} follow the header")
+    params = {}
+    offset = 0
+    for (name, shape), count in zip(shapes.items(), counts):
+        data = np.frombuffer(body, dtype="<f8", count=count, offset=offset).astype(np.float64)
+        if not np.isfinite(data).all():
+            raise InputError(path, None, f"non-finite values in {name!r}")
+        params[name] = data.reshape(shape)
+        offset += 8 * count
     return ToyEncoderModel(
-        vocab={token: int(idx) for token, idx in hp["vocab"].items()},
-        labels=list(hp["labels"]),
-        d_model=hp["d_model"],
-        n_heads=hp["n_heads"],
-        n_layers=hp["n_layers"],
-        ff_dim=hp["ff_dim"],
-        max_len=hp["max_len"],
-        seed=hp["seed"],
+        vocab=vocab,
+        labels=labels,
+        d_model=config.d_model,
+        n_heads=config.n_heads,
+        n_layers=config.n_layers,
+        ff_dim=config.ff_dim,
+        max_len=config.max_len,
+        seed=config.seed,
         params=params,
-        epoch_losses=list(header.get("epoch_losses", [])),
+        epoch_losses=epoch_losses,
     )

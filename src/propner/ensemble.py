@@ -15,6 +15,13 @@ import numpy as np
 TAG_PATTERN = re.compile(r"^(O|[BI]-\S+)$")
 
 
+def check_tag(tag: str) -> str:
+    """``tag`` if it is a BIO tag: ``O``, ``B-X`` or ``I-X``."""
+    if not TAG_PATTERN.match(tag):
+        raise ValueError(f"invalid BIO tag {tag!r}")
+    return tag
+
+
 @dataclass
 class FoldPlan:
     k: int
@@ -104,9 +111,7 @@ def repair_bio(tags: list[str]) -> list[str]:
     """
     repaired = []
     prev_type = None
-    for tag in tags:
-        if not TAG_PATTERN.match(tag):
-            raise ValueError(f"invalid BIO tag {tag!r}")
+    for tag in map(check_tag, tags):
         if tag == "O":
             repaired.append(tag)
             prev_type = None

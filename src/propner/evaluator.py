@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from propner.ensemble import TAG_PATTERN, repair_bio
+from propner.ensemble import check_tag, repair_bio
 
 
 @dataclass
@@ -64,9 +64,7 @@ def extract_spans(tags: list[str]) -> set[tuple[int, int, str]]:
                 spans.add((start, i, current))
                 current = None
             continue
-        if not TAG_PATTERN.match(tag):
-            raise ValueError(f"invalid BIO tag {tag!r}")
-        prefix, entity_type = tag.split("-", 1)
+        prefix, entity_type = check_tag(tag).split("-", 1)
         if prefix == "B":
             if current is not None:
                 spans.add((start, i, current))

@@ -18,12 +18,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from propner.inputs import InputError, located
+
 if TYPE_CHECKING:
     from propner.matcher import Sentence
 
 logger = logging.getLogger(__name__)
 
 QID_PATTERN = re.compile(r"^Q[0-9]+$")
+_QID_LINES = re.compile(r"(?:Q[0-9]+\n)*")
 
 #: Property kinds in canonical (context concatenation) order.
 PROPERTY_KINDS = ("instanceof", "subclassof", "occupation")
@@ -350,24 +353,52 @@ def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
         handle.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
+def _tsv_lines(path: Path) -> list[str]:
+    """The lines of a KB TSV file. The file is decoded whole, which is much
+    faster than line by line; the line of a decoding error is found only
+    when decoding fails."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(path, data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
+
+
 def load_kb(kb_dir: str | Path) -> KnowledgeBase:
-    """Load a compiled knowledge base, validating index/context consistency."""
+    """Load a compiled knowledge base. A malformed file raises an InputError
+    naming it, and the line in the TSV files; a surface whose qid has no
+    context entry raises KnowledgeBaseInconsistencyError."""
     path = Path(kb_dir)
-    meta = json.loads((path / META_FILE).read_text(encoding="utf-8"))
-    mask = _check_mask(meta["property_mask"])
+    with located(path / META_FILE):
+        meta = json.loads((path / META_FILE).read_bytes().decode("utf-8"))
+        language, kinds = meta["language"], meta["property_mask"]
+        if not isinstance(language, str) or not isinstance(kinds, list):
+            raise ValueError("'language' must be a string and 'property_mask' a list")
+        mask = _check_mask(kinds)
 
+    lines = _tsv_lines(path / CONTEXTS_FILE)
     contexts: dict[str, str] = {}
-    for line in (path / CONTEXTS_FILE).read_text(encoding="utf-8").splitlines():
-        qid, _, context = line.partition("\t")
+    for line in lines:
+        qid, tab, context = line.partition("\t")
+        if not tab:
+            raise InputError(path / CONTEXTS_FILE, lines.index(line) + 1, "expected 'qid<TAB>context'")
         contexts[qid] = context
+    # One match over all qids costs a third of one match per qid.
+    if not _QID_LINES.fullmatch("\n".join([*contexts, ""])):
+        bad = next(qid for qid in contexts if not QID_PATTERN.match(qid))
+        number = next(n for n, line in enumerate(lines, start=1) if line.startswith(bad + "\t"))
+        raise InputError(path / CONTEXTS_FILE, number, f"malformed qid {bad!r}")
 
+    lines = _tsv_lines(path / SURFACES_FILE)
     surface_index: dict[str, list[str]] = {}
-    for line in (path / SURFACES_FILE).read_text(encoding="utf-8").splitlines():
-        surface, _, qid = line.partition("\t")
+    for line in lines:
+        surface, tab, qid = line.partition("\t")
         if qid not in contexts:
+            if not tab:
+                raise InputError(path / SURFACES_FILE, lines.index(line) + 1, "expected 'surface<TAB>qid'")
             raise KnowledgeBaseInconsistencyError(f"surface {surface!r} maps to {qid} which has no context entry")
         surface_index.setdefault(surface, []).append(qid)
     for surface, qids in surface_index.items():
         surface_index[surface] = sorted(set(qids), key=_qid_num)
 
-    return KnowledgeBase(language=meta["language"], surface_index=surface_index, contexts=contexts, property_mask=mask)
+    return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)

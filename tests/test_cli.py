@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import re
+import shutil
 import string
 
 import numpy as np
@@ -9,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from propner import augmenter
 from propner.augmenter import Segment
-from propner.cli import ConllParseError, _read_tag_sequences, main, read_conll, write_conll
+from propner.cli import _read_tag_sequences, main, read_conll, write_conll
+from propner.inputs import InputError
 from propner.matcher import Sentence
 
 from conftest import table_dump_lines
@@ -78,19 +82,19 @@ class TestReadConll:
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "x.conll"
         path.write_text("token _ _ TAG extra\n", encoding="utf-8")
-        with pytest.raises(ConllParseError, match="line 1"):
+        with pytest.raises(InputError, match=re.escape(f"{path}:1:")):
             read_conll(path)
 
     def test_mixed_labeling_rejected(self, tmp_path):
         path = tmp_path / "x.conll"
         path.write_text("a _ _ O\nb _ _\n", encoding="utf-8")
-        with pytest.raises(ConllParseError):
+        with pytest.raises(InputError):
             read_conll(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "x.conll"
         path.write_text("# nonsense\na _ _ O\n", encoding="utf-8")
-        with pytest.raises(ConllParseError):
+        with pytest.raises(InputError):
             read_conll(path)
 
     def test_round_trip(self, data_file, tmp_path):
@@ -269,6 +273,8 @@ AUG_DEFECTS = [
     "invalid UTF-8",
     "id with a space",
     "missing id",
+    "token with a space",
+    "empty token",
 ]
 
 
@@ -296,6 +302,10 @@ def _break_line_2(path, defect: str) -> None:
         record["id"] = "s 2"
     elif defect == "missing id":
         del record["id"]
+    elif defect == "token with a space":
+        record["tokens"][1] = "New York"
+    elif defect == "empty token":
+        record["tokens"][1] = ""
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -371,7 +381,7 @@ class TestHashTokens:
     def test_malformed_id_header_is_not_a_token(self, tmp_path, header):
         pred = tmp_path / "pred.tsv"
         pred.write_text(f"{header}\na\tO\n", encoding="utf-8")
-        with pytest.raises(ConllParseError, match="line 1"):
+        with pytest.raises(InputError, match=re.escape(f"{pred}:1:")):
             _read_tag_sequences(pred)
 
     def test_hash_token_in_predictions(self, tmp_path, capsys):
@@ -474,7 +484,7 @@ class TestScoreById:
         pred = tmp_path / "pred.tsv"
         pred.write_bytes(b"\xff\xfe# id a\n")
         code, err = _run(["score", "--gold", str(gold), "--pred", str(pred)])
-        _assert_one_error_line(code, err, f"{pred}: line 1:")
+        _assert_one_error_line(code, err, f"{pred}:1:")
 
 
 def _sidecar_row(**overrides) -> str:
@@ -514,12 +524,100 @@ class TestSidecarValidation:
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\n\n"
 
+    def test_label_not_a_bio_tag(self, tmp_path):
+        sidecar = tmp_path / "p.dist.jsonl"
+        sidecar.write_text(_sidecar_row(labels=["PER", "O"]) + "\n", encoding="utf-8")
+        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
+        _assert_one_error_line(code, err, f"{sidecar}:1:", "invalid BIO tag 'PER'")
+
+    @pytest.mark.parametrize("rows,needle", [
+        ([_sidecar_row(labels=["O", "B-X"]), _sidecar_row(id="s2")], ":1: 'labels'"),
+        ([_sidecar_row(), _sidecar_row(id="s3")], ":2: 'id'"),
+        ([_sidecar_row(), _sidecar_row(id="s2", tokens=["a"], dist=[[0.5, 0.5]])], ":2: 'tokens'"),
+        ([_sidecar_row(), _sidecar_row(id="s2", tokens=["a", "c"])], ":2: 'tokens'"),
+        ([_sidecar_row(), _sidecar_row(id="s2"), _sidecar_row(id="s3")], ":3: row 3 is past the 2 rows"),
+        ([_sidecar_row()], ": 1 rows where the first prediction file has 2"),
+    ])
+    def test_fold_rows_must_match_the_first_file(self, tmp_path, rows, needle):
+        first, other = tmp_path / "first.dist.jsonl", tmp_path / "other.dist.jsonl"
+        first.write_text(_sidecar_row() + "\n" + _sidecar_row(id="s2") + "\n", encoding="utf-8")
+        other.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        argv = ["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(tmp_path / "v.tsv")]
+        _assert_one_error_line(*_run(argv), f"{other}{needle}")
+
+
+class TestTagsNameTheirFile:
+    def test_dataset_tag(self, tmp_path, dump_file):
+        data = tmp_path / "data.conll"
+        data.write_text("# id a\nVictor _ _ PER\n", encoding="utf-8")
+        assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(tmp_path / "kb")]) == 0
+        argv = ["augment", "--kb", str(tmp_path / "kb"), "--data", str(data), "--out", str(tmp_path / "aug.jsonl")]
+        _assert_one_error_line(*_run(argv), f"{data}:2: invalid BIO tag 'PER'")
+
+    def test_prediction_tag(self, tmp_path):
+        gold = tmp_path / "gold.conll"
+        gold.write_text(GOLD_AB, encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(GOLD_AB.replace("_ _ ", "").replace("human B-OTH", "human X"), encoding="utf-8")
+        code, err = _run(["score", "--gold", str(gold), "--pred", str(pred)])
+        _assert_one_error_line(code, err, f"{pred}:7: invalid BIO tag 'X'")
+
+
+@pytest.mark.parametrize("argv,text,needle", [
+    (["split", "--data"], b"seed = 1\nk = two\n", ":2: invalid literal for int()"),
+    (["split", "--data"], b"seed = 1\n\xff = 2\n", ":2: 'utf-8' codec can't decode byte 0xff"),
+    (["split", "--seed", "1", "--data"], b"verbose = maybe\n", ":1: expected true or false"),
+    (["split", "--seed", "1", "--data"], b"k\n", ":1: expected 'key = value'"),
+    (["build-kb", "--lang", "en", "--out", "kb", "--dump"], b"properties = bogus\n", ":1: unknown property kinds"),
+    (["score", "--pred", "p.tsv", "--gold"], b"report = xml\n", ":1: expected one of json, text"),
+])
+def test_config_error_names_its_line(tmp_path, data_file, argv, text, needle):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    code, err = _run([*argv, str(data_file), "--config", str(config)])
+    _assert_one_error_line(code, err, f"{config}{needle}")
+
+
+KB_DEFECTS = {
+    "meta.json not JSON": ("meta.json", lambda text: "", "meta.json: Expecting value"),
+    "meta.json without a key": ("meta.json", lambda text: '{"language": "en"}', "meta.json: missing key 'property_mask'"),
+    "property mask not a list": ("meta.json", lambda text: '{"language": "en", "property_mask": 3}',
+                                 "meta.json: 'language' must be a string and 'property_mask' a list"),
+    "surfaces line without a tab": ("surfaces.tsv", lambda text: text + "zeta Q5\n", "surfaces.tsv:{}: expected"),
+    "contexts line without a tab": ("contexts.tsv", lambda text: text + "Q77\n", "contexts.tsv:{}: expected"),
+    "malformed qid": ("contexts.tsv", lambda text: text + "Qx7\tplace\n", "contexts.tsv:{}: malformed qid 'Qx7'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(KB_DEFECTS))
+def test_kb_defect_names_its_file(tmp_path, dump_file, data_file, defect):
+    kb = tmp_path / "kb"
+    assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(kb)]) == 0
+    name, edit, needle = KB_DEFECTS[defect]
+    path = kb / name
+    text = path.read_text(encoding="utf-8")
+    path.write_text(edit(text), encoding="utf-8")
+    code, err = _run(["retrieve", "--kb", str(kb), "--data", str(data_file), "--out", str(tmp_path / "pairs.jsonl")])
+    _assert_one_error_line(code, err, str(kb / needle.format(len(text.splitlines()) + 1)))
+
+
+def test_kb_invalid_utf8_names_its_line(tmp_path, dump_file, data_file):
+    kb = tmp_path / "kb"
+    assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(kb)]) == 0
+    contexts = kb / "contexts.tsv"
+    lines = contexts.read_bytes().split(b"\n")
+    index = next(i for i, line in enumerate(lines) if line.startswith(b"Q5\t"))
+    lines[index] += b"\xff"
+    contexts.write_bytes(b"\n".join(lines))
+    code, err = _run(["retrieve", "--kb", str(kb), "--data", str(data_file), "--out", str(tmp_path / "pairs.jsonl")])
+    _assert_one_error_line(code, err, f"{contexts}:{index + 1}: 'utf-8' codec can't decode byte 0xff")
+
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
-    """Valid files of each kind the robustness property mutates: an aug-JSONL
-    file, the model trained on it, its predictions with their sidecar, and
-    the gold data."""
+    """Valid files of each kind the robustness property mutates: a dump, the
+    knowledge base built from it, the gold data, an aug-JSONL file, the model
+    trained on it, its predictions with their sidecar, and a config file."""
     root = tmp_path_factory.mktemp("robust")
     dump = root / "dump.jsonl"
     dump.write_text("\n".join(table_dump_lines()) + "\n", encoding="utf-8")
@@ -538,7 +636,42 @@ def cli_files(tmp_path_factory):
     assert main(["train", "--aug", str(aug), "--out", str(model), "--seed", "1", "--epochs", "1", "--max-len", "64"]) == 0
     pred = root / "pred.tsv"
     assert main(["predict", "--model", str(model), "--aug", str(aug), "--out", str(pred)]) == 0
-    return {"root": root, "aug": aug, "model": model, "pred": pred, "sidecar": root / "pred.tsv.dist.jsonl", "gold": gold}
+    config = root / "split.cfg"
+    config.write_text("# two folds\nk = 2\nseed = 9\n", encoding="utf-8")
+    return {"root": root, "aug": aug, "model": model, "pred": pred, "sidecar": root / "pred.tsv.dist.jsonl", "gold": gold,
+            "dump": dump, "kb": root / "kb", "config": config}
+
+
+def _edit_header(edit):
+    """A model file transform that applies ``edit`` to the parsed header."""
+    def apply(data: bytes) -> bytes:
+        header, body = data.split(b"\n", 1)
+        record = json.loads(header)
+        edit(record)
+        return json.dumps(record).encode("utf-8") + b"\n" + body
+    return apply
+
+
+MODEL_DEFECTS = {
+    "body truncated": (lambda data: data[:-5], ": the arrays take"),
+    "8 bytes appended": (lambda data: data + bytes(8), ": the arrays take"),
+    "header not UTF-8": (lambda data: b"\xff" + data, ":1: 'utf-8' codec can't decode"),
+    "header not JSON": (lambda data: b"{" + data, ":1: Expecting property name"),
+    "d_model edited": (_edit_header(lambda h: h["hyperparams"].update(d_model=16)), ":1: the array list does not"),
+    "missing key": (_edit_header(lambda h: h["hyperparams"].pop("vocab")), ":1: missing key 'vocab'"),
+    "array list shortened": (_edit_header(lambda h: h["arrays"].pop()), ":1: the array list does not"),
+    "vocab index past the end": (_edit_header(lambda h: h["hyperparams"]["vocab"].update(zzz=10**6)), ":1: 'vocab'"),
+    "a billion layers": (_edit_header(lambda h: h["hyperparams"].update(n_layers=10**9)), ":1: 'n_layers'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_model_defect_names_its_file(cli_files, tmp_path, defect):
+    transform, needle = MODEL_DEFECTS[defect]
+    model = tmp_path / "model.bin"
+    model.write_bytes(transform(cli_files["model"].read_bytes()))
+    code, err = _run(["predict", "--model", str(model), "--aug", str(cli_files["aug"]), "--out", str(tmp_path / "p.tsv")])
+    _assert_one_error_line(code, err, f"{model}{needle}")
 
 
 CHUNKS = st.one_of(
@@ -584,6 +717,70 @@ class TestRobustness:
         }[command]
         with contextlib.redirect_stdout(io.StringIO()):
             code, err = _run(argv)
+        if code == 0:
+            assert err == ""
+        else:
+            _assert_one_error_line(code, err)
+
+    @pytest.mark.parametrize("source", ["config", "dataset", "surfaces.tsv", "contexts.tsv", "meta.json", "dump"])
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(edits=EDITS)
+    def test_mutated_input(self, cli_files, source, edits):
+        """As above for the other inputs. A mutated knowledge base may also
+        give exit 2 with one ``internal error:`` line (a surface whose qid has
+        no context), and ``build-kb`` may print its skipped-line warnings."""
+        root, gold = cli_files["root"], str(cli_files["gold"])
+        kb = root / "mutated-kb"
+        shutil.copytree(cli_files["kb"], kb, dirs_exist_ok=True)
+        original, mutated = {
+            "config": (cli_files["config"], root / "mutated.cfg"),
+            "dataset": (cli_files["gold"], root / "mutated.conll"),
+            "dump": (cli_files["dump"], root / "mutated.jsonl"),
+        }.get(source, (cli_files["kb"] / source, kb / source))
+        mutated.write_bytes(_mutate(original.read_bytes(), edits))
+        argv = {
+            # --seed keeps argparse's usage message for a missing flag out of this property
+            "config": ["split", "--data", gold, "--seed", "1", "--config", str(mutated)],
+            "dataset": ["augment", "--kb", str(cli_files["kb"]), "--data", str(mutated), "--out", str(root / "out.jsonl")],
+            "dump": ["build-kb", "--dump", str(mutated), "--lang", "en", "--out", str(root / "kb-of-mutated")],
+        }.get(source, ["retrieve", "--kb", str(kb), "--data", gold, "--out", str(root / "out.jsonl")])
+        cwd = os.getcwd()
+        os.chdir(root)  # a mutated config may name an output file
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, err = _run(argv)
+        finally:
+            os.chdir(cwd)
+        if code == 0:
+            assert all("dump line" in line and "skipped" in line for line in err.splitlines()) if source == "dump" else not err
+        elif code == 2 and source in ("surfaces.tsv", "contexts.tsv"):
+            assert len(err.splitlines()) == 1 and err.startswith("internal error: "), err
+        else:
+            _assert_one_error_line(code, err)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(edit=st.one_of(
+        EDITS.map(lambda edits: ("header", edits)),
+        st.integers(0, 10**6).map(lambda at: ("truncate", at)),
+        CHUNKS.map(lambda chunk: ("append", chunk)),
+    ))
+    def test_mutated_model(self, cli_files, edit):
+        """As above for a model file. Only its header line and the length of
+        its body are mutated: overwritten float bytes make extreme weights,
+        which is a question of numerics this property leaves out."""
+        data = cli_files["model"].read_bytes()
+        header, body = data.split(b"\n", 1)
+        kind, arg = edit
+        if kind == "header":
+            data = _mutate(header, arg) + b"\n" + body
+        elif kind == "truncate":
+            data = data[: len(header) + 1 + arg % (len(body) + 1)]
+        else:
+            data += arg
+        mutated = cli_files["root"] / "mutated-model.bin"
+        mutated.write_bytes(data)
+        argv = ["predict", "--model", str(mutated), "--aug", str(cli_files["aug"]), "--out", str(cli_files["root"] / "out.tsv")]
+        code, err = _run(argv)
         if code == 0:
             assert err == ""
         else:

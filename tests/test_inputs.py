@@ -1,0 +1,31 @@
+import json
+import re
+
+import pytest
+
+from propner.inputs import InputError, located, parse_lines
+
+
+def test_only_the_line_ending_is_dropped(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\r\nb\rc\n\td\t\ne")
+    assert parse_lines(path, lambda line: line) == ["a", "b\rc", "\td\t", "e", ""]
+
+
+@pytest.mark.parametrize("data,message", [
+    (b'{"n": 1}\n\n{"n": 2}\nx\n', "4: Expecting value"),
+    (b'{"n": 1}\n\xff\n', "2: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"n": 1}\n{}\n', "2: missing key 'n'"),
+    (b'{"n": 1}\n[]\n', "2: list indices must be integers"),
+])
+def test_error_names_file_and_line(tmp_path, data, message):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{message}")):
+        parse_lines(path, lambda line: json.loads(line)["n"] if line else None)
+
+
+def test_located_without_a_line():
+    with pytest.raises(InputError, match=re.escape("meta.json: missing key 'language'")):
+        with located("meta.json"):
+            {}["language"]
