@@ -24,6 +24,7 @@ from itertools import groupby
 
 import numpy as np
 
+from propner.ensemble import check_tag
 from propner.inputs import parse_lines
 from propner.kbstore import CONTEXT_SEPARATOR
 from propner.matcher import EntityMatch, Sentence
@@ -250,6 +251,17 @@ def write_jsonl(augs: list[AugmentedInput], path) -> None:
 
 
 def read_jsonl(path) -> list[AugmentedInput]:
-    """Load an aug-JSONL file; a malformed line raises an InputError naming
-    ``path:line``."""
-    return parse_lines(path, lambda line: from_json_dict(json.loads(line)) if line.strip() else None)
+    """Load an aug-JSONL file; a malformed line, or a gold tag that is not a
+    BIO tag, raises an InputError naming ``path:line``. Each distinct tag is
+    checked once."""
+    tags: set[str] = set()
+
+    def parse(line: str) -> AugmentedInput | None:
+        if not line.strip():
+            return None
+        aug = from_json_dict(json.loads(line))
+        if not tags.issuperset(aug.gold_tags or ()):
+            tags.update(map(check_tag, aug.gold_tags))
+        return aug
+
+    return parse_lines(path, parse)

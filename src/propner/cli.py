@@ -6,8 +6,8 @@ an optional ``# id <string>`` header per block, and token lines
 subcommand accepts ``--config FILE`` with ``key = value`` lines supplying
 any flag; explicit command-line flags win.
 
-Exit codes: 0 success, 1 validation or parse error, 2 internal invariant
-violation.
+Exit codes: 0 success (``--help`` included), 1 usage, validation or parse
+error, 2 internal invariant violation. Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -357,13 +357,21 @@ def cmd_synthetic_ab(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser that raises a usage error as a ValueError where argparse
+    would print its usage text and exit."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value file supplying defaults for any flag")
     sub.add_argument("--verbose", action="store_true", help="log at INFO level")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(prog="propner", description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="propner", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     subs: dict[str, argparse.ArgumentParser] = {}
 
@@ -500,22 +508,15 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, path: str) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = _build_parser()
-
     config_path = _scan_config_path(argv)
-    if config_path is not None and argv and argv[0] in subs:
-        try:
+    try:
+        if config_path is not None and argv and argv[0] in subs:
             _apply_config_defaults(subs[argv[0]], config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-
-    logging.basicConfig(level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help; a usage error raises ValueError
+            return 0 if exc.code in (0, None) else 1
+        logging.basicConfig(level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
         return int(args.func(args) or 0)
     except (KnowledgeBaseInconsistencyError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -16,6 +16,11 @@ finite differences agree with the analytic gradients at any point (a relu
 kink inside the difference interval would not). Training is plain
 per-sentence gradient descent with a fixed seed: two runs with the same
 seed and data produce bit-identical parameters.
+
+The parameters live in one float64 buffer, ``ToyEncoderModel.flat``, in
+sorted-name order, the order of the model file's body; ``params`` holds
+named views into it. A gradient is a buffer of the same layout, so one
+update step is one ``flat -= lr * grad``.
 """
 
 from __future__ import annotations
@@ -63,12 +68,20 @@ class ToyEncoderModel:
     ff_dim: int
     max_len: int
     seed: int
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
     epoch_losses: list[float] = field(default_factory=list)
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.params = self.views(self.flat)
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``flat``, a buffer laid out like ``self.flat``."""
+        return _views(flat, _param_shapes(len(self.vocab), len(self.labels), self))
 
     def token_ids(self, tokens: list[str]) -> np.ndarray:
         unk = self.vocab[UNK_TOKEN]
@@ -84,7 +97,12 @@ def build_vocab(datasets: list[AugmentedInput]) -> dict[str, int]:
     return vocab
 
 
-def _param_shapes(n_vocab: int, n_labels: int, config: TrainConfig) -> dict[str, tuple[int, ...]]:
+# The hyperparameters a model file stores, each a field of TrainConfig and
+# of ToyEncoderModel.
+_HYPERPARAMS = ("d_model", "n_heads", "n_layers", "ff_dim", "max_len", "seed")
+
+
+def _param_shapes(n_vocab: int, n_labels: int, config: TrainConfig | ToyEncoderModel) -> dict[str, tuple[int, ...]]:
     """The shape of each parameter, in the order ``init_model`` draws them."""
     d, ff = config.d_model, config.ff_dim
     shapes = {"embed": (n_vocab, d), "pos": (config.max_len, d)}
@@ -96,30 +114,35 @@ def _param_shapes(n_vocab: int, n_labels: int, config: TrainConfig) -> dict[str,
     return shapes
 
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views into ``flat`` of the given shapes, laid out one after another in
+    sorted-name order."""
+    views, offset = {}, 0
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
+        views[name] = flat[offset : offset + count].reshape(shapes[name])
+        offset += count
+    return views
+
+
 def init_model(vocab: dict[str, int], labels: list[str], config: TrainConfig) -> ToyEncoderModel:
     if not labels:
         raise ValueError("label set is empty")
     if config.d_model % config.n_heads:
         raise ValueError(f"d_model {config.d_model} not divisible by n_heads {config.n_heads}")
-    rng = np.random.default_rng(config.seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(len(vocab), len(labels), config).items():
-        if len(shape) == 1:  # biases start at zero
-            params[name] = np.zeros(shape)
-        else:  # embeddings and classifier at std 0.1, other weights at 1/sqrt(fan-in)
-            std = 0.1 if name in ("embed", "pos", "cls.w") else 1.0 / np.sqrt(shape[0])
-            params[name] = rng.normal(0.0, std, size=shape)
-    return ToyEncoderModel(
+    shapes = _param_shapes(len(vocab), len(labels), config)
+    model = ToyEncoderModel(
         vocab=dict(vocab),
         labels=list(labels),
-        d_model=config.d_model,
-        n_heads=config.n_heads,
-        n_layers=config.n_layers,
-        ff_dim=config.ff_dim,
-        max_len=config.max_len,
-        seed=config.seed,
-        params=params,
+        flat=np.zeros(sum(map(math.prod, shapes.values()))),
+        **{key: getattr(config, key) for key in _HYPERPARAMS},
     )
+    rng = np.random.default_rng(config.seed)
+    for name, shape in shapes.items():  # in draw order; biases stay at zero
+        if len(shape) > 1:  # embeddings and classifier at std 0.1, other weights at 1/sqrt(fan-in)
+            std = 0.1 if name in ("embed", "pos", "cls.w") else 1.0 / np.sqrt(shape[0])
+            model.params[name][...] = rng.normal(0.0, std, size=shape)
+    return model
 
 
 def _masked_softmax(scores: np.ndarray, bits: np.ndarray, allow_empty_rows: bool) -> np.ndarray:
@@ -247,12 +270,14 @@ def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool
     return loss, d_logits, cache
 
 
-def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the sentence tokens and its full gradient."""
+def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the sentence tokens and its full gradient, a
+    buffer laid out like ``model.flat``."""
     p = model.params
     loss, d_logits, cache = _cross_entropy(model, aug, want_cache=True)
 
-    grads = {name: np.zeros_like(value) for name, value in p.items()}
+    grad = np.zeros_like(model.flat)
+    grads = model.views(grad)
     final = cache["final"]
     grads["cls.w"] += final.T @ d_logits
     grads["cls.b"] += d_logits.sum(axis=0)
@@ -295,7 +320,7 @@ def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float,
     t = len(cache["ids"])
     grads["pos"][:t] += dx
     np.add.at(grads["embed"], cache["ids"], dx)
-    return loss, grads
+    return loss, grad
 
 
 def train(dataset: list[AugmentedInput], config: TrainConfig) -> ToyEncoderModel:
@@ -316,13 +341,12 @@ def train(dataset: list[AugmentedInput], config: TrainConfig) -> ToyEncoderModel
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
         for idx in order:
-            loss, grads = _loss_and_grads(model, dataset[idx])
+            loss, grad = _loss_and_grads(model, dataset[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}: lower the learning rate (current {config.lr})"
                 )
-            for name, grad in grads.items():
-                model.params[name] -= config.lr * grad
+            model.flat -= config.lr * grad
             epoch_loss += loss
         model.epoch_losses.append(epoch_loss / len(dataset))
     return model
@@ -358,24 +382,21 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    _, analytic = _loss_and_grads(model, aug)
+    analytic = model.views(_loss_and_grads(model, aug)[1])
     rng = np.random.default_rng(seed)
-    names = sorted(model.params)
-    per_group = max(1, -(-n_coords // len(names)))
+    per_group = max(1, -(-n_coords // len(model.params)))
 
     worst = 0.0
-    for name in names:
-        param = model.params[name]
-        flat_indices = rng.integers(0, param.size, size=per_group)
-        for flat in flat_indices:
-            original = param.flat[flat]
-            param.flat[flat] = original + epsilon
+    for name, param in model.params.items():
+        for index in rng.integers(0, param.size, size=per_group):
+            original = param.flat[index]
+            param.flat[index] = original + epsilon
             loss_plus = _cross_entropy(model, aug, want_cache=False)[0]
-            param.flat[flat] = original - epsilon
+            param.flat[index] = original - epsilon
             loss_minus = _cross_entropy(model, aug, want_cache=False)[0]
-            param.flat[flat] = original
+            param.flat[index] = original
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            exact = analytic[name].flat[flat]
+            exact = analytic[name].flat[index]
             rel = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-3)
             worst = max(worst, rel)
     return worst
@@ -386,29 +407,23 @@ _MODEL_VERSION = 1
 
 
 def save_model(model: ToyEncoderModel, path: str | Path) -> None:
-    """Single-file dump: one JSON header line, then raw little-endian float64
-    array bytes in header order. Byte-identical across runs."""
-    names = sorted(model.params)
+    """Single-file dump: one JSON header line, then ``model.flat`` as raw
+    little-endian float64 bytes, which hold the arrays in header order.
+    Byte-identical across runs."""
     header = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "hyperparams": {
-            "d_model": model.d_model,
-            "n_heads": model.n_heads,
-            "n_layers": model.n_layers,
-            "ff_dim": model.ff_dim,
-            "max_len": model.max_len,
-            "seed": model.seed,
+            **{key: getattr(model, key) for key in _HYPERPARAMS},
             "labels": model.labels,
             "vocab": model.vocab,
         },
         "epoch_losses": model.epoch_losses,
-        "arrays": [{"name": name, "shape": list(model.params[name].shape)} for name in names],
+        "arrays": [{"name": name, "shape": list(view.shape)} for name, view in model.params.items()],
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n")
-        for name in names:
-            handle.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+        handle.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str | Path) -> ToyEncoderModel:
@@ -422,8 +437,7 @@ def load_model(path: str | Path) -> ToyEncoderModel:
         if header["format"] != _MODEL_FORMAT or header["version"] != _MODEL_VERSION:
             raise ValueError(f"not a {_MODEL_FORMAT} model file of version {_MODEL_VERSION}")
         hp = header["hyperparams"]
-        keys = ("d_model", "n_heads", "n_layers", "ff_dim", "max_len", "seed")
-        config = TrainConfig(**{key: hp[key] for key in keys})
+        config = TrainConfig(**{key: hp[key] for key in _HYPERPARAMS})
         sizes = (config.d_model, config.n_heads, config.ff_dim, config.max_len)
         if not all(type(size) is int and size > 0 for size in sizes) or config.d_model % config.n_heads:
             raise ValueError("'d_model', 'n_heads', 'ff_dim', 'max_len' must be positive, 'n_heads' dividing 'd_model'")
@@ -439,26 +453,17 @@ def load_model(path: str | Path) -> ToyEncoderModel:
         if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]:
             raise ValueError("the array list does not match the hyperparameters")
         epoch_losses = list(header.get("epoch_losses", []))
-    counts = [math.prod(shape) for shape in shapes.values()]
-    if len(body) != 8 * sum(counts):
-        raise InputError(path, None, f"the arrays take {8 * sum(counts)} bytes, {len(body)} follow the header")
-    params = {}
-    offset = 0
-    for (name, shape), count in zip(shapes.items(), counts):
-        data = np.frombuffer(body, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        if not np.isfinite(data).all():
-            raise InputError(path, None, f"non-finite values in {name!r}")
-        params[name] = data.reshape(shape)
-        offset += 8 * count
-    return ToyEncoderModel(
+    size = 8 * sum(map(math.prod, shapes.values()))
+    if len(body) != size:
+        raise InputError(path, None, f"the arrays take {size} bytes, {len(body)} follow the header")
+    model = ToyEncoderModel(
         vocab=vocab,
         labels=labels,
-        d_model=config.d_model,
-        n_heads=config.n_heads,
-        n_layers=config.n_layers,
-        ff_dim=config.ff_dim,
-        max_len=config.max_len,
-        seed=config.seed,
-        params=params,
+        flat=np.frombuffer(body, dtype="<f8").astype(np.float64),
         epoch_losses=epoch_losses,
+        **{key: getattr(config, key) for key in _HYPERPARAMS},
     )
+    if not np.isfinite(model.flat).all():
+        name = next(name for name, view in model.params.items() if not np.isfinite(view).all())
+        raise InputError(path, None, f"non-finite values in {name!r}")
+    return model

@@ -365,9 +365,9 @@ def _tsv_lines(path: Path) -> list[str]:
 
 
 def load_kb(kb_dir: str | Path) -> KnowledgeBase:
-    """Load a compiled knowledge base. A malformed file raises an InputError
-    naming it, and the line in the TSV files; a surface whose qid has no
-    context entry raises KnowledgeBaseInconsistencyError."""
+    """Load a compiled knowledge base. A malformed file, or a surface whose
+    qid has no context entry, raises an InputError naming the file, and the
+    line in the TSV files."""
     path = Path(kb_dir)
     with located(path / META_FILE):
         meta = json.loads((path / META_FILE).read_bytes().decode("utf-8"))
@@ -394,9 +394,10 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
     for line in lines:
         surface, tab, qid = line.partition("\t")
         if qid not in contexts:
+            message = f"surface {surface!r} maps to {qid!r}, which has no entry in {CONTEXTS_FILE}"
             if not tab:
-                raise InputError(path / SURFACES_FILE, lines.index(line) + 1, "expected 'surface<TAB>qid'")
-            raise KnowledgeBaseInconsistencyError(f"surface {surface!r} maps to {qid} which has no context entry")
+                message = "expected 'surface<TAB>qid'"
+            raise InputError(path / SURFACES_FILE, lines.index(line) + 1, message)
         surface_index.setdefault(surface, []).append(qid)
     for surface, qids in surface_index.items():
         surface_index[surface] = sorted(set(qids), key=_qid_num)

@@ -62,6 +62,8 @@ PERSON_CLASSES = (
 
 HUMAN_QID = "Q5"
 
+MAX_LEN = 64  # model input length in tokens, for assembly and training
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -70,12 +72,6 @@ class SyntheticConfig:
     sentences_per_train_entity: int = 3
     sentences_per_test_entity: int = 1
     epochs: int = 50
-    lr: float = 0.05
-    d_model: int = 32
-    n_heads: int = 4
-    n_layers: int = 2
-    ff_dim: int = 64
-    max_len: int = 64
 
 
 def _entity_pairs(rng: np.random.Generator, n_train: int, n_test: int) -> tuple[list, list]:
@@ -170,21 +166,12 @@ def run_synthetic_ab(
     matcher = build_matcher(kb)
 
     def with_knowledge(sentences):
-        return [assemble(s, retrieve(kb, matcher, s), cfg.max_len, mask_mode) for s in sentences]
+        return [assemble(s, retrieve(kb, matcher, s), MAX_LEN, mask_mode) for s in sentences]
 
     def without_knowledge(sentences):
-        return [assemble(s, [], cfg.max_len, mask_mode) for s in sentences]
+        return [assemble(s, [], MAX_LEN, mask_mode) for s in sentences]
 
-    train_config = TrainConfig(
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        n_layers=cfg.n_layers,
-        ff_dim=cfg.ff_dim,
-        max_len=cfg.max_len,
-        lr=cfg.lr,
-        epochs=cfg.epochs,
-        seed=seed,
-    )
+    train_config = TrainConfig(max_len=MAX_LEN, epochs=cfg.epochs, seed=seed)
     augmented_model = train(with_knowledge(train_sents), train_config)
     baseline_model = train(without_knowledge(train_sents), train_config)
 

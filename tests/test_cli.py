@@ -221,7 +221,10 @@ class TestCliBehavior:
         contexts = kb_dir / "contexts.tsv"
         lines = [line for line in contexts.read_text(encoding="utf-8").splitlines() if not line.startswith("Q434346\t")]
         contexts.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["retrieve", "--kb", str(kb_dir), "--data", str(data_file), "--out", str(tmp_path / "x")]) == 2
+        surfaces = (kb_dir / "surfaces.tsv").read_text(encoding="utf-8").splitlines()
+        number = next(n for n, line in enumerate(surfaces, start=1) if line.endswith("\tQ434346"))
+        code, err = _run(["retrieve", "--kb", str(kb_dir), "--data", str(data_file), "--out", str(tmp_path / "x")])
+        _assert_one_error_line(code, err, f"{kb_dir / 'surfaces.tsv'}:{number}: ", "'Q434346', which has no entry")
 
     def test_config_file_supplies_flags(self, tmp_path, data_file):
         config = tmp_path / "run.cfg"
@@ -244,6 +247,19 @@ class TestCliBehavior:
 
     def test_seed_required_without_config(self, tmp_path, data_file):
         assert main(["split", "--data", str(data_file), "--k", "2"]) == 1
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["split", "--data", "d.conll", "--k", "2"], "propner split: the following arguments are required: --seed"),
+        (["split", "--data", "d.conll", "--k", "two", "--seed", "1"], "propner split: argument --k: invalid int"),
+        (["split", "--data", "d.conll", "--seed", "1", "--bogus"], "propner: unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, needle):
+        code = main(argv)
+        captured = capsys.readouterr()
+        _assert_one_error_line(code, captured.err, needle)
+        assert captured.out == ""
 
 
 class TestDeterminism:
@@ -275,6 +291,7 @@ AUG_DEFECTS = [
     "missing id",
     "token with a space",
     "empty token",
+    "gold tag not a BIO tag",
 ]
 
 
@@ -306,6 +323,8 @@ def _break_line_2(path, defect: str) -> None:
         record["tokens"][1] = "New York"
     elif defect == "empty token":
         record["tokens"][1] = ""
+    elif defect == "gold tag not a BIO tag":
+        record["gold_tags"][1] = "B-X Y"
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -726,9 +745,8 @@ class TestRobustness:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(edits=EDITS)
     def test_mutated_input(self, cli_files, source, edits):
-        """As above for the other inputs. A mutated knowledge base may also
-        give exit 2 with one ``internal error:`` line (a surface whose qid has
-        no context), and ``build-kb`` may print its skipped-line warnings."""
+        """As above for the other inputs; ``build-kb`` may print its
+        skipped-line warnings."""
         root, gold = cli_files["root"], str(cli_files["gold"])
         kb = root / "mutated-kb"
         shutil.copytree(cli_files["kb"], kb, dirs_exist_ok=True)
@@ -739,8 +757,7 @@ class TestRobustness:
         }.get(source, (cli_files["kb"] / source, kb / source))
         mutated.write_bytes(_mutate(original.read_bytes(), edits))
         argv = {
-            # --seed keeps argparse's usage message for a missing flag out of this property
-            "config": ["split", "--data", gold, "--seed", "1", "--config", str(mutated)],
+            "config": ["split", "--data", gold, "--config", str(mutated)],
             "dataset": ["augment", "--kb", str(cli_files["kb"]), "--data", str(mutated), "--out", str(root / "out.jsonl")],
             "dump": ["build-kb", "--dump", str(mutated), "--lang", "en", "--out", str(root / "kb-of-mutated")],
         }.get(source, ["retrieve", "--kb", str(kb), "--data", gold, "--out", str(root / "out.jsonl")])
@@ -753,8 +770,6 @@ class TestRobustness:
             os.chdir(cwd)
         if code == 0:
             assert all("dump line" in line and "skipped" in line for line in err.splitlines()) if source == "dump" else not err
-        elif code == 2 and source in ("surfaces.tsv", "contexts.tsv"):
-            assert len(err.splitlines()) == 1 and err.startswith("internal error: "), err
         else:
             _assert_one_error_line(code, err)
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -275,7 +276,7 @@ class TestGradientCheck:
         pairs = [EntityMatch(0, 1, "a", "Q1", "x"), EntityMatch(2, 3, "c", "Q2", "y")]
         aug = assemble(sentence, pairs, 64, "strict-paper")
         model = tiny_model([aug])
-        _, grads = _loss_and_grads(model, aug)
+        grads = model.views(_loss_and_grads(model, aug)[1])
         sep_row = model.vocab["$"]
         assert (grads["embed"][sep_row] == 0.0).all()
         base = _cross_entropy(model, aug, want_cache=False)[0]
@@ -332,4 +333,62 @@ class TestModelFile:
         path = tmp_path / "bogus.bin"
         path.write_bytes(b'{"format": "other", "version": 9}\n')
         with pytest.raises(ValueError):
+            load_model(path)
+
+
+def _model_at(stage, aug, tmp_path, config=TrainConfig(max_len=16, epochs=2, seed=2)):
+    """A model fresh from ``init_model``, from ``train``, or from ``load_model``
+    of a trained model's file."""
+    if stage == "init":
+        return init_model(build_vocab([aug]), ["B-X", "O"], config)
+    model = train([aug], config)
+    if stage == "load":
+        save_model(model, tmp_path / "model.bin")
+        model = load_model(tmp_path / "model.bin")
+    return model
+
+
+class TestParameterLayout:
+    """The parameters are one float64 buffer, ``flat``, in the order of the
+    model file's body; ``params`` holds views into it."""
+
+    AUG = assemble(Sentence("s", ["a", "b"], ["B-X", "O"]), [], 16)
+
+    @pytest.mark.parametrize("stage", ["init", "train", "load"])
+    def test_params_are_views_in_name_order(self, tmp_path, stage):
+        model = _model_at(stage, self.AUG, tmp_path)
+        assert model.flat.dtype == np.float64 and model.flat.ndim == 1
+        assert all(np.shares_memory(view, model.flat) for view in model.params.values())
+        assert list(model.params) == sorted(model.params)
+        model.flat[:] = np.arange(model.flat.size)
+        assert np.array_equal(np.concatenate([view.ravel() for view in model.params.values()]), model.flat)
+
+    @pytest.mark.parametrize("stage", ["init", "train", "load"])
+    def test_file_body_is_the_buffer(self, tmp_path, stage):
+        model = _model_at(stage, self.AUG, tmp_path)
+        path = tmp_path / "again.bin"
+        save_model(model, path)
+        assert path.read_bytes().split(b"\n", 1)[1] == model.flat.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("stage", ["init", "train", "load"])
+    def test_one_step_updates_the_buffer(self, tmp_path, stage):
+        from propner.encoder import _loss_and_grads
+
+        model = _model_at(stage, self.AUG, tmp_path)
+        config = TrainConfig(max_len=16, epochs=1, seed=2)
+        start = model.flat.copy()
+        loss, grad = _loss_and_grads(model, self.AUG)
+        assert grad.shape == model.flat.shape and np.isfinite(loss)
+        if stage == "init":  # train's first step from the same seed
+            assert np.array_equal(train([self.AUG], config).flat, start - config.lr * grad)
+        model.flat -= config.lr * grad
+        expected = model.views(start - config.lr * grad)
+        assert all(np.array_equal(view, expected[name]) for name, view in model.params.items())
+
+    def test_non_finite_value_names_its_array(self, tmp_path):
+        model = _model_at("train", self.AUG, tmp_path)
+        model.params["layers.1.b2"][3] = np.nan
+        path = tmp_path / "nan.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite values in 'layers.1.b2'")):
             load_model(path)

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from propner.inputs import InputError
 from propner.kbstore import (
     CONTEXTS_FILE,
     FULL_PROPERTY_MASK,
@@ -10,7 +12,6 @@ from propner.kbstore import (
     SURFACES_FILE,
     DumpErrorReport,
     EntityRecord,
-    KnowledgeBaseInconsistencyError,
     build_context,
     build_knowledge_base,
     coverage_rate,
@@ -269,6 +270,7 @@ class TestPersistence:
     def test_inconsistent_kb_rejected(self, table_kb, tmp_path):
         save_kb(table_kb, tmp_path)
         surfaces = tmp_path / SURFACES_FILE
-        surfaces.write_text(surfaces.read_text(encoding="utf-8") + "zeta\tQ999999\n", encoding="utf-8")
-        with pytest.raises(KnowledgeBaseInconsistencyError):
+        text = surfaces.read_text(encoding="utf-8")
+        surfaces.write_text(text + "zeta\tQ999999\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"{surfaces}:{len(text.splitlines()) + 1}: surface 'zeta'")):
             load_kb(tmp_path)
