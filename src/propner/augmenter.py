@@ -191,8 +191,8 @@ def to_json_dict(aug: AugmentedInput) -> dict:
     outside the implicit all-ones sentence block for readers of the format;
     ``from_json_dict`` ignores it and derives the mask from the layout."""
     block = aug.n_sentence + 2
-    rows, cols = np.nonzero(aug.mask.bits)
-    extra_bits = [[int(i), int(j)] for i, j in zip(rows, cols) if i >= block or j >= block]
+    extra_bits = aug.mask.bits.copy()
+    extra_bits[:block, :block] = 0
     return {
         "id": aug.sentence_id,
         "tokens": list(aug.tokens),
@@ -205,7 +205,7 @@ def to_json_dict(aug: AugmentedInput) -> dict:
             for seg in aug.segments
         ],
         "mask_mode": aug.mask_mode,
-        "mask_bits": extra_bits,
+        "mask_bits": np.argwhere(extra_bits).tolist(),
         "gold_tags": aug.gold_tags,
     }
 

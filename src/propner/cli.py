@@ -13,6 +13,7 @@ error, 2 internal invariant violation. Every error is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -34,6 +35,7 @@ from propner.ensemble import WeightedPredictions, check_tag, kfold_split, weight
 from propner.evaluator import score
 from propner.inputs import InputError, parse_lines
 from propner.kbstore import (
+    DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
     DumpErrorReport,
     KnowledgeBaseInconsistencyError,
@@ -201,19 +203,10 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = augmenter.read_jsonl(args.aug)
-    config = TrainConfig(
-        d_model=args.d_model,
-        n_heads=args.heads,
-        n_layers=args.layers,
-        ff_dim=args.ff_dim,
-        max_len=args.max_len,
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     model = train(dataset, config)
     save_model(model, args.out)
-    print(f"trained {args.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
+    print(f"trained {config.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
     return 0
 
 
@@ -272,9 +265,10 @@ def _sidecar_row(row) -> dict:
 
 def _read_sidecar(path, first: list[dict] | None = None) -> list[dict]:
     """Rows of a ``.dist.jsonl`` sidecar. Every row has the labels of the
-    file's first row, which are BIO tags; given ``first``, the rows of the
-    first prediction file, each row has the id, tokens and labels of the row
-    at its place there. A bad line raises an InputError naming ``path:line``."""
+    file's first row, which are distinct BIO tags; given ``first``, the rows
+    of the first prediction file, each row has the id, tokens and labels of
+    the row at its place there. A bad line raises an InputError naming
+    ``path:line``."""
     rows: list[dict] = []
 
     def parse(line: str) -> None:
@@ -288,6 +282,8 @@ def _read_sidecar(path, first: list[dict] | None = None) -> list[dict]:
                 if row[key] != first[len(rows)][key]:
                     raise ValueError(f"{key!r} does not match row {len(rows) + 1} of the first prediction file")
         elif not rows:
+            if not row["labels"] or len(set(row["labels"])) != len(row["labels"]):
+                raise ValueError("'labels' must be a non-empty list of distinct tags")
             for label in row["labels"]:
                 check_tag(label)
         elif row["labels"] != rows[0]["labels"]:
@@ -351,7 +347,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_synthetic_ab(args) -> int:
-    config = SyntheticConfig(epochs=args.epochs) if args.epochs is not None else SyntheticConfig()
+    config = SyntheticConfig(epochs=args.epochs)
     report = run_synthetic_ab(args.seed, properties=args.properties, mask_mode=args.mask_mode, config=config)
     _dump_json(report, args.out)
     return 0
@@ -388,7 +384,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--properties", type=_parse_properties, default=FULL_PROPERTY_MASK,
                      help="comma list of instanceof,subclassof,occupation")
-    sub.add_argument("--qid-cap", type=int, default=4, help="max qids kept per surface")
+    sub.add_argument("--qid-cap", type=int, default=DEFAULT_QID_CAP, help="max qids kept per surface")
 
     sub = command("coverage", "fraction of gold mentions found in the kb", cmd_coverage)
     sub.add_argument("--kb", required=True)
@@ -403,20 +399,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub.add_argument("--kb", required=True)
     sub.add_argument("--data", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--max-len", type=int, default=256)
+    sub.add_argument("--max-len", type=int, default=TrainConfig.max_len)
     sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
 
     sub = command("train", "train the tagger on augmented inputs", cmd_train)
     sub.add_argument("--aug", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--lr", type=float, default=0.05)
-    sub.add_argument("--d-model", type=int, default=32)
-    sub.add_argument("--heads", type=int, default=4)
-    sub.add_argument("--layers", type=int, default=2)
-    sub.add_argument("--ff-dim", type=int, default=64)
-    sub.add_argument("--max-len", type=int, default=256)
+    sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    sub.add_argument("--lr", type=float, default=TrainConfig.lr)
+    sub.add_argument("--d-model", type=int, default=TrainConfig.d_model)
+    sub.add_argument("--heads", dest="n_heads", type=int, default=TrainConfig.n_heads)
+    sub.add_argument("--layers", dest="n_layers", type=int, default=TrainConfig.n_layers)
+    sub.add_argument("--ff-dim", type=int, default=TrainConfig.ff_dim)
+    sub.add_argument("--max-len", type=int, default=TrainConfig.max_len)
 
     sub = command("predict", "tag augmented inputs; writes tags plus a .dist.jsonl sidecar", cmd_predict)
     sub.add_argument("--model", required=True)
@@ -445,7 +441,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub.add_argument("--out", help="report file; stdout when omitted")
     sub.add_argument("--properties", type=_parse_properties, default=FULL_PROPERTY_MASK)
     sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
-    sub.add_argument("--epochs", type=int, default=None)
+    sub.add_argument("--epochs", type=int, default=SyntheticConfig.epochs)
 
     return parser, subs
 

@@ -6,7 +6,8 @@ central finite differences. Per layer:
 
     Q, K, V = X Wq, X Wk, X Wv          (split into H heads)
     S = Q K^T / sqrt(d_head),  S[i, j] = -inf where mask[i, j] = 0
-    A = softmax(S)                       (masked weights are exactly 0)
+    A = softmax(S)                       (masked weights are exactly 0;
+                                          a row with no set bit is all 0)
     X = X + concat_heads(A V) Wo         (residual)
     X = X + tanh(X W1 + b1) W2 + b2      (residual)
 
@@ -25,6 +26,7 @@ update step is one ``flat -= lr * grad``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,10 +38,6 @@ from propner.augmenter import AugmentedInput
 from propner.inputs import InputError, located
 
 UNK_TOKEN = "[UNK]"
-
-
-class DegenerateMaskError(ValueError):
-    """A query row of the mask has no attendable key, so softmax is undefined."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -74,10 +72,6 @@ class ToyEncoderModel:
 
     def __post_init__(self) -> None:
         self.params = self.views(self.flat)
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into ``flat``, a buffer laid out like ``self.flat``."""
@@ -145,38 +139,31 @@ def init_model(vocab: dict[str, int], labels: list[str], config: TrainConfig) ->
     return model
 
 
-def _masked_softmax(scores: np.ndarray, bits: np.ndarray, allow_empty_rows: bool) -> np.ndarray:
+def _masked_softmax(scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Row softmax restricted to positions where bits = 1.
 
-    Masked weights come out exactly 0. Rows with no set bit either raise or
-    (with ``allow_empty_rows``) become all-zero weight rows, which makes the
-    attention output of such a query 0 and leaves its residual untouched.
+    Masked weights come out exactly 0. A row with no set bit gets all-zero
+    weights, which makes the attention output of such a query 0 and leaves
+    its residual untouched.
     """
     keep = bits.astype(bool)
     neg = np.where(keep, scores, -np.inf)
     empty = ~keep.any(axis=-1)
-    if empty.any() and not allow_empty_rows:
-        raise DegenerateMaskError("attention mask has an all-zero query row")
     rowmax = np.where(empty, 0.0, np.max(neg, axis=-1, initial=-np.inf))
     weights = np.exp(neg - rowmax[..., None])
     denom = weights.sum(axis=-1, keepdims=True)
     return weights / np.where(denom == 0.0, 1.0, denom)
 
 
-def masked_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    bits: np.ndarray,
-    allow_empty_rows: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention over the keys each query may see.
 
     ``q``, ``k`` and ``v`` may carry leading head axes that share ``bits``.
-    Returns the output and the attention weights.
+    A query whose mask row has no set bit gets zero weights and a zero
+    output. Returns the output and the attention weights.
     """
     scores = q @ k.swapaxes(-1, -2) / np.sqrt(k.shape[-1])
-    weights = _masked_softmax(scores, bits, allow_empty_rows)
+    weights = _masked_softmax(scores, bits)
     return weights @ v, weights
 
 
@@ -190,7 +177,9 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(t, h * dk)
 
 
-def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool):
+def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, dict]:
+    """Logits and the cache the backward pass reads; ``cache["final"]``
+    holds the final-layer hidden states."""
     if len(aug.tokens) > model.max_len:
         raise ValueError(f"input of length {len(aug.tokens)} exceeds max_len {model.max_len}")
     p = model.params
@@ -198,7 +187,7 @@ def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool)
     t = len(ids)
     bits = aug.mask.bits
     x = p["embed"][ids] + p["pos"][:t]
-    cache = {"ids": ids, "layers": []} if want_cache else None
+    cache = {"ids": ids, "layers": []}
     for layer in range(model.n_layers):
         prefix = f"layers.{layer}."
         q = x @ p[prefix + "wq"]
@@ -207,34 +196,29 @@ def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool)
         qh = _split_heads(q, model.n_heads)
         kh = _split_heads(k, model.n_heads)
         vh = _split_heads(v, model.n_heads)
-        heads, weights = masked_attention(qh, kh, vh, bits, allow_empty_rows=True)
+        heads, weights = masked_attention(qh, kh, vh, bits)
         merged = _merge_heads(heads)
         attn_out = merged @ p[prefix + "wo"]
         x1 = x + attn_out
         pre = x1 @ p[prefix + "w1"] + p[prefix + "b1"]
         hidden = np.tanh(pre)
         x2 = x1 + hidden @ p[prefix + "w2"] + p[prefix + "b2"]
-        if want_cache:
-            cache["layers"].append(
-                {"x": x, "qh": qh, "kh": kh, "vh": vh, "weights": weights, "merged": merged, "x1": x1, "hidden": hidden}
-            )
+        cache["layers"].append(
+            {"x": x, "qh": qh, "kh": kh, "vh": vh, "weights": weights, "merged": merged, "x1": x1, "hidden": hidden}
+        )
         x = x2
-    logits = x @ p["cls.w"] + p["cls.b"]
-    if want_cache:
-        cache["final"] = x
-    return logits, x, cache
+    cache["final"] = x
+    return x @ p["cls.w"] + p["cls.b"], cache
 
 
 def forward(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     """Per-position label logits, shape (len(tokens), len(labels))."""
-    logits, _, _ = _forward_pass(model, aug, want_cache=False)
-    return logits
+    return _forward_pass(model, aug)[0]
 
 
 def hidden_states(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     """Final-layer hidden states, shape (len(tokens), d_model)."""
-    _, final, _ = _forward_pass(model, aug, want_cache=False)
-    return final
+    return _forward_pass(model, aug)[1]["final"]
 
 
 def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
@@ -249,13 +233,13 @@ def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     return np.array(targets, dtype=np.int64)
 
 
-def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput, want_cache: bool) -> tuple[float, np.ndarray, dict | None]:
+def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, np.ndarray, dict]:
     """Mean cross-entropy over the sentence tokens, its gradient with respect
-    to the logits, and the forward cache (None unless ``want_cache``)."""
+    to the logits, and the forward cache."""
     targets = _label_targets(model, aug)
     if len(targets) == 0:
         raise ValueError(f"input {aug.sentence_id!r} has no labeled positions")
-    logits, _, cache = _forward_pass(model, aug, want_cache)
+    logits, cache = _forward_pass(model, aug)
     labeled = slice(1, len(targets) + 1)
     picked = logits[labeled]
     shifted = picked - picked.max(axis=1, keepdims=True)
@@ -274,7 +258,7 @@ def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float,
     """Mean cross-entropy over the sentence tokens and its full gradient, a
     buffer laid out like ``model.flat``."""
     p = model.params
-    loss, d_logits, cache = _cross_entropy(model, aug, want_cache=True)
+    loss, d_logits, cache = _cross_entropy(model, aug)
 
     grad = np.zeros_like(model.flat)
     grads = model.views(grad)
@@ -283,7 +267,6 @@ def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float,
     grads["cls.b"] += d_logits.sum(axis=0)
     dx = d_logits @ p["cls.w"].T
 
-    inv_sqrt = 1.0 / np.sqrt(model.head_dim)
     for layer in reversed(range(model.n_layers)):
         prefix = f"layers.{layer}."
         c = cache["layers"][layer]
@@ -305,7 +288,7 @@ def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float,
         # softmax backward; zero rows and masked cells have weights 0, so
         # their score gradient vanishes as well
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
-        d_scores *= inv_sqrt
+        d_scores *= 1.0 / np.sqrt(c["kh"].shape[-1])
         d_qh = d_scores @ c["kh"]
         d_kh = d_scores.swapaxes(1, 2) @ c["qh"]
         dq = _merge_heads(d_qh)
@@ -391,9 +374,9 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
         for index in rng.integers(0, param.size, size=per_group):
             original = param.flat[index]
             param.flat[index] = original + epsilon
-            loss_plus = _cross_entropy(model, aug, want_cache=False)[0]
+            loss_plus = _cross_entropy(model, aug)[0]
             param.flat[index] = original - epsilon
-            loss_minus = _cross_entropy(model, aug, want_cache=False)[0]
+            loss_minus = _cross_entropy(model, aug)[0]
             param.flat[index] = original
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             exact = analytic[name].flat[index]
@@ -403,13 +386,22 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
 
 
 _MODEL_FORMAT = "toy-encoder"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2  # version 1 has no digest
+
+
+def _digest(header: dict, body: bytes) -> str:
+    """blake2b of the canonical header without its digest, then the body."""
+    rest = {key: value for key, value in header.items() if key != "digest"}
+    canonical = json.dumps(rest, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    return hashlib.blake2b(canonical + body).hexdigest()
 
 
 def save_model(model: ToyEncoderModel, path: str | Path) -> None:
     """Single-file dump: one JSON header line, then ``model.flat`` as raw
-    little-endian float64 bytes, which hold the arrays in header order.
+    little-endian float64 bytes, which hold the arrays in header order. The
+    header's ``digest`` covers the rest of the header and the body.
     Byte-identical across runs."""
+    body = model.flat.astype("<f8", copy=False).tobytes()
     header = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -421,21 +413,25 @@ def save_model(model: ToyEncoderModel, path: str | Path) -> None:
         "epoch_losses": model.epoch_losses,
         "arrays": [{"name": name, "shape": list(view.shape)} for name, view in model.params.items()],
     }
+    header["digest"] = _digest(header, body)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n")
-        handle.write(model.flat.astype("<f8", copy=False).tobytes())
+        handle.write(body)
 
 
 def load_model(path: str | Path) -> ToyEncoderModel:
-    """Read a ``save_model`` file. A header line that is not such a header,
-    or whose array list is not the one its hyperparameters give, and a body
-    of another length than those arrays raise an InputError naming the file."""
+    """Read a ``save_model`` file, of version 1 or 2. A header line that is
+    not such a header, or whose array list is not the one its
+    hyperparameters give, a body of another length than those arrays, and
+    (version 2) a digest that does not match raise an InputError naming the
+    file."""
     with open(path, "rb") as handle:
         header_line, body = handle.readline(), handle.read()
     with located(path, 1):
         header = json.loads(header_line.decode("utf-8"))
-        if header["format"] != _MODEL_FORMAT or header["version"] != _MODEL_VERSION:
-            raise ValueError(f"not a {_MODEL_FORMAT} model file of version {_MODEL_VERSION}")
+        version = header["version"]
+        if header["format"] != _MODEL_FORMAT or type(version) is not int or version not in (1, _MODEL_VERSION):
+            raise ValueError(f"not a {_MODEL_FORMAT} model file of version 1 or {_MODEL_VERSION}")
         hp = header["hyperparams"]
         config = TrainConfig(**{key: hp[key] for key in _HYPERPARAMS})
         sizes = (config.d_model, config.n_heads, config.ff_dim, config.max_len)
@@ -466,4 +462,6 @@ def load_model(path: str | Path) -> ToyEncoderModel:
     if not np.isfinite(model.flat).all():
         name = next(name for name, view in model.params.items() if not np.isfinite(view).all())
         raise InputError(path, None, f"non-finite values in {name!r}")
+    if version == _MODEL_VERSION and header.get("digest") != _digest(header, body):
+        raise InputError(path, None, "the digest does not match the header and body")
     return model

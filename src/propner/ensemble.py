@@ -7,6 +7,7 @@ voted tag sequence is repaired into valid BIO before span scoring.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ class WeightedPredictions:
 
     Weights are the folds' validation micro F1 scores, used unnormalized:
     the voted argmax is invariant to scaling them by any positive constant.
+    Labels are distinct, so a vote's tie break picks one label.
     """
 
     labels: list[str]
@@ -49,10 +51,12 @@ class WeightedPredictions:
             raise ValueError(f"{len(self.weights)} weights for {len(self.distributions)} folds")
         if not self.weights:
             raise ValueError("no folds to vote over")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("fold weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError("fold weights must be finite and non-negative")
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one fold weight must be positive")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"labels repeat: {self.labels}")
         first = self.distributions[0]
         for fold, dists in enumerate(self.distributions):
             if len(dists) != len(first):
@@ -79,27 +83,23 @@ def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
 
-def _argmax_label(scores: np.ndarray, labels: list[str]) -> str:
-    best = scores.max()
-    return min(label for label, value in zip(labels, scores) if value == best)
-
-
 def weighted_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[str]]:
     """Per-token weighted vote, argmax ties broken lexicographically."""
-    n_labels = len(preds.labels)
+    place = {label: i for i, label in enumerate(sorted(preds.labels))}
+    rank = np.array([place[label] for label in preds.labels])  # each column's place in sorted label order
+    one_hot = np.eye(len(preds.labels))
+
+    def pick(scores: np.ndarray) -> np.ndarray:
+        """Per row, the column of the smallest label among the maxima."""
+        at_max = scores == scores.max(axis=1, keepdims=True)
+        return np.where(at_max, rank, len(rank)).argmin(axis=1)
+
     voted = []
     for s in range(len(preds.distributions[0])):
         scores = np.zeros_like(preds.distributions[0][s])
         for weight, dists in zip(preds.weights, preds.distributions):
-            if hard:
-                one_hot = np.zeros_like(dists[s])
-                for t in range(dists[s].shape[0]):
-                    one_hot[t, preds.labels.index(_argmax_label(dists[s][t], preds.labels))] = 1.0
-                scores += weight * one_hot
-            else:
-                scores += weight * dists[s]
-        tags = [_argmax_label(scores[t], preds.labels) for t in range(scores.shape[0])]
-        voted.append(repair_bio(tags))
+            scores += weight * (one_hot[pick(dists[s])] if hard else dists[s])
+        voted.append(repair_bio([preds.labels[i] for i in pick(scores)]))
     return voted
 
 

@@ -82,7 +82,7 @@ def test_criterion_3_masked_attention_and_gradients():
             t = int(rng.integers(2, 10))
             bits = (rng.random((t, t)) < 0.4).astype(np.uint8)
             bits[np.arange(t), rng.integers(0, t, t)] = 1
-            weights = _masked_softmax(rng.normal(size=(t, t)), bits, allow_empty_rows=False)
+            weights = _masked_softmax(rng.normal(size=(t, t)), bits)
             assert (weights[bits == 0] == 0.0).all()
             assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
         for _ in range(10):

@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import string
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from propner import augmenter
 from propner.augmenter import Segment
 from propner.cli import _read_tag_sequences, main, read_conll, write_conll
+from propner.encoder import TrainConfig, save_model, train
 from propner.inputs import InputError
 from propner.matcher import Sentence
 
@@ -543,6 +546,13 @@ class TestSidecarValidation:
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\n\n"
 
+    @pytest.mark.parametrize("labels,dist", [(["O", "O"], [[0.2, 0.8], [0.6, 0.4]]), ([], [[], []])])
+    def test_labels_repeated_or_empty(self, tmp_path, labels, dist):
+        sidecar = tmp_path / "p.dist.jsonl"
+        sidecar.write_text(_sidecar_row(labels=labels, dist=dist) + "\n", encoding="utf-8")
+        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
+        _assert_one_error_line(code, err, f"{sidecar}:1: 'labels' must be a non-empty list of distinct tags")
+
     def test_label_not_a_bio_tag(self, tmp_path):
         sidecar = tmp_path / "p.dist.jsonl"
         sidecar.write_text(_sidecar_row(labels=["PER", "O"]) + "\n", encoding="utf-8")
@@ -681,6 +691,12 @@ MODEL_DEFECTS = {
     "array list shortened": (_edit_header(lambda h: h["arrays"].pop()), ":1: the array list does not"),
     "vocab index past the end": (_edit_header(lambda h: h["hyperparams"]["vocab"].update(zzz=10**6)), ":1: 'vocab'"),
     "a billion layers": (_edit_header(lambda h: h["hyperparams"].update(n_layers=10**9)), ":1: 'n_layers'"),
+    "n_heads edited": (_edit_header(lambda h: h["hyperparams"].update(n_heads=2)), ": the digest does not match"),
+    "version true": (_edit_header(lambda h: h.update(version=True)), ":1: not a toy-encoder model file"),
+    "body float overwritten": (
+        lambda data: data[:-8] + struct.pack("<d", struct.unpack("<d", data[-8:])[0] + 1.0),
+        ": the digest does not match",
+    ),
 }
 
 
@@ -691,6 +707,42 @@ def test_model_defect_names_its_file(cli_files, tmp_path, defect):
     model.write_bytes(transform(cli_files["model"].read_bytes()))
     code, err = _run(["predict", "--model", str(model), "--aug", str(cli_files["aug"]), "--out", str(tmp_path / "p.tsv")])
     _assert_one_error_line(code, err, f"{model}{needle}")
+
+
+class TestTrainFlags:
+    """Each ``train`` flag reaches its TrainConfig field: the model file
+    holds the hyperparameters and is the file ``train`` and ``save_model``
+    write for that config, so ``--lr`` and ``--epochs`` are covered too."""
+
+    FLAGS = {"d-model": "8", "heads": "2", "layers": "1", "ff-dim": "12", "max-len": "64", "lr": "0.1"}
+    CONFIG = TrainConfig(d_model=8, n_heads=2, n_layers=1, ff_dim=12, max_len=64, lr=0.1, epochs=2, seed=3)
+
+    @staticmethod
+    def _check(path, aug, config: TrainConfig) -> None:
+        hyperparams = json.loads(path.read_bytes().split(b"\n", 1)[0])["hyperparams"]
+        for key in ("d_model", "n_heads", "n_layers", "ff_dim", "max_len", "seed"):
+            assert hyperparams[key] == getattr(config, key), key
+        expected = path.with_suffix(".api.bin")
+        save_model(train(augmenter.read_jsonl(aug), config), expected)
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_defaults_are_train_config(self, cli_files, tmp_path):
+        out = tmp_path / "model.bin"
+        assert main(["train", "--aug", str(cli_files["aug"]), "--out", str(out), "--seed", "3"]) == 0
+        self._check(out, cli_files["aug"], replace(TrainConfig(), seed=3))
+
+    def test_flags_and_config_file_agree(self, cli_files, tmp_path):
+        aug = str(cli_files["aug"])
+        flags = [item for key, value in self.FLAGS.items() for item in (f"--{key}", value)]
+        by_flags = tmp_path / "flags.bin"
+        assert main(["train", "--aug", aug, "--out", str(by_flags), "--seed", "3", "--epochs", "2", *flags]) == 0
+        self._check(by_flags, cli_files["aug"], self.CONFIG)
+        config = tmp_path / "train.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in self.FLAGS.items()), encoding="utf-8")
+        by_config = tmp_path / "config.bin"
+        assert main(["train", "--aug", aug, "--out", str(by_config), "--seed", "3", "--epochs", "2",
+                     "--config", str(config)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
 
 
 CHUNKS = st.one_of(
@@ -778,11 +830,12 @@ class TestRobustness:
         EDITS.map(lambda edits: ("header", edits)),
         st.integers(0, 10**6).map(lambda at: ("truncate", at)),
         CHUNKS.map(lambda chunk: ("append", chunk)),
+        st.tuples(st.integers(0, 10**6), CHUNKS).map(lambda edit: ("overwrite", edit)),
     ))
     def test_mutated_model(self, cli_files, edit):
-        """As above for a model file. Only its header line and the length of
-        its body are mutated: overwritten float bytes make extreme weights,
-        which is a question of numerics this property leaves out."""
+        """As above for a model file: its header line, the length of its
+        body, or bytes of its body at the same length, which the digest
+        covers."""
         data = cli_files["model"].read_bytes()
         header, body = data.split(b"\n", 1)
         kind, arg = edit
@@ -790,6 +843,9 @@ class TestRobustness:
             data = _mutate(header, arg) + b"\n" + body
         elif kind == "truncate":
             data = data[: len(header) + 1 + arg % (len(body) + 1)]
+        elif kind == "overwrite":
+            at, chunk = arg[0] % len(body), arg[1]
+            data = header + b"\n" + (body[:at] + chunk + body[at + len(chunk) :])[: len(body)]
         else:
             data += arg
         mutated = cli_files["root"] / "mutated-model.bin"

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -6,7 +7,6 @@ import pytest
 
 from propner.augmenter import assemble
 from propner.encoder import (
-    DegenerateMaskError,
     TrainConfig,
     TrainingDivergedError,
     build_vocab,
@@ -78,20 +78,14 @@ class TestMaskedAttention:
             t = int(rng.integers(2, 9))
             bits = (rng.random((t, t)) < 0.5).astype(np.uint8)
             bits[np.arange(t), rng.integers(0, t, t)] = 1  # no empty rows
-            weights = _masked_softmax(rng.normal(size=(t, t)), bits, allow_empty_rows=False)
+            weights = _masked_softmax(rng.normal(size=(t, t)), bits)
             assert (weights[bits == 0] == 0.0).all()
             assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_empty_row_raises(self):
-        bits = np.zeros((2, 2), np.uint8)
-        bits[1, 1] = 1
-        with pytest.raises(DegenerateMaskError):
-            masked_attention(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), bits)
 
     def test_empty_row_allowed_gives_zero_output(self):
         bits = np.zeros((2, 2), np.uint8)
         bits[1, 1] = 1
-        out = masked_attention(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), 7.0), bits, allow_empty_rows=True)[0]
+        out = masked_attention(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), 7.0), bits)[0]
         assert (out[0] == 0.0).all() and np.allclose(out[1], 7.0)
 
 
@@ -113,9 +107,9 @@ class TestForward:
         seen = []
         original = encoder.masked_attention
 
-        def spy(q, k, v, bits, allow_empty_rows=False):
+        def spy(q, k, v, bits):
             seen.append(bits)
-            return original(q, k, v, bits, allow_empty_rows)
+            return original(q, k, v, bits)
 
         monkeypatch.setattr(encoder, "masked_attention", spy)
         aug = two_pair_aug("default")
@@ -279,9 +273,9 @@ class TestGradientCheck:
         grads = model.views(_loss_and_grads(model, aug)[1])
         sep_row = model.vocab["$"]
         assert (grads["embed"][sep_row] == 0.0).all()
-        base = _cross_entropy(model, aug, want_cache=False)[0]
+        base = _cross_entropy(model, aug)[0]
         model.params["embed"][sep_row, 0] += 1e-4
-        assert _cross_entropy(model, aug, want_cache=False)[0] == base
+        assert _cross_entropy(model, aug)[0] == base
 
     def test_epsilon_range_enforced(self):
         aug = assemble(Sentence("s", ["a"], ["O"]), [], 16)
@@ -328,6 +322,19 @@ class TestModelFile:
         second = tmp_path / "again.bin"
         save_model(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_version_1_file_loads(self, tmp_path):
+        aug = assemble(Sentence("s", ["a", "b"], ["B-X", "O"]), [], 16)
+        model = train([aug], TrainConfig(max_len=16, epochs=3, seed=2))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        record = json.loads(header)
+        assert record["version"] == 2 and len(record.pop("digest")) == 128
+        record["version"] = 1
+        path.write_bytes(json.dumps(record).encode("utf-8") + b"\n" + body)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.flat, model.flat) and np.array_equal(forward(loaded, aug), forward(model, aug))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"

@@ -126,6 +126,15 @@ class TestWeightedVote:
         with pytest.raises(ValueError):
             preds_from_tags([0.0, 0.0], [[["O"]], [["O"]]])
 
+    def test_non_finite_weight_rejected(self):
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                preds_from_tags([weight, 0.5], [[["O"]], [["O"]]])
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="labels repeat"):
+            WeightedPredictions(["O", "B-X", "O"], [1.0], [[np.zeros((1, 3))]])
+
     def test_mismatched_token_counts_rejected(self):
         good = [np.zeros((2, 3))]
         bad = [np.zeros((3, 3))]
