@@ -51,13 +51,12 @@ class Segment:
 
 @dataclass
 class AttentionMask:
-    size: int
     bits: np.ndarray  # (size, size) uint8, bits[i, j] = 1 iff query i may attend key j
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AttentionMask):
             return NotImplemented
-        return self.size == other.size and np.array_equal(self.bits, other.bits)
+        return np.array_equal(self.bits, other.bits)
 
 
 @dataclass
@@ -183,7 +182,7 @@ def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode:
         # Diagonal cells from (block, block) on, a flat stride of size+1.
         # Segment diagonals are set already; this adds the "$" separators.
         bits.flat[block * (size + 1) :: size + 1] = 1
-    return AttentionMask(size=size, bits=bits)
+    return AttentionMask(bits=bits)
 
 
 def to_json_dict(aug: AugmentedInput) -> dict:

@@ -26,7 +26,6 @@ update step is one ``flat -= lr * grad``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from propner.augmenter import AugmentedInput
+from propner.ensemble import check_tag
 from propner.inputs import InputError, located
 
 UNK_TOKEN = "[UNK]"
@@ -54,6 +54,16 @@ class TrainConfig:
     lr: float = 0.05
     epochs: int = 50
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for key, low in (("d_model", 1), ("n_heads", 1), ("ff_dim", 1), ("max_len", 1), ("n_layers", 0), ("epochs", 0)):
+            value = getattr(self, key)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{key!r} must be an integer of at least {low}, got {value!r}")
+        if self.d_model % self.n_heads:
+            raise ValueError(f"'d_model' {self.d_model} is not divisible by 'n_heads' {self.n_heads}")
+        if type(self.lr) not in (int, float) or not 0 < self.lr < math.inf:
+            raise ValueError(f"'lr' must be a finite positive number, got {self.lr!r}")
 
 
 @dataclass
@@ -119,11 +129,23 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     return views
 
 
+def check_labels(labels: list[str]) -> list[str]:
+    """``labels`` if a model can have them: a non-empty list of distinct BIO
+    tags in sorted order, so that an argmax tie goes to the smallest label."""
+    if not isinstance(labels, list) or not labels or not all(isinstance(label, str) for label in labels):
+        raise ValueError("'labels' must be a non-empty list of strings")
+    try:
+        for label in labels:
+            check_tag(label)
+    except ValueError as exc:
+        raise ValueError(f"'labels': {exc}") from None
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError("'labels' must be distinct and in sorted order")
+    return labels
+
+
 def init_model(vocab: dict[str, int], labels: list[str], config: TrainConfig) -> ToyEncoderModel:
-    if not labels:
-        raise ValueError("label set is empty")
-    if config.d_model % config.n_heads:
-        raise ValueError(f"d_model {config.d_model} not divisible by n_heads {config.n_heads}")
+    check_labels(labels)
     shapes = _param_shapes(len(vocab), len(labels), config)
     model = ToyEncoderModel(
         vocab=dict(vocab),
@@ -391,6 +413,8 @@ _MODEL_VERSION = 2  # version 1 has no digest
 
 def _digest(header: dict, body: bytes) -> str:
     """blake2b of the canonical header without its digest, then the body."""
+    import hashlib  # loads OpenSSL, which commands that read no model never need
+
     rest = {key: value for key, value in header.items() if key != "digest"}
     canonical = json.dumps(rest, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return hashlib.blake2b(canonical + body).hexdigest()
@@ -434,17 +458,12 @@ def load_model(path: str | Path) -> ToyEncoderModel:
             raise ValueError(f"not a {_MODEL_FORMAT} model file of version 1 or {_MODEL_VERSION}")
         hp = header["hyperparams"]
         config = TrainConfig(**{key: hp[key] for key in _HYPERPARAMS})
-        sizes = (config.d_model, config.n_heads, config.ff_dim, config.max_len)
-        if not all(type(size) is int and size > 0 for size in sizes) or config.d_model % config.n_heads:
-            raise ValueError("'d_model', 'n_heads', 'ff_dim', 'max_len' must be positive, 'n_heads' dividing 'd_model'")
         # Every layer has arrays, which bounds the shape table built below.
-        if type(config.n_layers) is not int or not 0 <= config.n_layers < len(header["arrays"]):
-            raise ValueError("'n_layers' must be a non-negative integer below the number of arrays")
-        vocab, labels = hp["vocab"], hp["labels"]
+        if config.n_layers >= len(header["arrays"]):
+            raise ValueError("'n_layers' must be below the number of arrays")
+        vocab, labels = hp["vocab"], check_labels(hp["labels"])
         if not isinstance(vocab, dict) or sorted(vocab.values()) != list(range(len(vocab))) or UNK_TOKEN not in vocab:
             raise ValueError(f"'vocab' must number its tokens, {UNK_TOKEN!r} among them, from 0 on")
-        if not isinstance(labels, list) or not labels or not all(isinstance(label, str) for label in labels):
-            raise ValueError("'labels' must be a non-empty list of strings")
         shapes = dict(sorted(_param_shapes(len(vocab), len(labels), config).items()))
         if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]:
             raise ValueError("the array list does not match the hyperparameters")

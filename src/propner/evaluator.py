@@ -8,7 +8,7 @@ that appear in gold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from propner.ensemble import check_tag, repair_bio
 
@@ -36,17 +36,7 @@ class EvalReport:
             "schema_version": 1,
             "micro": {"precision": self.micro_precision, "recall": self.micro_recall, "f1": self.micro_f1},
             "macro_f1": self.macro_f1,
-            "per_class": {
-                name: {
-                    "tp": cs.tp,
-                    "fp": cs.fp,
-                    "fn": cs.fn,
-                    "precision": cs.precision,
-                    "recall": cs.recall,
-                    "f1": cs.f1,
-                }
-                for name, cs in sorted(self.per_class.items())
-            },
+            "per_class": {name: asdict(cs) for name, cs in sorted(self.per_class.items())},
         }
 
 

@@ -93,20 +93,8 @@ class DumpError:
     message: str
 
 
-@dataclass
-class DumpErrorReport:
-    """Per-line ingest failures, in input order. Bad lines never abort a run."""
-
-    errors: list[DumpError] = field(default_factory=list)
-
-    def add(self, line_number: int, message: str) -> None:
-        self.errors.append(DumpError(line_number, message))
-
-    def __len__(self) -> int:
-        return len(self.errors)
-
-    def __iter__(self) -> Iterator[DumpError]:
-        return iter(self.errors)
+#: Per-line ingest failures, in input order. Bad lines never abort a run.
+DumpErrorReport = list[DumpError]
 
 
 class _BadLine(ValueError):
@@ -153,7 +141,20 @@ def _claim_list(claims: dict, pid: str) -> list[str]:
     return list(value)
 
 
-def _record_from_object(obj: dict) -> EntityRecord:
+def _record_from_line(raw: bytes | str) -> EntityRecord | None:
+    """The record of one dump line, or None for a blank line."""
+    try:
+        line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+    except UnicodeDecodeError as exc:
+        raise _BadLine(f"invalid UTF-8: {exc}")
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise _BadLine(f"invalid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise _BadLine("line is not a JSON object")
     qid = obj.get("id")
     if qid is None:
         raise _BadLine("missing 'id' field")
@@ -183,31 +184,14 @@ def parse_dump(stream: Iterable[bytes | str], report: DumpErrorReport | None = N
     skipped; memory use is constant in the number of entities.
     """
     for line_number, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                if report is not None:
-                    report.add(line_number, f"invalid UTF-8: {exc}")
-                continue
-        line = raw.strip()
-        if not line:
-            continue
         try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            if report is not None:
-                report.add(line_number, f"invalid JSON: {exc}")
-            continue
-        if not isinstance(obj, dict):
-            if report is not None:
-                report.add(line_number, "line is not a JSON object")
-            continue
-        try:
-            yield _record_from_object(obj)
+            record = _record_from_line(raw)
         except _BadLine as exc:
             if report is not None:
-                report.add(line_number, str(exc))
+                report.append(DumpError(line_number, str(exc)))
+            continue
+        if record is not None:
+            yield record
 
 
 def entity_names(record: EntityRecord, language: str) -> set[str]:
@@ -268,6 +252,8 @@ def build_knowledge_base(
     surface index. Deterministic for identical input.
     """
     mask = _check_mask(property_mask)
+    if qid_cap < 1:
+        raise ValueError(f"qid_cap must be at least 1, got {qid_cap}")
     by_qid: dict[str, EntityRecord] = {}
     for record in records:
         if record.qid in by_qid:

@@ -161,7 +161,7 @@ def run_synthetic_ab(
     errors = DumpErrorReport()
     records = list(parse_dump(_dump_lines(train_entities + test_entities, class_of), errors))
     if len(errors):
-        raise AssertionError(f"synthetic dump produced parse errors: {errors.errors[:3]}")
+        raise AssertionError(f"synthetic dump produced parse errors: {errors[:3]}")
     kb = build_knowledge_base(records, "en", properties)
     matcher = build_matcher(kb)
 

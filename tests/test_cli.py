@@ -6,12 +6,16 @@ import re
 import shutil
 import string
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propner
 from propner import augmenter
 from propner.augmenter import Segment
 from propner.cli import _read_tag_sequences, main, read_conll, write_conll
@@ -681,6 +685,16 @@ def _edit_header(edit):
     return apply
 
 
+def _version_1(labels):
+    """A model file transform to a version-1 file, which has no digest, with
+    ``labels`` in its header."""
+    def edit(header):
+        del header["digest"]
+        header["version"] = 1
+        header["hyperparams"]["labels"] = labels
+    return _edit_header(edit)
+
+
 MODEL_DEFECTS = {
     "body truncated": (lambda data: data[:-5], ": the arrays take"),
     "8 bytes appended": (lambda data: data + bytes(8), ": the arrays take"),
@@ -697,6 +711,10 @@ MODEL_DEFECTS = {
         lambda data: data[:-8] + struct.pack("<d", struct.unpack("<d", data[-8:])[0] + 1.0),
         ": the digest does not match",
     ),
+    # Version-1 files have no digest, so only the labels check catches these.
+    "labels not BIO tags, version 1": (_version_1(["B-OTH", "B-PER", "O", "PER"]), ":1: 'labels': invalid BIO tag 'PER'"),
+    "labels repeated, version 1": (_version_1(["B-OTH", "B-PER", "B-PER", "O"]), ":1: 'labels' must be distinct"),
+    "labels unsorted, version 1": (_version_1(["O", "I-PER", "B-PER", "B-OTH"]), ":1: 'labels' must be distinct"),
 }
 
 
@@ -743,6 +761,42 @@ class TestTrainFlags:
         assert main(["train", "--aug", aug, "--out", str(by_config), "--seed", "3", "--epochs", "2",
                      "--config", str(config)]) == 0
         assert by_config.read_bytes() == by_flags.read_bytes()
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--heads", "0"], "'n_heads' must be an integer of at least 1, got 0"),
+    (["--d-model", "0"], "'d_model' must be an integer of at least 1, got 0"),
+    (["--ff-dim", "0"], "'ff_dim' must be an integer of at least 1, got 0"),
+    (["--max-len", "0"], "'max_len' must be an integer of at least 1, got 0"),
+    (["--layers", "-1"], "'n_layers' must be an integer of at least 0, got -1"),
+    (["--epochs", "-1"], "'epochs' must be an integer of at least 0, got -1"),
+    (["--heads", "3"], "'d_model' 32 is not divisible by 'n_heads' 3"),
+    (["--lr", "0"], "'lr' must be a finite positive number, got 0.0"),
+    (["--lr", "nan"], "'lr' must be a finite positive number, got nan"),
+    (["--lr", "inf"], "'lr' must be a finite positive number, got inf"),
+])
+def test_out_of_range_train_option(cli_files, tmp_path, flags, needle):
+    out = tmp_path / "model.bin"
+    code, err = _run(["train", "--aug", str(cli_files["aug"]), "--out", str(out), "--seed", "1", *flags])
+    _assert_one_error_line(code, err, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_qid_cap_below_one(tmp_path, dump_file, cap):
+    out = tmp_path / "kb"
+    code, err = _run(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(out), "--qid-cap", cap])
+    _assert_one_error_line(code, err, f"qid_cap must be at least 1, got {cap}")
+    assert not out.exists()
+
+
+def test_import_leaves_out_hashlib():
+    """hashlib loads OpenSSL, which only the commands that read or write a
+    model need."""
+    script = "import sys, propner.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(propner.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 CHUNKS = st.one_of(

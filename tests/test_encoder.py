@@ -239,7 +239,7 @@ class TestGradientCheck:
 
     def test_uniform_labels_classifier_bias(self):
         aug = assemble(Sentence("s", ["a", "b", "c"], ["O", "O", "O"]), [], 16)
-        model = tiny_model([aug], labels=("A", "O"))
+        model = tiny_model([aug], labels=("B-A", "O"))
         assert gradient_check(model, aug, 1e-4) < 1e-4
 
     @pytest.mark.parametrize("layers,heads,mode", [
@@ -295,7 +295,7 @@ class TestPredict:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
         aug = random_augmented(rng, "default")
-        model = tiny_model([aug], labels=("A", "B", "C"))
+        model = tiny_model([aug], labels=("B-A", "B-B", "B-C"))
         dist = predict(model, aug)
         assert dist.shape == (aug.n_sentence, 3)
         assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-9)
@@ -307,6 +307,27 @@ class TestPredict:
         model = train(augs, TrainConfig(max_len=8, epochs=150, seed=1))
         for sentence, aug in zip(sentences, augs):
             assert predict_tags(model, aug) == sentence.gold_tags
+
+
+class TestConfigAndLabels:
+    @pytest.mark.parametrize("key,value", [
+        ("d_model", True), ("n_heads", 2.0), ("ff_dim", 0), ("max_len", None), ("n_layers", -1), ("epochs", "3"),
+        ("lr", True), ("lr", -0.1), ("lr", float("nan")),
+    ])
+    def test_config_field_out_of_range(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("labels,needle", [
+        ([], "non-empty"),
+        (["O", "B-X"], "sorted"),
+        (["B-X", "B-X"], "distinct"),
+        (["B-X", "X"], "invalid BIO tag 'X'"),
+    ])
+    def test_init_model_checks_labels(self, labels, needle):
+        aug = assemble(Sentence("s", ["a"], ["O"]), [], 8)
+        with pytest.raises(ValueError, match=f"'labels'.*{needle}"):
+            init_model(build_vocab([aug]), labels, TINY)
 
 
 class TestModelFile:

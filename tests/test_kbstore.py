@@ -100,6 +100,41 @@ class TestParseDump:
         assert [r.qid for r in records] == ["Q3"]
         assert [e.line_number for e in report] == [3]
 
+    # One line per kind of defect, as a file gives them (each ends in "\n"),
+    # with the (line, message) that parse_dump reports for it.
+    DEFECTS = [
+        (b"\xff{}", "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"", None),
+        (b'{"id": "Q1', "invalid JSON: Unterminated string starting at: line 1 column 8 (char 7)"),
+        (b'{"id": 1,}', "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"),
+        (b'["Q1"]', "line is not a JSON object"),
+        (b'{"labels": {}}', "missing 'id' field"),
+        (b'{"id": "X1"}', "malformed qid 'X1'"),
+        (b'{"id": "Q1", "claims": ["P31"]}', "field 'claims' must be an object"),
+        (b'{"id": "Q1", "claims": {"P31": "Q5"}}', "claim P31 must be a list"),
+        (b'{"id": "Q1", "claims": {"P106": ["Q5", "q6"]}}', "claim P106 contains malformed qid 'q6'"),
+        (b'{"id": "Q1", "labels": "Victor"}', "field 'labels' must be an object"),
+        (b'{"id": "Q1", "labels": {"en": 7}}', "field 'labels' has a non-string value for 'en'"),
+        (b'{"id": "Q1", "sitelinks": ["enwiki"]}', "field 'sitelinks' must be an object"),
+        (b'{"id": "Q1", "sitelinks": {"enwiki": null}}', "field 'sitelinks' has a non-string value for 'enwiki'"),
+        (b'{"id": "Q1", "aliases": ["Vic"]}', "field 'aliases' must be an object"),
+        (b'{"id": "Q1", "aliases": {"en": "Vic"}}', "aliases for 'en' must be a list of strings"),
+        (b'{"id": "Q1", "aliases": {"en": ["Vic", 2]}}', "aliases for 'en' must be a list of strings"),
+        (b'{"id": "Q2", "claims": {"P31": ["Q5"]}}', None),
+    ]
+
+    @pytest.mark.parametrize("kind", [bytes, str])
+    def test_each_defect_reported_with_its_message(self, kind):
+        lines = [line + b"\n" for line, _ in self.DEFECTS]
+        expected = [(number, message) for number, (_, message) in enumerate(self.DEFECTS, start=1) if message]
+        if kind is str:  # a str line cannot be invalid UTF-8; a blank line takes its place
+            lines = ["\n"] + [line.decode("utf-8") for line in lines[1:]]
+            expected = expected[1:]
+        report = DumpErrorReport()
+        records = list(parse_dump(lines, report))
+        assert [record.qid for record in records] == ["Q2"]
+        assert [(error.line_number, error.message) for error in report] == expected
+
     def test_sitelink_language_mapping(self):
         line = json.dumps({"id": "Q9", "sitelinks": {"enwiki": "Nine", "dewiki": "Neun", "other": "x"}})
         [record] = list(parse_dump([line]))
