@@ -29,7 +29,7 @@ from propner.matcher import (
 )
 from propner.augmenter import AttentionMask, AugmentedInput, Segment, assemble
 from propner.encoder import ToyEncoderModel, TrainConfig, gradient_check, masked_attention, predict, train
-from propner.ensemble import FoldPlan, WeightedPredictions, kfold_split, repair_bio, weighted_vote
-from propner.evaluator import EvalReport, extract_spans, score
+from propner.ensemble import FoldPlan, WeightedPredictions, extract_spans, kfold_split, repair_bio, weighted_vote
+from propner.evaluator import EvalReport, score
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from propner.encoder import (
     save_model,
     train,
 )
-from propner.ensemble import WeightedPredictions, check_tag, kfold_split, weighted_vote
+from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import score
 from propner.inputs import InputError, parse_lines
 from propner.kbstore import (
@@ -202,9 +202,8 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = augmenter.read_jsonl(args.aug)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-    model = train(dataset, config)
+    model = train(augmenter.read_jsonl(args.aug), config)
     save_model(model, args.out)
     print(f"trained {config.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
     return 0
@@ -243,52 +242,44 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and set(map(type, value)) <= {str}
 
 
-def _sidecar_row(row) -> dict:
-    """A checked sidecar row, its ``dist`` as a (tokens, labels) float array."""
-    if not isinstance(row, dict):
-        raise ValueError("row must be a JSON object")
-    augmenter.check_sentence_id(row.get("id"))
-    for key in ("tokens", "labels"):
-        if not _is_strings(row.get(key)):
-            raise ValueError(f"{key!r} must be a list of strings")
-    n, k = len(row["tokens"]), len(row["labels"])
-    try:
-        dist = np.array(row.get("dist"))
-    except ValueError:  # ragged rows
-        dist = None
-    if dist is not None and dist.size == 0 == n * k:
-        dist = dist.reshape(n, k)
-    if dist is None or dist.shape != (n, k) or dist.dtype.kind not in "fiu" or not np.isfinite(dist).all():
-        raise ValueError(f"'dist' must be {n} rows of {k} finite numbers")
-    return {**row, "dist": dist.astype(np.float64, copy=False)}
-
-
 def _read_sidecar(path, first: list[dict] | None = None) -> list[dict]:
-    """Rows of a ``.dist.jsonl`` sidecar. Every row has the labels of the
-    file's first row, which are distinct BIO tags; given ``first``, the rows
-    of the first prediction file, each row has the id, tokens and labels of
-    the row at its place there. A bad line raises an InputError naming
-    ``path:line``."""
+    """Rows of a ``.dist.jsonl`` sidecar, each ``dist`` a (tokens, labels)
+    float array. Every row has the labels of the file's first row, which
+    pass ``check_labels``; given ``first``, the rows of the first prediction
+    file, each row has the id, tokens and labels of the row at its place
+    there. A bad line raises an InputError naming ``path:line``."""
     rows: list[dict] = []
 
     def parse(line: str) -> None:
         if not line.strip():
             return
-        row = _sidecar_row(json.loads(line))
+        row = json.loads(line)
+        if not isinstance(row, dict):
+            raise ValueError("row must be a JSON object")
         if first is not None:
             if len(rows) == len(first):
                 raise ValueError(f"row {len(rows) + 1} is past the {len(first)} rows of the first prediction file")
             for key in ("id", "tokens", "labels"):
-                if row[key] != first[len(rows)][key]:
+                if row.get(key) != first[len(rows)][key]:
                     raise ValueError(f"{key!r} does not match row {len(rows) + 1} of the first prediction file")
-        elif not rows:
-            if not row["labels"] or len(set(row["labels"])) != len(row["labels"]):
-                raise ValueError("'labels' must be a non-empty list of distinct tags")
-            for label in row["labels"]:
-                check_tag(label)
-        elif row["labels"] != rows[0]["labels"]:
-            raise ValueError("'labels' does not match the first row")
-        rows.append(row)
+        else:
+            if not rows:
+                check_labels(row.get("labels"))
+            elif row.get("labels") != rows[0]["labels"]:
+                raise ValueError("'labels' does not match the first row")
+            augmenter.check_sentence_id(row.get("id"))
+            if not _is_strings(row.get("tokens")):
+                raise ValueError("'tokens' must be a list of strings")
+        n, k = len(row["tokens"]), len(row["labels"])
+        try:
+            dist = np.array(row.get("dist"))
+        except ValueError:  # ragged rows
+            dist = None
+        if dist is not None and dist.size == 0 == n * k:
+            dist = dist.reshape(n, k)
+        if dist is None or dist.shape != (n, k) or dist.dtype.kind not in "fiu" or not np.isfinite(dist).all():
+            raise ValueError(f"'dist' must be {n} rows of {k} finite numbers")
+        rows.append({**row, "dist": dist.astype(np.float64, copy=False)})
 
     parse_lines(path, parse)
     if first is not None and len(rows) != len(first):

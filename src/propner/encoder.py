@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from propner.augmenter import AugmentedInput
-from propner.ensemble import check_tag
+from propner.ensemble import check_labels
 from propner.inputs import InputError, located
 
 UNK_TOKEN = "[UNK]"
@@ -56,7 +56,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key, low in (("d_model", 1), ("n_heads", 1), ("ff_dim", 1), ("max_len", 1), ("n_layers", 0), ("epochs", 0)):
+        for key, low in (("d_model", 1), ("n_heads", 1), ("ff_dim", 1), ("max_len", 1),
+                         ("n_layers", 0), ("epochs", 0), ("seed", 0)):
             value = getattr(self, key)
             if type(value) is not int or value < low:
                 raise ValueError(f"{key!r} must be an integer of at least {low}, got {value!r}")
@@ -127,21 +128,6 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
         views[name] = flat[offset : offset + count].reshape(shapes[name])
         offset += count
     return views
-
-
-def check_labels(labels: list[str]) -> list[str]:
-    """``labels`` if a model can have them: a non-empty list of distinct BIO
-    tags in sorted order, so that an argmax tie goes to the smallest label."""
-    if not isinstance(labels, list) or not labels or not all(isinstance(label, str) for label in labels):
-        raise ValueError("'labels' must be a non-empty list of strings")
-    try:
-        for label in labels:
-            check_tag(label)
-    except ValueError as exc:
-        raise ValueError(f"'labels': {exc}") from None
-    if any(a >= b for a, b in zip(labels, labels[1:])):
-        raise ValueError("'labels' must be distinct and in sorted order")
-    return labels
 
 
 def init_model(vocab: dict[str, int], labels: list[str], config: TrainConfig) -> ToyEncoderModel:

@@ -1,4 +1,5 @@
-"""K-fold splitting and F1-weighted voting over per-fold predictions.
+"""The BIO tag rules, k-fold splitting and F1-weighted voting over
+per-fold predictions.
 
 Votes are cast token-level over label distributions (soft voting) by
 default; ``hard=True`` first collapses each fold to a one-hot vote. The
@@ -23,6 +24,47 @@ def check_tag(tag: str) -> str:
     return tag
 
 
+def check_labels(labels: list[str]) -> list[str]:
+    """``labels`` if a model can have them: a non-empty list of distinct BIO
+    tags in sorted order, so that an argmax tie goes to the smallest label."""
+    if not isinstance(labels, list) or not labels or not all(isinstance(label, str) for label in labels):
+        raise ValueError("'labels' must be a non-empty list of strings")
+    try:
+        for label in labels:
+            check_tag(label)
+    except ValueError as exc:
+        raise ValueError(f"'labels': {exc}") from None
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError("'labels' must be distinct and in sorted order")
+    return labels
+
+
+def extract_spans(tags: list[str]) -> set[tuple[int, int, str]]:
+    """Maximal runs as (start, end, type) triples. A run of type X starts at
+    ``B-X``, or at an ``I-X`` that does not continue a run of type X, and
+    goes on over ``I-X``."""
+    spans = set()
+    start, current = 0, None
+    for i, tag in enumerate(tags):
+        entity_type = None if tag == "O" else check_tag(tag)[2:]
+        if tag[0] == "B" or entity_type != current:
+            if current is not None:
+                spans.add((start, i, current))
+            start, current = i, entity_type
+    if current is not None:
+        spans.add((start, len(tags), current))
+    return spans
+
+
+def repair_bio(tags: list[str]) -> list[str]:
+    """The tags of ``extract_spans(tags)``: an orphan ``I-X`` becomes
+    ``B-X``, everything else is unchanged. Idempotent."""
+    repaired = ["O"] * len(tags)
+    for start, end, entity_type in extract_spans(tags):
+        repaired[start:end] = [f"B-{entity_type}"] + [f"I-{entity_type}"] * (end - start - 1)
+    return repaired
+
+
 @dataclass
 class FoldPlan:
     k: int
@@ -39,7 +81,8 @@ class WeightedPredictions:
 
     Weights are the folds' validation micro F1 scores, used unnormalized:
     the voted argmax is invariant to scaling them by any positive constant.
-    Labels are distinct, so a vote's tie break picks one label.
+    Labels are distinct and sorted, so an argmax tie goes to the smallest
+    label.
     """
 
     labels: list[str]
@@ -55,8 +98,8 @@ class WeightedPredictions:
             raise ValueError("fold weights must be finite and non-negative")
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one fold weight must be positive")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"labels repeat: {self.labels}")
+        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+            raise ValueError("'labels' must be distinct and in sorted order")
         first = self.distributions[0]
         for fold, dists in enumerate(self.distributions):
             if len(dists) != len(first):
@@ -84,42 +127,12 @@ def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
 
 
 def weighted_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[str]]:
-    """Per-token weighted vote, argmax ties broken lexicographically."""
-    place = {label: i for i, label in enumerate(sorted(preds.labels))}
-    rank = np.array([place[label] for label in preds.labels])  # each column's place in sorted label order
+    """Per-token weighted vote, argmax ties going to the smallest label."""
     one_hot = np.eye(len(preds.labels))
-
-    def pick(scores: np.ndarray) -> np.ndarray:
-        """Per row, the column of the smallest label among the maxima."""
-        at_max = scores == scores.max(axis=1, keepdims=True)
-        return np.where(at_max, rank, len(rank)).argmin(axis=1)
-
     voted = []
     for s in range(len(preds.distributions[0])):
         scores = np.zeros_like(preds.distributions[0][s])
         for weight, dists in zip(preds.weights, preds.distributions):
-            scores += weight * (one_hot[pick(dists[s])] if hard else dists[s])
-        voted.append(repair_bio([preds.labels[i] for i in pick(scores)]))
+            scores += weight * (one_hot[dists[s].argmax(axis=1)] if hard else dists[s])
+        voted.append(repair_bio([preds.labels[i] for i in scores.argmax(axis=1)]))
     return voted
-
-
-def repair_bio(tags: list[str]) -> list[str]:
-    """Turn orphan continuations into span starts.
-
-    An I-X whose predecessor is neither B-X nor I-X becomes B-X; everything
-    else is unchanged. Idempotent.
-    """
-    repaired = []
-    prev_type = None
-    for tag in map(check_tag, tags):
-        if tag == "O":
-            repaired.append(tag)
-            prev_type = None
-            continue
-        prefix, entity_type = tag.split("-", 1)
-        if prefix == "I" and entity_type != prev_type:
-            repaired.append(f"B-{entity_type}")
-        else:
-            repaired.append(tag)
-        prev_type = entity_type
-    return repaired

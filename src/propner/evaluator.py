@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from propner.ensemble import check_tag, repair_bio
+from propner.ensemble import extract_spans
 
 
 @dataclass
@@ -40,33 +40,6 @@ class EvalReport:
         }
 
 
-def extract_spans(tags: list[str]) -> set[tuple[int, int, str]]:
-    """Maximal B-X (I-X)* runs as (start, end, type) triples.
-
-    Raises on orphan I- tags; run repair_bio first for lenient handling.
-    """
-    spans = set()
-    start = None
-    current = None
-    for i, tag in enumerate(tags):
-        if tag == "O":
-            if current is not None:
-                spans.add((start, i, current))
-                current = None
-            continue
-        prefix, entity_type = check_tag(tag).split("-", 1)
-        if prefix == "B":
-            if current is not None:
-                spans.add((start, i, current))
-            start, current = i, entity_type
-        else:
-            if current != entity_type:
-                raise ValueError(f"orphan {tag} at position {i}; apply repair_bio first")
-    if current is not None:
-        spans.add((start, len(tags), current))
-    return spans
-
-
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -77,8 +50,8 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 def score(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
     """Score aligned tag sequences (one list per sentence).
 
-    Both sides are passed through repair_bio before span extraction, the
-    conventional lenient treatment of malformed BIO.
+    Spans are read leniently on both sides: an orphan ``I-X`` starts a span,
+    the conventional treatment of malformed BIO.
     """
     if len(gold) != len(pred):
         raise ValueError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
@@ -89,8 +62,8 @@ def score(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
     for i, (gold_tags, pred_tags) in enumerate(zip(gold, pred)):
         if len(gold_tags) != len(pred_tags):
             raise ValueError(f"sentence {i}: {len(gold_tags)} gold tags vs {len(pred_tags)} predicted")
-        gold_spans = extract_spans(repair_bio(gold_tags))
-        pred_spans = extract_spans(repair_bio(pred_tags))
+        gold_spans = extract_spans(gold_tags)
+        pred_spans = extract_spans(pred_tags)
         for span in gold_spans:
             gold_classes.add(span[2])
         for span in pred_spans & gold_spans:

@@ -295,8 +295,7 @@ def coverage_rate(kb: KnowledgeBase, dataset: Iterable["Sentence"]) -> float:
     Counts mention occurrences, not unique surfaces. A dataset without any
     gold mention has coverage 1.0 by convention.
     """
-    from propner.ensemble import repair_bio
-    from propner.evaluator import extract_spans
+    from propner.ensemble import extract_spans, repair_bio
 
     total = 0
     covered = 0

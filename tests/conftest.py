@@ -3,10 +3,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from propner.kbstore import DumpErrorReport, build_knowledge_base, parse_dump
+
+# Every property test draws the same examples on every run.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def table_dump_lines() -> list[str]:

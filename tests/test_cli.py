@@ -550,12 +550,23 @@ class TestSidecarValidation:
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\n\n"
 
-    @pytest.mark.parametrize("labels,dist", [(["O", "O"], [[0.2, 0.8], [0.6, 0.4]]), ([], [[], []])])
+    @pytest.mark.parametrize("labels,dist", [
+        (["O", "O"], [[0.2, 0.8], [0.6, 0.4]]), ([], [[], []]), (["O", "B-X"], [[0.2, 0.8], [0.6, 0.4]]),
+    ])
     def test_labels_repeated_or_empty(self, tmp_path, labels, dist):
+        """Repeated, empty or unsorted labels."""
         sidecar = tmp_path / "p.dist.jsonl"
         sidecar.write_text(_sidecar_row(labels=labels, dist=dist) + "\n", encoding="utf-8")
         code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
-        _assert_one_error_line(code, err, f"{sidecar}:1: 'labels' must be a non-empty list of distinct tags")
+        rule = "distinct and in sorted order" if labels else "a non-empty list of strings"
+        _assert_one_error_line(code, err, f"{sidecar}:1: 'labels' must be {rule}")
+
+    def test_empty_sidecars_vote(self, tmp_path):
+        sidecar = tmp_path / "p.dist.jsonl"
+        sidecar.write_bytes(b"")
+        out = tmp_path / "v.tsv"
+        assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
 
     def test_label_not_a_bio_tag(self, tmp_path):
         sidecar = tmp_path / "p.dist.jsonl"
@@ -685,13 +696,13 @@ def _edit_header(edit):
     return apply
 
 
-def _version_1(labels):
+def _version_1(**hyperparams):
     """A model file transform to a version-1 file, which has no digest, with
-    ``labels`` in its header."""
+    ``hyperparams`` in its header."""
     def edit(header):
         del header["digest"]
         header["version"] = 1
-        header["hyperparams"]["labels"] = labels
+        header["hyperparams"].update(hyperparams)
     return _edit_header(edit)
 
 
@@ -711,10 +722,11 @@ MODEL_DEFECTS = {
         lambda data: data[:-8] + struct.pack("<d", struct.unpack("<d", data[-8:])[0] + 1.0),
         ": the digest does not match",
     ),
-    # Version-1 files have no digest, so only the labels check catches these.
-    "labels not BIO tags, version 1": (_version_1(["B-OTH", "B-PER", "O", "PER"]), ":1: 'labels': invalid BIO tag 'PER'"),
-    "labels repeated, version 1": (_version_1(["B-OTH", "B-PER", "B-PER", "O"]), ":1: 'labels' must be distinct"),
-    "labels unsorted, version 1": (_version_1(["O", "I-PER", "B-PER", "B-OTH"]), ":1: 'labels' must be distinct"),
+    # Version-1 files have no digest, so only the labels and config checks catch these.
+    "labels not BIO tags, version 1": (_version_1(labels=["B-OTH", "B-PER", "O", "PER"]), ":1: 'labels': invalid BIO tag 'PER'"),
+    "labels repeated, version 1": (_version_1(labels=["B-OTH", "B-PER", "B-PER", "O"]), ":1: 'labels' must be distinct"),
+    "labels unsorted, version 1": (_version_1(labels=["O", "I-PER", "B-PER", "B-OTH"]), ":1: 'labels' must be distinct"),
+    "seed not an integer, version 1": (_version_1(seed="x"), ":1: 'seed' must be an integer of at least 0, got 'x'"),
 }
 
 
@@ -774,12 +786,18 @@ class TestTrainFlags:
     (["--lr", "0"], "'lr' must be a finite positive number, got 0.0"),
     (["--lr", "nan"], "'lr' must be a finite positive number, got nan"),
     (["--lr", "inf"], "'lr' must be a finite positive number, got inf"),
+    (["--seed", "-1"], "'seed' must be an integer of at least 0, got -1"),
 ])
 def test_out_of_range_train_option(cli_files, tmp_path, flags, needle):
     out = tmp_path / "model.bin"
     code, err = _run(["train", "--aug", str(cli_files["aug"]), "--out", str(out), "--seed", "1", *flags])
     _assert_one_error_line(code, err, needle)
     assert not out.exists()
+
+
+def test_train_checks_options_before_reading(tmp_path):
+    argv = ["train", "--aug", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "m.bin"), "--seed", "1"]
+    _assert_one_error_line(*_run([*argv, "--heads", "0"]), "'n_heads' must be an integer of at least 1, got 0")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -828,7 +846,7 @@ class TestRobustness:
     ``error:`` line; an exception escaping ``main`` fails the test."""
 
     @pytest.mark.parametrize("command", ["predict", "vote", "score"])
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(edits=EDITS)
     def test_mutated_file(self, cli_files, command, edits):
         source = {"predict": cli_files["aug"], "vote": cli_files["sidecar"], "score": cli_files["pred"]}[command]
@@ -848,7 +866,7 @@ class TestRobustness:
             _assert_one_error_line(code, err)
 
     @pytest.mark.parametrize("source", ["config", "dataset", "surfaces.tsv", "contexts.tsv", "meta.json", "dump"])
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(edits=EDITS)
     def test_mutated_input(self, cli_files, source, edits):
         """As above for the other inputs; ``build-kb`` may print its
@@ -879,7 +897,7 @@ class TestRobustness:
         else:
             _assert_one_error_line(code, err)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(edit=st.one_of(
         EDITS.map(lambda edits: ("header", edits)),
         st.integers(0, 10**6).map(lambda at: ("truncate", at)),

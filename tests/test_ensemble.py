@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from propner.ensemble import WeightedPredictions, kfold_split, repair_bio, weighted_vote
+from propner.ensemble import WeightedPredictions, extract_spans, kfold_split, repair_bio, weighted_vote
 from propner.matcher import Sentence
 
 from oracles import counting_vote
@@ -98,6 +98,20 @@ class TestWeightedVote:
             want = [counting_vote(LABELS, [fold[0][t] for fold in fold_tags], weights) for t in range(n_tokens)]
             assert got == repair_bio(want)
 
+    def test_hard_vote_with_ties_matches_counting_oracle(self):
+        """Rows in halves tie within a fold, and weights in halves tie
+        across folds; both ties go to the smallest label."""
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_folds = int(rng.integers(1, 5))
+            dists = [[rng.integers(0, 3, size=(4, len(LABELS))) / 2] for _ in range(n_folds)]
+            weights = [float(rng.integers(1, 4)) / 2 for _ in range(n_folds)]
+            fold_votes = [
+                [min(label for label, p in zip(LABELS, row) if p == row.max()) for row in fold[0]] for fold in dists
+            ]
+            want = [counting_vote(LABELS, [votes[t] for votes in fold_votes], weights) for t in range(4)]
+            assert weighted_vote(WeightedPredictions(LABELS, weights, dists), hard=True) == [repair_bio(want)]
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -132,7 +146,7 @@ class TestWeightedVote:
                 preds_from_tags([weight, 0.5], [[["O"]], [["O"]]])
 
     def test_repeated_label_rejected(self):
-        with pytest.raises(ValueError, match="labels repeat"):
+        with pytest.raises(ValueError, match="'labels' must be distinct and in sorted order"):
             WeightedPredictions(["O", "B-X", "O"], [1.0], [[np.zeros((1, 3))]])
 
     def test_mismatched_token_counts_rejected(self):
@@ -179,3 +193,19 @@ class TestRepairBio:
             if tag.startswith("I-"):
                 assert prev is not None and prev[2:] == tag[2:] and prev[0] in "BI"
             prev = tag if tag != "O" else None
+
+    @given(
+        st.lists(
+            st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-ORG"]),
+            max_size=12,
+        )
+    )
+    def test_repair_keeps_spans(self, tags):
+        spans = extract_spans(tags)
+        assert extract_spans(repair_bio(tags)) == spans
+        span_tags = ["O"] * len(tags)
+        for start, end, entity_type in spans:
+            span_tags[start] = f"B-{entity_type}"
+            for i in range(start + 1, end):
+                span_tags[i] = f"I-{entity_type}"
+        assert repair_bio(tags) == span_tags

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from propner.evaluator import extract_spans, score
+from propner.ensemble import extract_spans
+from propner.evaluator import score
 
 
 class TestExtractSpans:
@@ -20,11 +21,9 @@ class TestExtractSpans:
     def test_type_switch_starts_new_span(self):
         assert extract_spans(["B-PER", "B-LOC", "I-LOC"]) == {(0, 1, "PER"), (1, 3, "LOC")}
 
-    def test_orphan_i_rejected(self):
-        with pytest.raises(ValueError):
-            extract_spans(["O", "I-PER"])
-        with pytest.raises(ValueError):
-            extract_spans(["B-PER", "I-LOC"])
+    def test_orphan_i_starts_a_span(self):
+        assert extract_spans(["O", "I-PER"]) == {(1, 2, "PER")}
+        assert extract_spans(["B-PER", "I-LOC"]) == {(0, 1, "PER"), (1, 2, "LOC")}
 
     def test_garbage_tag_rejected(self):
         with pytest.raises(ValueError):
