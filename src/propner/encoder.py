@@ -154,7 +154,7 @@ def _masked_softmax(scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
     weights, which makes the attention output of such a query 0 and leaves
     its residual untouched.
     """
-    keep = bits.astype(bool)
+    keep = bits.astype(bool, copy=False)
     neg = np.where(keep, scores, -np.inf)
     empty = ~keep.any(axis=-1)
     rowmax = np.where(empty, 0.0, np.max(neg, axis=-1, initial=-np.inf))
@@ -185,17 +185,21 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(t, h * dk)
 
 
-def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, dict]:
-    """Logits and the cache the backward pass reads; ``cache["final"]``
-    holds the final-layer hidden states."""
+def _prepare(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray]:
+    """The token ids and the boolean attention mask of an input, all that
+    the forward pass reads of it."""
     if len(aug.tokens) > model.max_len:
         raise ValueError(f"input of length {len(aug.tokens)} exceeds max_len {model.max_len}")
+    return model.token_ids(aug.tokens), aug.mask.bits.astype(bool)
+
+
+def _forward_pass(model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Logits of a ``_prepare``d input and the cache the backward pass
+    reads; ``cache["final"]`` holds the final-layer hidden states."""
     p = model.params
-    ids = model.token_ids(aug.tokens)
     t = len(ids)
-    bits = aug.mask.bits
     x = p["embed"][ids] + p["pos"][:t]
-    cache = {"ids": ids, "layers": []}
+    cache = {"layers": []}
     for layer in range(model.n_layers):
         prefix = f"layers.{layer}."
         q = x @ p[prefix + "wq"]
@@ -204,7 +208,7 @@ def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarr
         qh = _split_heads(q, model.n_heads)
         kh = _split_heads(k, model.n_heads)
         vh = _split_heads(v, model.n_heads)
-        heads, weights = masked_attention(qh, kh, vh, bits)
+        heads, weights = masked_attention(qh, kh, vh, keep)
         merged = _merge_heads(heads)
         attn_out = merged @ p[prefix + "wo"]
         x1 = x + attn_out
@@ -221,12 +225,12 @@ def _forward_pass(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarr
 
 def forward(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     """Per-position label logits, shape (len(tokens), len(labels))."""
-    return _forward_pass(model, aug)[0]
+    return _forward_pass(model, *_prepare(model, aug))[0]
 
 
 def hidden_states(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     """Final-layer hidden states, shape (len(tokens), d_model)."""
-    return _forward_pass(model, aug)[1]["final"]
+    return _forward_pass(model, *_prepare(model, aug))[1]["final"]
 
 
 def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
@@ -241,13 +245,21 @@ def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     return np.array(targets, dtype=np.int64)
 
 
-def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, np.ndarray, dict]:
-    """Mean cross-entropy over the sentence tokens, its gradient with respect
-    to the logits, and the forward cache."""
+def _example(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A training input as the loss reads it: its ``_prepare``d token ids
+    and mask, then its label targets."""
     targets = _label_targets(model, aug)
     if len(targets) == 0:
         raise ValueError(f"input {aug.sentence_id!r} has no labeled positions")
-    logits, cache = _forward_pass(model, aug)
+    return (*_prepare(model, aug), targets)
+
+
+def _cross_entropy(
+    model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray, dict]:
+    """Mean cross-entropy of an ``_example`` over the sentence tokens, its
+    gradient with respect to the logits, and the forward cache."""
+    logits, cache = _forward_pass(model, ids, keep)
     labeled = slice(1, len(targets) + 1)
     picked = logits[labeled]
     shifted = picked - picked.max(axis=1, keepdims=True)
@@ -262,14 +274,13 @@ def _cross_entropy(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, 
     return loss, d_logits, cache
 
 
-def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the sentence tokens and its full gradient, a
-    buffer laid out like ``model.flat``."""
+def _loss_and_grads(model: ToyEncoderModel, example: tuple, grads: dict[str, np.ndarray]) -> float:
+    """Mean cross-entropy of an ``_example`` over the sentence tokens. Adds
+    its gradient into ``grads``, the ``model.views`` of a buffer laid out
+    like ``model.flat``."""
     p = model.params
-    loss, d_logits, cache = _cross_entropy(model, aug)
+    loss, d_logits, cache = _cross_entropy(model, *example)
 
-    grad = np.zeros_like(model.flat)
-    grads = model.views(grad)
     final = cache["final"]
     grads["cls.w"] += final.T @ d_logits
     grads["cls.b"] += d_logits.sum(axis=0)
@@ -308,10 +319,10 @@ def _loss_and_grads(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[float,
         grads[prefix + "wv"] += x.T @ dv
         dx = dx1 + dq @ p[prefix + "wq"].T + dk @ p[prefix + "wk"].T + dv @ p[prefix + "wv"].T
 
-    t = len(cache["ids"])
-    grads["pos"][:t] += dx
-    np.add.at(grads["embed"], cache["ids"], dx)
-    return loss, grad
+    ids = example[0]
+    grads["pos"][: len(ids)] += dx
+    np.add.at(grads["embed"], ids, dx)
+    return loss
 
 
 def train(dataset: list[AugmentedInput], config: TrainConfig) -> ToyEncoderModel:
@@ -320,26 +331,36 @@ def train(dataset: list[AugmentedInput], config: TrainConfig) -> ToyEncoderModel
     The vocabulary and label set are read off the training data. Sentence
     order is reshuffled every epoch from the run seed; given one seed and
     one platform the resulting parameters are bit-reproducible.
+
+    Every input is prepared, and so checked, before the first step. The
+    steps run with numpy's overflow and invalid-value warnings off: the
+    finite-loss check reports a diverging run.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
     vocab = build_vocab(dataset)
     labels = sorted({tag for aug in dataset for tag in aug.gold_tags or ()})
     model = init_model(vocab, labels, config)
+    examples = [_example(model, aug) for aug in dataset]
+    grad = np.zeros_like(model.flat)
+    grads = model.views(grad)
 
     rng = np.random.default_rng(config.seed)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(dataset))
-        epoch_loss = 0.0
-        for idx in order:
-            loss, grad = _loss_and_grads(model, dataset[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}: lower the learning rate (current {config.lr})"
-                )
-            model.flat -= config.lr * grad
-            epoch_loss += loss
-        model.epoch_losses.append(epoch_loss / len(dataset))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(dataset))
+            epoch_loss = 0.0
+            for idx in order:
+                grad.fill(0.0)
+                loss = _loss_and_grads(model, examples[idx], grads)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}: lower the learning rate (current {config.lr})"
+                    )
+                grad *= config.lr
+                model.flat -= grad
+                epoch_loss += loss
+            model.epoch_losses.append(epoch_loss / len(dataset))
     return model
 
 
@@ -373,7 +394,9 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    analytic = model.views(_loss_and_grads(model, aug)[1])
+    example = _example(model, aug)
+    analytic = model.views(np.zeros_like(model.flat))
+    _loss_and_grads(model, example, analytic)
     rng = np.random.default_rng(seed)
     per_group = max(1, -(-n_coords // len(model.params)))
 
@@ -382,9 +405,9 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
         for index in rng.integers(0, param.size, size=per_group):
             original = param.flat[index]
             param.flat[index] = original + epsilon
-            loss_plus = _cross_entropy(model, aug)[0]
+            loss_plus = _cross_entropy(model, *example)[0]
             param.flat[index] = original - epsilon
-            loss_minus = _cross_entropy(model, aug)[0]
+            loss_minus = _cross_entropy(model, *example)[0]
             param.flat[index] = original
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             exact = analytic[name].flat[index]

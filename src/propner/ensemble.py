@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAG_PATTERN = re.compile(r"^(O|[BI]-\S+)$")
+TAG_PATTERN = re.compile(r"O|[BI]-\S+")  # used with fullmatch: "$" would let "O\n" through
 
 
 def check_tag(tag: str) -> str:
     """``tag`` if it is a BIO tag: ``O``, ``B-X`` or ``I-X``."""
-    if not TAG_PATTERN.match(tag):
+    if not TAG_PATTERN.fullmatch(tag):
         raise ValueError(f"invalid BIO tag {tag!r}")
     return tag
 

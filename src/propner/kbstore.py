@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-QID_PATTERN = re.compile(r"^Q[0-9]+$")
+QID_PATTERN = re.compile(r"Q[0-9]+")  # used with fullmatch: "$" would let "Q5\n" through
 _QID_LINES = re.compile(r"(?:Q[0-9]+\n)*")
 
 #: Property kinds in canonical (context concatenation) order.
@@ -136,7 +136,7 @@ def _claim_list(claims: dict, pid: str) -> list[str]:
     if not isinstance(value, list):
         raise _BadLine(f"claim {pid} must be a list")
     for qid in value:
-        if not isinstance(qid, str) or not QID_PATTERN.match(qid):
+        if not isinstance(qid, str) or not QID_PATTERN.fullmatch(qid):
             raise _BadLine(f"claim {pid} contains malformed qid {qid!r}")
     return list(value)
 
@@ -158,7 +158,7 @@ def _record_from_line(raw: bytes | str) -> EntityRecord | None:
     qid = obj.get("id")
     if qid is None:
         raise _BadLine("missing 'id' field")
-    if not isinstance(qid, str) or not QID_PATTERN.match(qid):
+    if not isinstance(qid, str) or not QID_PATTERN.fullmatch(qid):
         raise _BadLine(f"malformed qid {qid!r}")
     claims = obj.get("claims", {}) or {}
     if not isinstance(claims, dict):
@@ -370,7 +370,7 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         contexts[qid] = context
     # One match over all qids costs a third of one match per qid.
     if not _QID_LINES.fullmatch("\n".join([*contexts, ""])):
-        bad = next(qid for qid in contexts if not QID_PATTERN.match(qid))
+        bad = next(qid for qid in contexts if not QID_PATTERN.fullmatch(qid))
         number = next(n for n, line in enumerate(lines, start=1) if line.startswith(bad + "\t"))
         raise InputError(path / CONTEXTS_FILE, number, f"malformed qid {bad!r}")
 

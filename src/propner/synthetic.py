@@ -13,6 +13,10 @@ difference is whether retrieved pairs are appended to the input. Dropping
 the occupation property from the knowledge base removes the class signal
 and collapses the gap, mirroring the property-ablation experiment at desk
 scale.
+
+The two trainings share nothing, so they run at the same time: the
+augmented arm in a child forked from the caller, the baseline arm in the
+caller. Each arm's parameters are bit-identical to a run of that arm alone.
 """
 
 from __future__ import annotations
@@ -137,6 +141,45 @@ def _sentences(rng: np.random.Generator, entities: list, class_of: dict, per_ent
     return sentences
 
 
+def _train_and_tag(train_inputs: list, test_inputs: list, config: TrainConfig) -> list[list[str]]:
+    """One arm of the A/B: train a tagger, then tag the test inputs."""
+    model = train(train_inputs, config)
+    return [predict_tags(model, aug) for aug in test_inputs]
+
+
+def _reply(sender, fn, args: tuple) -> None:
+    """Send ``(True, fn(*args))``, or ``(False, the exception it raised)``."""
+    try:
+        reply = (True, fn(*args))
+    except Exception as exc:
+        reply = (False, exc)
+    sender.send(reply)
+
+
+def _pair_map(fn, first: tuple, second: tuple) -> tuple:
+    """``(fn(*first), fn(*second))``, the first call run at the same time in
+    a forked child, which sends back only its result. An exception in the
+    child is raised here. Whether it is done or not, the child is killed and
+    reaped before this returns or raises, so no process outlives the call."""
+    import multiprocessing  # only the A/B forks, so no other command loads it
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_reply, args=(sender, fn, first))
+    child.start()
+    sender.close()
+    try:
+        second_result = fn(*second)
+        ok, first_result = receiver.recv()
+    finally:
+        child.kill()
+        child.join()
+        receiver.close()
+    if not ok:
+        raise first_result
+    return first_result, second_result
+
+
 def run_synthetic_ab(
     seed: int,
     properties: frozenset[str] = FULL_PROPERTY_MASK,
@@ -172,12 +215,13 @@ def run_synthetic_ab(
         return [assemble(s, [], MAX_LEN, mask_mode) for s in sentences]
 
     train_config = TrainConfig(max_len=MAX_LEN, epochs=cfg.epochs, seed=seed)
-    augmented_model = train(with_knowledge(train_sents), train_config)
-    baseline_model = train(without_knowledge(train_sents), train_config)
+    augmented_pred, baseline_pred = _pair_map(
+        _train_and_tag,
+        (with_knowledge(train_sents), with_knowledge(test_sents), train_config),
+        (without_knowledge(train_sents), without_knowledge(test_sents), train_config),
+    )
 
     gold = [list(s.gold_tags) for s in test_sents]
-    augmented_pred = [predict_tags(augmented_model, aug) for aug in with_knowledge(test_sents)]
-    baseline_pred = [predict_tags(baseline_model, aug) for aug in without_knowledge(test_sents)]
     augmented_f1 = score(gold, augmented_pred).micro_f1
     baseline_f1 = score(gold, baseline_pred).micro_f1
 

@@ -598,6 +598,12 @@ class TestTagsNameTheirFile:
         argv = ["augment", "--kb", str(tmp_path / "kb"), "--data", str(data), "--out", str(tmp_path / "aug.jsonl")]
         _assert_one_error_line(*_run(argv), f"{data}:2: invalid BIO tag 'PER'")
 
+    def test_aug_tag_with_trailing_newline(self, tmp_path):
+        aug = tmp_path / "aug.jsonl"
+        augmenter.write_jsonl([augmenter.assemble(Sentence("s1", ["a", "b"], ["B-X", "O\n"]), [], 16)], aug)
+        argv = ["train", "--aug", str(aug), "--out", str(tmp_path / "m.bin"), "--seed", "1"]
+        _assert_one_error_line(*_run(argv), f"{aug}:1: invalid BIO tag 'O\\n'")
+
     def test_prediction_tag(self, tmp_path):
         gold = tmp_path / "gold.conll"
         gold.write_text(GOLD_AB, encoding="utf-8")
@@ -795,6 +801,14 @@ def test_out_of_range_train_option(cli_files, tmp_path, flags, needle):
     assert not out.exists()
 
 
+def test_diverging_train_writes_one_line(cli_files, tmp_path):
+    # numpy's overflow warnings would come first, as further stderr lines
+    out = tmp_path / "model.bin"
+    code, err = _run(["train", "--aug", str(cli_files["aug"]), "--out", str(out), "--seed", "1", "--lr", "1e300"])
+    _assert_one_error_line(code, err, "non-finite loss at epoch 0")
+    assert not out.exists()
+
+
 def test_train_checks_options_before_reading(tmp_path):
     argv = ["train", "--aug", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "m.bin"), "--seed", "1"]
     _assert_one_error_line(*_run([*argv, "--heads", "0"]), "'n_heads' must be an integer of at least 1, got 0")
@@ -810,11 +824,11 @@ def test_qid_cap_below_one(tmp_path, dump_file, cap):
 
 def test_import_leaves_out_hashlib():
     """hashlib loads OpenSSL, which only the commands that read or write a
-    model need."""
-    script = "import sys, propner.cli; print('hashlib' in sys.modules)"
+    model need; multiprocessing serves only the synthetic A/B."""
+    script = "import sys, propner.cli; print('hashlib' in sys.modules, 'multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(propner.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 CHUNKS = st.one_of(

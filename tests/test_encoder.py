@@ -116,7 +116,9 @@ class TestForward:
         model = tiny_model([aug])
         forward(model, aug)
         assert len(seen) == model.n_layers == 2
-        assert all(bits is aug.mask.bits for bits in seen)
+        # one boolean copy of the input's mask, made once for every layer
+        assert seen[0] is seen[1] and seen[0].dtype == bool
+        assert np.array_equal(seen[0], aug.mask.bits)
 
     def test_zero_classifier_zero_logits(self):
         aug = assemble(Sentence("s", ["a", "b"], ["O", "O"]), [], 16)
@@ -223,8 +225,23 @@ class TestTrain:
     def test_divergence_detected(self):
         augs = self.memorization_set()
         with pytest.raises(TrainingDivergedError):
-            with np.errstate(all="ignore"):
-                train(augs, TrainConfig(max_len=16, epochs=50, lr=1e4, seed=0))
+            train(augs, TrainConfig(max_len=16, epochs=50, lr=1e4, seed=0))
+
+    @pytest.mark.parametrize("defect,message", [
+        ("too long", "input of length 18 exceeds max_len 16"),
+        ("unlabeled", "input 'u' has no labeled positions"),
+    ])
+    def test_bad_input_fails_before_the_first_step(self, monkeypatch, defect, message):
+        from propner import encoder
+
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(encoder, "_loss_and_grads", no_step)
+        bad = (assemble(Sentence("long", ["w"] * 16, ["O"] * 16), [], 32) if defect == "too long"
+               else assemble(Sentence("u", ["a", "b"]), [], 16))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train([*self.memorization_set(), bad], TrainConfig(max_len=16, epochs=1, seed=0))
 
 
 class TestGradientCheck:
@@ -264,18 +281,20 @@ class TestGradientCheck:
     def test_unreachable_value_row_has_zero_gradient(self):
         # strict mode: no query attends a "$" separator, so the loss cannot
         # depend on its embedding row; both gradient routes must agree on 0
-        from propner.encoder import _cross_entropy, _loss_and_grads
+        from propner.encoder import _cross_entropy, _example, _loss_and_grads
 
         sentence = Sentence("s", ["a", "b", "c", "d"], ["B-X", "O", "B-X", "O"])
         pairs = [EntityMatch(0, 1, "a", "Q1", "x"), EntityMatch(2, 3, "c", "Q2", "y")]
         aug = assemble(sentence, pairs, 64, "strict-paper")
         model = tiny_model([aug])
-        grads = model.views(_loss_and_grads(model, aug)[1])
+        example = _example(model, aug)
+        grads = model.views(np.zeros_like(model.flat))
+        _loss_and_grads(model, example, grads)
         sep_row = model.vocab["$"]
         assert (grads["embed"][sep_row] == 0.0).all()
-        base = _cross_entropy(model, aug)[0]
+        base = _cross_entropy(model, *example)[0]
         model.params["embed"][sep_row, 0] += 1e-4
-        assert _cross_entropy(model, aug)[0] == base
+        assert _cross_entropy(model, *example)[0] == base
 
     def test_epsilon_range_enforced(self):
         aug = assemble(Sentence("s", ["a"], ["O"]), [], 16)
@@ -400,12 +419,13 @@ class TestParameterLayout:
 
     @pytest.mark.parametrize("stage", ["init", "train", "load"])
     def test_one_step_updates_the_buffer(self, tmp_path, stage):
-        from propner.encoder import _loss_and_grads
+        from propner.encoder import _example, _loss_and_grads
 
         model = _model_at(stage, self.AUG, tmp_path)
         config = TrainConfig(max_len=16, epochs=1, seed=2)
         start = model.flat.copy()
-        loss, grad = _loss_and_grads(model, self.AUG)
+        grad = np.zeros_like(model.flat)
+        loss = _loss_and_grads(model, _example(model, self.AUG), model.views(grad))
         assert grad.shape == model.flat.shape and np.isfinite(loss)
         if stage == "init":  # train's first step from the same seed
             assert np.array_equal(train([self.AUG], config).flat, start - config.lr * grad)

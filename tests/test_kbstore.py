@@ -110,9 +110,11 @@ class TestParseDump:
         (b'["Q1"]', "line is not a JSON object"),
         (b'{"labels": {}}', "missing 'id' field"),
         (b'{"id": "X1"}', "malformed qid 'X1'"),
+        (b'{"id": "Q5\\n"}', "malformed qid 'Q5\\n'"),
         (b'{"id": "Q1", "claims": ["P31"]}', "field 'claims' must be an object"),
         (b'{"id": "Q1", "claims": {"P31": "Q5"}}', "claim P31 must be a list"),
         (b'{"id": "Q1", "claims": {"P106": ["Q5", "q6"]}}', "claim P106 contains malformed qid 'q6'"),
+        (b'{"id": "Q1", "claims": {"P31": ["Q7\\n"]}}', "claim P31 contains malformed qid 'Q7\\n'"),
         (b'{"id": "Q1", "labels": "Victor"}', "field 'labels' must be an object"),
         (b'{"id": "Q1", "labels": {"en": 7}}', "field 'labels' has a non-string value for 'en'"),
         (b'{"id": "Q1", "sitelinks": ["enwiki"]}', "field 'sitelinks' must be an object"),

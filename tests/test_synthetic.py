@@ -1,8 +1,12 @@
 import json
+import multiprocessing
+import time
 
 import pytest
 
+from propner import synthetic
 from propner.cli import main
+from propner.encoder import TrainingDivergedError
 from propner.synthetic import FIRST_NAMES, LAST_NAMES, PERSON_CLASSES, TEMPLATES, SyntheticConfig, run_synthetic_ab
 
 QUICK = SyntheticConfig(
@@ -53,6 +57,44 @@ class TestRunSyntheticAb:
         default = run_synthetic_ab(5, config=QUICK)
         strict = run_synthetic_ab(5, mask_mode="strict-paper", config=QUICK)
         assert default["mask_mode"] == "default" and strict["mask_mode"] == "strict-paper"
+
+
+class TestArmsAtOnce:
+    """The augmented arm trains in a forked child while the caller trains
+    the baseline arm."""
+
+    TWO_EPOCHS = SyntheticConfig(epochs=2)
+
+    def test_report_equals_both_arms_in_process(self, monkeypatch):
+        forked = run_synthetic_ab(1, config=self.TWO_EPOCHS)
+        monkeypatch.setattr(synthetic, "_pair_map", lambda fn, first, second: (fn(*first), fn(*second)))
+        assert run_synthetic_ab(1, config=self.TWO_EPOCHS) == forked
+
+    def test_child_failure_raised_in_the_caller(self, monkeypatch):
+        original = synthetic.train
+
+        def train(dataset, config):
+            if any(aug.segments for aug in dataset):
+                raise TrainingDivergedError("augmented arm diverged")
+            return original(dataset, config)
+
+        monkeypatch.setattr(synthetic, "train", train)
+        with pytest.raises(TrainingDivergedError, match="^augmented arm diverged$"):
+            run_synthetic_ab(1, config=self.TWO_EPOCHS)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_failure_kills_the_child(self, monkeypatch):
+        def train(dataset, config):
+            if any(aug.segments for aug in dataset):
+                time.sleep(60)  # still running when the caller fails
+            raise ValueError("baseline arm failed")
+
+        monkeypatch.setattr(synthetic, "train", train)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="baseline arm failed"):
+            run_synthetic_ab(1, config=self.TWO_EPOCHS)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30
 
 
 class TestCliCommand:
