@@ -249,16 +249,25 @@ def write_jsonl(augs: list[AugmentedInput], path) -> None:
             handle.write(json.dumps(to_json_dict(aug), sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path) -> list[AugmentedInput]:
-    """Load an aug-JSONL file; a malformed line, or a gold tag that is not a
-    BIO tag, raises an InputError naming ``path:line``. Each distinct tag is
-    checked once."""
+def read_jsonl(path, max_len: int | None = None, labeled: bool = False) -> list[AugmentedInput]:
+    """Load an aug-JSONL file. A malformed line, a repeated id, a gold tag
+    that is not a BIO tag, an input longer than ``max_len`` or, if
+    ``labeled``, an input without gold tags raises an InputError naming
+    ``path:line``. Each distinct tag is checked once."""
     tags: set[str] = set()
+    ids: set[str] = set()
 
     def parse(line: str) -> AugmentedInput | None:
         if not line.strip():
             return None
         aug = from_json_dict(json.loads(line))
+        if aug.sentence_id in ids:
+            raise ValueError(f"duplicate id {aug.sentence_id!r}")
+        ids.add(aug.sentence_id)
+        if max_len is not None and len(aug.tokens) > max_len:
+            raise ValueError(f"input of length {len(aug.tokens)} exceeds max_len {max_len}")
+        if labeled and not aug.gold_tags:
+            raise ValueError(f"input {aug.sentence_id!r} has no gold tags to train on")
         if not tags.issuperset(aug.gold_tags or ()):
             tags.update(map(check_tag, aug.gold_tags))
         return aug

@@ -13,6 +13,7 @@ error, 2 internal invariant violation. Every error is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import json
 import logging
@@ -54,21 +55,29 @@ logger = logging.getLogger(__name__)
 def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str]]]]:
     """Blank-line separated blocks as (id, rows of whitespace-separated
     fields). The id comes from a ``# id <string>`` header, or is the block
-    index. Any other line, ``#love _ _ O`` included, is a row of one of
-    ``widths`` fields, as many as the first row of its block. A row of 2
-    (token, tag) or 4 (token _ _ tag) fields ends in a BIO tag; each
-    distinct tag is checked once."""
+    index; a repeated id is an error at its second header or, for a block
+    without one, at its first row. Any other line, ``#love _ _ O``
+    included, is a row of one of ``widths`` fields, as many as the first
+    row of its block. A row of 2 (token, tag) or 4 (token _ _ tag) fields
+    ends in a BIO tag; each distinct tag is checked once."""
     blocks: list[tuple[str, list[list[str]]]] = []
+    ids: set[str] = set()
     sentence_id: str | None = None
     rows: list[list[str]] = []
     tags: set[str] = set()
+
+    def claim(sid: str) -> str:
+        if sid in ids:
+            raise ValueError(f"duplicate id {sid!r}")
+        ids.add(sid)
+        return sid
 
     def parse(line: str) -> None:
         nonlocal sentence_id, rows
         fields = line.split()
         if not fields:
             if rows:
-                blocks.append((str(len(blocks)) if sentence_id is None else sentence_id, rows))
+                blocks.append((sentence_id, rows))
                 sentence_id, rows = None, []
             elif sentence_id is not None:
                 raise ValueError(f"header for id {sentence_id!r} has no token lines")
@@ -77,8 +86,10 @@ def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str
                 raise ValueError("header must look like '# id <string>'")
             if rows:
                 raise ValueError("'# id' header inside a sentence block")
-            sentence_id = fields[2]
+            sentence_id = claim(fields[2])
         else:
+            if sentence_id is None:
+                sentence_id = claim(str(len(blocks)))
             width = len(fields)
             if width not in widths:
                 raise ValueError(f"expected {widths[0]} or {widths[1]} columns, got {width}")
@@ -203,32 +214,40 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-    model = train(augmenter.read_jsonl(args.aug), config)
+    model = train(augmenter.read_jsonl(args.aug, max_len=config.max_len, labeled=True), config)
     save_model(model, args.out)
     print(f"trained {config.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
     return 0
 
 
+SIDECAR_FORMAT = {"format": "propner-dist", "version": 2}
+
+
+def sidecar_header(labels: list[str]) -> str:
+    """Line 1 of a ``.dist.jsonl`` sidecar: its format, and the labels that
+    name the columns of every ``dist``."""
+    return json.dumps({**SIDECAR_FORMAT, "labels": labels}, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def sidecar_row(sentence_id: str, tokens: list[str], dist: np.ndarray) -> str:
+    """The sidecar line of one sentence. ``dist``, of shape (tokens,
+    labels), is stored as padded base64 of its row-major little-endian
+    float64 bytes, which read back bit for bit."""
+    encoded = base64.b64encode(dist.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return json.dumps({"dist": encoded, "id": sentence_id, "tokens": tokens}, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
+    augs = augmenter.read_jsonl(args.aug, max_len=model.max_len)
     rows = []
-    sidecar_rows = []
-    for aug in augmenter.read_jsonl(args.aug):
-        tags = predict_tags(model, aug)
-        sentence_tokens = aug.tokens[1 : aug.n_sentence + 1]
-        rows.append((aug.sentence_id, sentence_tokens, tags))
-        sidecar_rows.append(
-            {
-                "id": aug.sentence_id,
-                "tokens": sentence_tokens,
-                "labels": model.labels,
-                "dist": predict(model, aug).tolist(),
-            }
-        )
+    with open(str(args.out) + ".dist.jsonl", "w", encoding="utf-8", newline="") as sidecar:
+        sidecar.write(sidecar_header(model.labels))
+        for aug in augs:
+            sentence_tokens = aug.tokens[1 : aug.n_sentence + 1]
+            rows.append((aug.sentence_id, sentence_tokens, predict_tags(model, aug)))
+            sidecar.write(sidecar_row(aug.sentence_id, sentence_tokens, predict(model, aug)))
     _write_tagged(rows, args.out)
-    with open(str(args.out) + ".dist.jsonl", "w", encoding="utf-8", newline="") as handle:
-        for row in sidecar_rows:
-            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -238,86 +257,90 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and set(map(type, value)) <= {str}
-
-
-def _read_sidecar(path, first: list[dict] | None = None) -> list[dict]:
-    """Rows of a ``.dist.jsonl`` sidecar, each ``dist`` a (tokens, labels)
-    float array. Every row has the labels of the file's first row, which
-    pass ``check_labels``; given ``first``, the rows of the first prediction
-    file, each row has the id, tokens and labels of the row at its place
-    there. A bad line raises an InputError naming ``path:line``."""
+def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tuple[list[str], list[dict]]:
+    """The labels and the rows of a ``.dist.jsonl`` sidecar of format 2,
+    each row's ``dist`` decoded to a (tokens, labels) float64 array. The
+    header's labels pass ``check_labels`` and the row ids are distinct;
+    given ``first``, the labels and rows of the first prediction file, the
+    labels are the same and each row has the id and tokens of the row at its
+    place there. A bad line raises an InputError naming ``path:line``."""
+    first_labels, first_rows = first or (None, None)
+    labels: list[str] = []  # empty until the header is read
     rows: list[dict] = []
+    ids: set[str] = set()
+
+    def parse_header(line: str) -> None:
+        try:
+            header = json.loads(line)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or any(header.get(key) != value for key, value in SIDECAR_FORMAT.items()):
+            raise ValueError("not a propner-dist sidecar of version 2 (re-run propner predict)")
+        if first_labels is not None and header.get("labels") != first_labels:
+            raise ValueError("'labels' does not match the first prediction file")
+        labels.extend(first_labels or check_labels(header.get("labels")))
 
     def parse(line: str) -> None:
+        if not labels:
+            return parse_header(line)
         if not line.strip():
             return
         row = json.loads(line)
         if not isinstance(row, dict):
             raise ValueError("row must be a JSON object")
-        if first is not None:
-            if len(rows) == len(first):
-                raise ValueError(f"row {len(rows) + 1} is past the {len(first)} rows of the first prediction file")
-            for key in ("id", "tokens", "labels"):
-                if row.get(key) != first[len(rows)][key]:
+        if first_rows is not None:
+            if len(rows) == len(first_rows):
+                raise ValueError(f"row {len(rows) + 1} is past the {len(first_rows)} rows of the first prediction file")
+            for key in ("id", "tokens"):
+                if row.get(key) != first_rows[len(rows)][key]:
                     raise ValueError(f"{key!r} does not match row {len(rows) + 1} of the first prediction file")
         else:
-            if not rows:
-                check_labels(row.get("labels"))
-            elif row.get("labels") != rows[0]["labels"]:
-                raise ValueError("'labels' does not match the first row")
-            augmenter.check_sentence_id(row.get("id"))
-            if not _is_strings(row.get("tokens")):
+            sentence_id = augmenter.check_sentence_id(row.get("id"))
+            if sentence_id in ids:
+                raise ValueError(f"duplicate id {sentence_id!r}")
+            ids.add(sentence_id)
+            tokens = row.get("tokens")
+            if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
                 raise ValueError("'tokens' must be a list of strings")
-        n, k = len(row["tokens"]), len(row["labels"])
         try:
-            dist = np.array(row.get("dist"))
-        except ValueError:  # ragged rows
-            dist = None
-        if dist is not None and dist.size == 0 == n * k:
-            dist = dist.reshape(n, k)
-        if dist is None or dist.shape != (n, k) or dist.dtype.kind not in "fiu" or not np.isfinite(dist).all():
-            raise ValueError(f"'dist' must be {n} rows of {k} finite numbers")
-        rows.append({**row, "dist": dist.astype(np.float64, copy=False)})
+            data = base64.b64decode(row["dist"], validate=True)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("'dist' must be a string of padded base64") from None
+        n, k = len(row["tokens"]), len(labels)
+        if len(data) != 8 * n * k:
+            raise ValueError(f"'dist' holds {len(data)} bytes, not the {8 * n * k} of {n} rows of {k} float64")
+        row["dist"] = np.frombuffer(data, "<f8").reshape(n, k)
+        if not np.isfinite(row["dist"]).all():
+            raise ValueError("'dist' must be finite")
+        rows.append(row)
 
     parse_lines(path, parse)
-    if first is not None and len(rows) != len(first):
-        raise InputError(path, None, f"{len(rows)} rows where the first prediction file has {len(first)}")
-    return rows
+    if first_rows is not None and len(rows) != len(first_rows):
+        raise InputError(path, None, f"{len(rows)} rows where the first prediction file has {len(first_rows)}")
+    return labels, rows
 
 
 def cmd_vote(args) -> int:
     if len(args.weights) != len(args.preds):
         raise ValueError(f"{len(args.weights)} weights for {len(args.preds)} prediction files")
-    first = _read_sidecar(args.preds[0])
-    folds = [first] + [_read_sidecar(path, first) for path in args.preds[1:]]
+    labels, rows = first = _read_sidecar(args.preds[0])
+    folds = [rows] + [_read_sidecar(path, first)[1] for path in args.preds[1:]]
     preds = WeightedPredictions(
-        labels=first[0]["labels"] if first else [],
+        labels=labels,
         weights=args.weights,
         distributions=[[row["dist"] for row in fold] for fold in folds],
     )
     voted = weighted_vote(preds, hard=args.hard)
-    rows = [(row["id"], row["tokens"], tags) for row, tags in zip(first, voted)]
-    _write_tagged(rows, args.out)
+    _write_tagged([(row["id"], row["tokens"], tags) for row, tags in zip(rows, voted)], args.out)
     return 0
-
-
-def _tags_by_id(blocks: list[tuple[str, list[str]]], path) -> dict[str, list[str]]:
-    by_id: dict[str, list[str]] = {}
-    for sid, tags in blocks:
-        if sid in by_id:
-            raise InputError(path, None, f"duplicate id {sid!r}")
-        by_id[sid] = tags
-    return by_id
 
 
 def cmd_score(args) -> int:
     gold_sentences = read_conll(args.gold)
     if any(s.gold_tags is None for s in gold_sentences):
         raise InputError(args.gold, None, "contains unlabeled sentences")
-    gold = _tags_by_id([(s.id, s.gold_tags) for s in gold_sentences], args.gold)
-    pred = _tags_by_id(_read_tag_sequences(args.pred), args.pred)
+    gold = {s.id: s.gold_tags for s in gold_sentences}
+    pred = dict(_read_tag_sequences(args.pred))
     for sid, tags in gold.items():
         if sid not in pred:
             raise InputError(args.pred, None, f"no prediction for id {sid!r}")

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from propner import encoder, ensemble, kbstore
+from propner import augmenter, cli, encoder, ensemble, kbstore
+from propner.matcher import Sentence
 
 from conftest import table_dump_lines
 
@@ -47,3 +48,32 @@ def test_dump_error_report_takes_parse_dump_errors():
     report = kbstore.DumpErrorReport()
     records = list(kbstore.parse_dump([*table_dump_lines(), "not json"], report))
     assert records and len(report) == 1
+
+
+def test_predict_path_the_bench_counts(tmp_path, monkeypatch):
+    """``propner predict`` writes ``<out>.dist.jsonl`` and runs the forward
+    pass twice per input, once through each of the module attributes
+    ``cli.predict_tags`` and ``cli.predict``: the bench reads that file and
+    asserts that count."""
+    sentences = [Sentence(f"s{i}", ["a", "b", "c"][: i + 1], ["B-X", "I-X", "O"][: i + 1]) for i in range(3)]
+    aug = tmp_path / "aug.jsonl"
+    augmenter.write_jsonl([augmenter.assemble(sentence, [], 16) for sentence in sentences], aug)
+    model = tmp_path / "model.bin"
+    config = encoder.TrainConfig(d_model=8, n_heads=2, n_layers=1, ff_dim=8, max_len=16, epochs=1, seed=1)
+    encoder.save_model(encoder.train(augmenter.read_jsonl(aug), config), model)
+
+    calls = {"forward": 0, "predict_tags": 0, "predict": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(encoder, "forward", counting("forward", encoder.forward))
+    for name in ("predict_tags", "predict"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    out = tmp_path / "pred.tsv"
+    assert cli.main(["predict", "--model", str(model), "--aug", str(aug), "--out", str(out)]) == 0
+    assert (tmp_path / "pred.tsv.dist.jsonl").is_file()
+    assert calls == {"forward": 2 * len(sentences), "predict_tags": len(sentences), "predict": len(sentences)}

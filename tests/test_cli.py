@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -13,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import propner
 from propner import augmenter
 from propner.augmenter import Segment
-from propner.cli import _read_tag_sequences, main, read_conll, write_conll
-from propner.encoder import TrainConfig, save_model, train
+from propner.cli import _read_sidecar, _read_tag_sequences, main, read_conll, sidecar_header, sidecar_row, write_conll
+from propner.encoder import TrainConfig, load_model, predict, save_model, train
+from propner.ensemble import WeightedPredictions, weighted_vote
 from propner.inputs import InputError
 from propner.matcher import Sentence
 
@@ -488,7 +491,7 @@ class TestScoreById:
 
     def test_duplicate_id_is_an_error(self, tmp_path):
         code, _, err = self._score(tmp_path, "# id a\nVictor\tB-PER\nCousin\tI-PER\n\n# id a\nthe\tO\nhuman\tB-OTH\n\n")
-        _assert_one_error_line(code, err, "duplicate id 'a'", "pred.tsv")
+        _assert_one_error_line(code, err, "pred.tsv:5: duplicate id 'a'")
 
     @pytest.mark.parametrize("pred_text,needle", [
         ("# id a\nVictor\tB-PER\nCousin\tI-PER\n\n", "no prediction for id 'b'"),
@@ -513,24 +516,105 @@ class TestScoreById:
         _assert_one_error_line(code, err, f"{pred}:1:")
 
 
-def _sidecar_row(**overrides) -> str:
-    row = {"id": "s1", "tokens": ["a", "b"], "labels": ["B-X", "O"], "dist": [[0.2, 0.8], [0.6, 0.4]]}
-    row.update(overrides)
-    return json.dumps({key: value for key, value in row.items() if value is not None})
+def _aug_file(path, *sentences: Sentence):
+    augmenter.write_jsonl([augmenter.assemble(sentence, [], 16) for sentence in sentences], path)
+    return path
+
+
+class TestDuplicateIds:
+    """Each reader rejects a repeated sentence id at the line that repeats
+    it; the sidecar reader's case is among the SIDECAR_DEFECTS."""
+
+    @pytest.mark.parametrize("text,needle", [
+        ("# id s1\na _ _ O\n\n# id s1\nb _ _ O\n", ":4: duplicate id 's1'"),
+        ("a _ _ O\n\n# id 0\nb _ _ O\n", ":3: duplicate id '0'"),  # a header takes an earlier block's index
+        ("# id 1\na _ _ O\n\nb _ _ O\n", ":4: duplicate id '1'"),  # a block's index is an earlier header's id
+    ])
+    def test_dataset(self, tmp_path, text, needle):
+        data = tmp_path / "data.conll"
+        data.write_text(text, encoding="utf-8")
+        _assert_one_error_line(*_run(["split", "--data", str(data), "--k", "2", "--seed", "1"]), f"{data}{needle}")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_aug_file(self, cli_files, tmp_path, command):
+        aug = _aug_file(tmp_path / "aug.jsonl", Sentence("s1", ["a"], ["O"]), Sentence("s1", ["b"], ["O"]))
+        argv = {
+            "train": ["train", "--aug", str(aug), "--out", str(tmp_path / "m.bin"), "--seed", "1"],
+            "predict": ["predict", "--model", str(cli_files["model"]), "--aug", str(aug), "--out", str(tmp_path / "p.tsv")],
+        }[command]
+        _assert_one_error_line(*_run(argv), f"{aug}:2: duplicate id 's1'")
+
+
+class TestAugFileMeetsTheModel:
+    """An input that ``train`` or the model cannot take is reported at its
+    line of the aug-JSONL file, before any step or prediction."""
+
+    def test_train_input_longer_than_max_len(self, tmp_path):
+        aug = _aug_file(tmp_path / "aug.jsonl", Sentence("s1", ["a"] * 3, ["O"] * 3), Sentence("s2", ["a"] * 5, ["O"] * 5))
+        argv = ["train", "--aug", str(aug), "--out", str(tmp_path / "m.bin"), "--seed", "1", "--max-len", "6"]
+        _assert_one_error_line(*_run(argv), f"{aug}:2: input of length 7 exceeds max_len 6")
+
+    def test_predict_input_longer_than_max_len(self, tmp_path):
+        short = _aug_file(tmp_path / "short.jsonl", Sentence("s1", ["a"] * 3, ["O"] * 3))
+        model = tmp_path / "m.bin"
+        assert main(["train", "--aug", str(short), "--out", str(model), "--seed", "1", "--epochs", "1", "--max-len", "6"]) == 0
+        aug = _aug_file(tmp_path / "aug.jsonl", Sentence("s1", ["a"] * 3), Sentence("s2", ["a"] * 5))
+        argv = ["predict", "--model", str(model), "--aug", str(aug), "--out", str(tmp_path / "p.tsv")]
+        _assert_one_error_line(*_run(argv), f"{aug}:2: input of length 7 exceeds max_len 6")
+
+    @pytest.mark.parametrize("first_tags,line", [(None, 1), (["O"], 2)])
+    def test_train_on_unlabeled_input(self, tmp_path, first_tags, line):
+        aug = _aug_file(tmp_path / "aug.jsonl", Sentence("s1", ["a"], first_tags), Sentence("s2", ["b"]))
+        argv = ["train", "--aug", str(aug), "--out", str(tmp_path / "m.bin"), "--seed", "1"]
+        _assert_one_error_line(*_run(argv), f"{aug}:{line}: input 's{line}' has no gold tags to train on")
+
+
+LABELS = ["B-X", "O"]
+DIST = np.array([[0.2, 0.8], [0.6, 0.4]])
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _sidecar_row(sid="s1", tokens=("a", "b"), values=DIST, **fields) -> str:
+    """A format-2 sidecar line as ``predict`` writes it for ``values``, then
+    with each of ``fields`` set or, when None, removed."""
+    line = sidecar_row(sid, list(tokens), np.asarray(values, dtype=float))
+    if not fields:
+        return line
+    row = {**json.loads(line), **fields}
+    return json.dumps({key: value for key, value in row.items() if value is not None}) + "\n"
+
+
+def _write_sidecar(path, *rows: str, labels=LABELS):
+    path.write_text(sidecar_header(labels) + "".join(rows), encoding="utf-8")
+    return path
 
 
 SIDECAR_DEFECTS = {
-    "not an object": "[1, 2]",
+    "not an object": "[1, 2]\n",
     "missing dist": _sidecar_row(dist=None),
-    "id with a space": _sidecar_row(id="s 1"),
+    "id with a space": _sidecar_row("s 1"),
+    "repeated id": _sidecar_row("s0"),
     "tokens not strings": _sidecar_row(tokens=["a", 2]),
-    "labels not a list": _sidecar_row(labels="O"),
-    "dist row count": _sidecar_row(dist=[[0.2, 0.8]]),
-    "dist row length": _sidecar_row(dist=[[0.2, 0.8], [1.0]]),
+    "dist row count": _sidecar_row(values=DIST[:1]),
+    "dist row length": _sidecar_row(dist=_b64([0.2, 0.8, 0.6])),
     "dist not numbers": _sidecar_row(dist=[[0.2, "0.8"], [0.6, 0.4]]),
-    "dist not finite": _sidecar_row(dist=[[0.2, 0.8], [float("nan"), 0.4]]),
-    "dist too large for a float": _sidecar_row().replace("0.6", "1" + "0" * 400),
-    "invalid UTF-8": "\udcff",
+    "dist not base64": _sidecar_row(dist="not base64!"),
+    "dist base64 without padding": _sidecar_row(dist=_b64(DIST).rstrip("=")),
+    "dist not finite": _sidecar_row(values=[[0.2, 0.8], [np.nan, 0.4]]),
+    "dist too large for a float": _sidecar_row(values=[[0.2, 0.8], [np.inf, 0.4]]),
+    "invalid UTF-8": "\udcff\n",
+}
+
+HEADER_DEFECTS = {
+    "format-1 file": json.dumps({"id": "s1", "tokens": ["a", "b"], "labels": LABELS, "dist": DIST.tolist()}) + "\n",
+    "empty file": "",
+    "not JSON": "{\n",
+    "version 1": '{"format": "propner-dist", "labels": ["B-X", "O"], "version": 1}\n',
+    "format missing": '{"labels": ["B-X", "O"], "version": 2}\n',
+    "labels not a list": sidecar_header("O"),
 }
 
 
@@ -538,14 +622,24 @@ class TestSidecarValidation:
     @pytest.mark.parametrize("defect", sorted(SIDECAR_DEFECTS))
     def test_defect_is_one_error_line(self, tmp_path, defect):
         sidecar = tmp_path / "p.dist.jsonl"
-        line = SIDECAR_DEFECTS[defect]
-        sidecar.write_bytes(_sidecar_row(id="s0").encode() + b"\n" + line.encode("utf-8", "surrogateescape") + b"\n")
+        text = sidecar_header(LABELS) + _sidecar_row("s0") + SIDECAR_DEFECTS[defect]
+        sidecar.write_bytes(text.encode("utf-8", "surrogateescape"))
         code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
-        _assert_one_error_line(code, err, f"{sidecar}:2:")
+        _assert_one_error_line(code, err, f"{sidecar}:3:")
+
+    @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+    def test_header_defect(self, tmp_path, defect):
+        """A file of format 1, which has labels and numbers in every row and
+        no header, is refused at its first line, as is any other first line
+        that is not a format-2 header."""
+        sidecar = tmp_path / "p.dist.jsonl"
+        sidecar.write_text(HEADER_DEFECTS[defect], encoding="utf-8")
+        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
+        needle = "'labels' must be" if defect.startswith("labels") else "not a propner-dist sidecar of version 2 (re-run"
+        _assert_one_error_line(code, err, f"{sidecar}:1: {needle}")
 
     def test_valid_rows_vote(self, tmp_path):
-        sidecar = tmp_path / "p.dist.jsonl"
-        sidecar.write_text(_sidecar_row() + "\n" + _sidecar_row(id="s2", tokens=[], dist=[]) + "\n", encoding="utf-8")
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(), _sidecar_row("s2", [], np.zeros((0, 2))))
         out = tmp_path / "v.tsv"
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\n\n"
@@ -554,40 +648,91 @@ class TestSidecarValidation:
         (["O", "O"], [[0.2, 0.8], [0.6, 0.4]]), ([], [[], []]), (["O", "B-X"], [[0.2, 0.8], [0.6, 0.4]]),
     ])
     def test_labels_repeated_or_empty(self, tmp_path, labels, dist):
-        """Repeated, empty or unsorted labels."""
-        sidecar = tmp_path / "p.dist.jsonl"
-        sidecar.write_text(_sidecar_row(labels=labels, dist=dist) + "\n", encoding="utf-8")
+        """Repeated, empty or unsorted labels in the header."""
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(values=dist), labels=labels)
         code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
         rule = "distinct and in sorted order" if labels else "a non-empty list of strings"
         _assert_one_error_line(code, err, f"{sidecar}:1: 'labels' must be {rule}")
 
     def test_empty_sidecars_vote(self, tmp_path):
-        sidecar = tmp_path / "p.dist.jsonl"
-        sidecar.write_bytes(b"")
+        """Sidecars of a header and no rows, as ``predict`` writes for no inputs."""
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl")
         out = tmp_path / "v.tsv"
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_bytes() == b""
 
     def test_label_not_a_bio_tag(self, tmp_path):
-        sidecar = tmp_path / "p.dist.jsonl"
-        sidecar.write_text(_sidecar_row(labels=["PER", "O"]) + "\n", encoding="utf-8")
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(), labels=["PER", "O"])
         code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
         _assert_one_error_line(code, err, f"{sidecar}:1:", "invalid BIO tag 'PER'")
 
     @pytest.mark.parametrize("rows,needle", [
-        ([_sidecar_row(labels=["O", "B-X"]), _sidecar_row(id="s2")], ":1: 'labels'"),
-        ([_sidecar_row(), _sidecar_row(id="s3")], ":2: 'id'"),
-        ([_sidecar_row(), _sidecar_row(id="s2", tokens=["a"], dist=[[0.5, 0.5]])], ":2: 'tokens'"),
-        ([_sidecar_row(), _sidecar_row(id="s2", tokens=["a", "c"])], ":2: 'tokens'"),
-        ([_sidecar_row(), _sidecar_row(id="s2"), _sidecar_row(id="s3")], ":3: row 3 is past the 2 rows"),
-        ([_sidecar_row()], ": 1 rows where the first prediction file has 2"),
+        ([sidecar_header(["B-Y", "O"]), _sidecar_row(), _sidecar_row("s2")], ":1: 'labels'"),
+        ([sidecar_header(LABELS), _sidecar_row("s3"), _sidecar_row("s2")], ":2: 'id'"),
+        ([sidecar_header(LABELS), _sidecar_row("s1", ["a"], [[0.5, 0.5]]), _sidecar_row("s2")], ":2: 'tokens'"),
+        ([sidecar_header(LABELS), _sidecar_row("s1", ["a", "c"]), _sidecar_row("s2")], ":2: 'tokens'"),
+        ([sidecar_header(LABELS), _sidecar_row(), _sidecar_row("s2"), _sidecar_row("s3")], ":4: row 3 is past the 2 rows"),
+        ([sidecar_header(LABELS), _sidecar_row()], ": 1 rows where the first prediction file has 2"),
     ])
     def test_fold_rows_must_match_the_first_file(self, tmp_path, rows, needle):
-        first, other = tmp_path / "first.dist.jsonl", tmp_path / "other.dist.jsonl"
-        first.write_text(_sidecar_row() + "\n" + _sidecar_row(id="s2") + "\n", encoding="utf-8")
-        other.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        """``rows`` are the lines of the second file, its header first."""
+        first = _write_sidecar(tmp_path / "first.dist.jsonl", _sidecar_row(), _sidecar_row("s2"))
+        other = tmp_path / "other.dist.jsonl"
+        other.write_text("".join(rows), encoding="utf-8")
         argv = ["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(tmp_path / "v.tsv")]
         _assert_one_error_line(*_run(argv), f"{other}{needle}")
+
+    def test_predict_without_inputs_writes_the_header(self, cli_files, tmp_path):
+        aug = tmp_path / "empty.jsonl"
+        aug.write_bytes(b"")
+        pred = tmp_path / "p.tsv"
+        assert main(["predict", "--model", str(cli_files["model"]), "--aug", str(aug), "--out", str(pred)]) == 0
+        labels = json.loads(cli_files["sidecar"].read_text(encoding="utf-8").splitlines()[0])["labels"]
+        assert Path(f"{pred}.dist.jsonl").read_text(encoding="utf-8") == sidecar_header(labels)
+
+    def test_dist_is_predict_bit_for_bit(self, cli_files):
+        model = load_model(cli_files["model"])
+        augs = augmenter.read_jsonl(cli_files["aug"])
+        labels, rows = _read_sidecar(cli_files["sidecar"])
+        assert labels == model.labels and [row["id"] for row in rows] == [aug.sentence_id for aug in augs]
+        for row, aug in zip(rows, augs):
+            assert row["dist"].tobytes() == predict(model, aug).tobytes()
+
+
+FLOAT64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=st.tuples(st.integers(0, 6), st.integers(1, 4)).flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=FLOAT64)))
+@example(dist=np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [np.finfo(float).max, -np.finfo(float).tiny]]))
+def test_sidecar_round_trip_is_bit_identical(tmp_path_factory, dist):
+    labels = [f"B-L{i}" for i in range(dist.shape[1])]
+    path = _write_sidecar(tmp_path_factory.mktemp("sidecar") / "p.dist.jsonl", sidecar_row("s1", ["t"] * len(dist), dist),
+                          labels=labels)
+    read_labels, [row] = _read_sidecar(path)
+    assert read_labels == labels and (row["id"], row["tokens"]) == ("s1", ["t"] * len(dist))
+    assert row["dist"].shape == dist.shape and row["dist"].tobytes() == dist.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("hard", [False, True])
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 0.2)])
+def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights):
+    """The second fold is the first with its label columns reversed, so
+    under equal weights every token's scores tie between mirrored labels,
+    soft and hard."""
+    model = load_model(cli_files["model"])
+    augs = augmenter.read_jsonl(cli_files["aug"])
+    folds = [[predict(model, aug) for aug in augs]]
+    folds.append([dist[:, ::-1] for dist in folds[0]])
+    paths = []
+    for index, dists in enumerate(folds):
+        rows = [sidecar_row(aug.sentence_id, aug.tokens[1 : aug.n_sentence + 1], dist) for aug, dist in zip(augs, dists)]
+        paths.append(str(_write_sidecar(tmp_path / f"fold{index}.dist.jsonl", *rows, labels=model.labels)))
+    out = tmp_path / "voted.tsv"
+    argv = ["vote", "--preds", *paths, "--weights", ",".join(map(str, weights)), "--out", str(out)]
+    assert main(argv + ["--hard"] * hard) == 0
+    expected = weighted_vote(WeightedPredictions(model.labels, list(weights), folds), hard=hard)
+    assert _read_tag_sequences(out) == [(aug.sentence_id, tags) for aug, tags in zip(augs, expected)]
 
 
 class TestTagsNameTheirFile:
