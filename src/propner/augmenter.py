@@ -49,21 +49,20 @@ class Segment:
     context_positions: range
 
 
-@dataclass
+@dataclass(eq=False)
 class AttentionMask:
-    bits: np.ndarray  # (size, size) uint8, bits[i, j] = 1 iff query i may attend key j
+    """The mask the encoder reads as it is: ``bits`` is a (size, size) bool
+    array, ``bits[i, j]`` True iff query i may attend key j."""
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AttentionMask):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
+    bits: np.ndarray
 
 
 @dataclass
 class AugmentedInput:
     """An assembled input. ``gold_tags`` holds one tag per sentence token, or
     None when unlabeled. ``mask`` is computed from the layout and
-    ``mask_mode`` at construction, so it cannot disagree with them."""
+    ``mask_mode`` at construction, so it cannot disagree with them; inputs
+    compare by those fields alone."""
 
     tokens: list[str]
     n_sentence: int
@@ -71,7 +70,7 @@ class AugmentedInput:
     gold_tags: list[str] | None
     sentence_id: str = ""
     mask_mode: str = "default"
-    mask: AttentionMask = field(init=False)
+    mask: AttentionMask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gold = self.gold_tags
@@ -164,24 +163,24 @@ def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode:
     block = n_sentence + 2
     if n_sentence < 0 or size < block:
         raise ValueError(f"{size} tokens cannot hold a sentence of {n_sentence} plus [CLS] and [SEP]")
-    bits = np.zeros((size, size), dtype=np.uint8)
-    bits[:block, :block] = 1
+    bits = np.zeros((size, size), dtype=bool)
+    bits[:block, :block] = True
     spans = []
     for seg in segments:
         ent = _segment_slice(seg.entity_positions, "entity", 1, n_sentence + 1)
         ctx = _segment_slice(seg.context_positions, "context", block, size)
         spans += (ent, ctx)
-        bits[ent, ctx] = 1
+        bits[ent, ctx] = True
         if mode == "default":
-            bits[ctx, ent] = 1
-            bits[ctx, ctx] = 1
+            bits[ctx, ent] = True
+            bits[ctx, ctx] = True
     spans.sort()
     if any(cur.start < prev.stop for prev, cur in zip(spans, spans[1:])):
         raise ValueError("segment ranges overlap")
     if mode == "default":
         # Diagonal cells from (block, block) on, a flat stride of size+1.
         # Segment diagonals are set already; this adds the "$" separators.
-        bits.flat[block * (size + 1) :: size + 1] = 1
+        bits.flat[block * (size + 1) :: size + 1] = True
     return AttentionMask(bits=bits)
 
 
@@ -191,7 +190,7 @@ def to_json_dict(aug: AugmentedInput) -> dict:
     ``from_json_dict`` ignores it and derives the mask from the layout."""
     block = aug.n_sentence + 2
     extra_bits = aug.mask.bits.copy()
-    extra_bits[:block, :block] = 0
+    extra_bits[:block, :block] = False
     return {
         "id": aug.sentence_id,
         "tokens": list(aug.tokens),
@@ -209,12 +208,14 @@ def to_json_dict(aug: AugmentedInput) -> dict:
     }
 
 
-def check_sentence_id(value) -> str:
-    """``value`` if it is a non-empty string without whitespace, the form a
-    ``# id <string>`` header takes, so a prediction file can carry it."""
-    if not isinstance(value, str) or value.split() != [value]:
-        raise ValueError(f"'id' must be a non-empty string without whitespace, got {value!r}")
-    return value
+def check_id_and_tokens(sentence_id, tokens) -> None:
+    """Check a record's id and its sentence tokens: each must be a non-empty
+    string without whitespace, as ``read_conll`` makes them, so that a
+    prediction file's ``# id`` header and token lines can carry them."""
+    if not isinstance(sentence_id, str) or sentence_id.split() != [sentence_id]:
+        raise ValueError(f"'id' must be a non-empty string without whitespace, got {sentence_id!r}")
+    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str} or " ".join(tokens).split() != tokens:
+        raise ValueError("sentence tokens must be non-empty strings without whitespace")
 
 
 def _range(bounds: list[int]) -> range:
@@ -224,21 +225,17 @@ def _range(bounds: list[int]) -> range:
 
 def from_json_dict(data: dict) -> AugmentedInput:
     """Rebuild an input from its JSON form. Raises KeyError, TypeError or
-    ValueError on a malformed record. The sentence tokens must be non-empty
-    and free of whitespace, as ``read_conll`` makes them, so a prediction
-    file can carry them."""
+    ValueError on a malformed record, ``check_id_and_tokens`` included."""
     tokens = data["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise TypeError("'tokens' must be a list of strings")
-    sentence = tokens[1 : data["n_sentence"] + 1]
-    if " ".join(sentence).split() != sentence:
-        raise ValueError("sentence tokens must be non-empty and free of whitespace")
+    check_id_and_tokens(data["id"], tokens[1 : data["n_sentence"] + 1])
     return AugmentedInput(
         tokens=tokens,
         n_sentence=data["n_sentence"],
         segments=[Segment(_range(seg["entity"]), _range(seg["context"])) for seg in data["segments"]],
         gold_tags=data.get("gold_tags"),
-        sentence_id=check_sentence_id(data["id"]),
+        sentence_id=data["id"],
         mask_mode=data.get("mask_mode", "default"),
     )
 

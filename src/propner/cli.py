@@ -4,7 +4,8 @@ Dataset files are CoNLL-style: sentence blocks separated by blank lines,
 an optional ``# id <string>`` header per block, and token lines
 ``token _ _ TAG`` (the tag column is absent for unlabeled data). Every
 subcommand accepts ``--config FILE`` with ``key = value`` lines supplying
-any flag; explicit command-line flags win.
+any flag; explicit command-line flags win. argparse finds ``--config`` as
+it finds any flag, so an abbreviation works and the last one given wins.
 
 Exit codes: 0 success (``--help`` included), 1 usage, validation or parse
 error, 2 internal invariant violation. Every error is one line on stderr.
@@ -260,7 +261,8 @@ def cmd_split(args) -> int:
 def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tuple[list[str], list[dict]]:
     """The labels and the rows of a ``.dist.jsonl`` sidecar of format 2,
     each row's ``dist`` decoded to a (tokens, labels) float64 array. The
-    header's labels pass ``check_labels`` and the row ids are distinct;
+    header's labels pass ``check_labels``, each row passes
+    ``check_id_and_tokens`` and the row ids are distinct;
     given ``first``, the labels and rows of the first prediction file, the
     labels are the same and each row has the id and tokens of the row at its
     place there. A bad line raises an InputError naming ``path:line``."""
@@ -295,13 +297,10 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
                 if row.get(key) != first_rows[len(rows)][key]:
                     raise ValueError(f"{key!r} does not match row {len(rows) + 1} of the first prediction file")
         else:
-            sentence_id = augmenter.check_sentence_id(row.get("id"))
-            if sentence_id in ids:
-                raise ValueError(f"duplicate id {sentence_id!r}")
-            ids.add(sentence_id)
-            tokens = row.get("tokens")
-            if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
-                raise ValueError("'tokens' must be a list of strings")
+            augmenter.check_id_and_tokens(row.get("id"), row.get("tokens"))
+            if row["id"] in ids:
+                raise ValueError(f"duplicate id {row['id']!r}")
+            ids.add(row["id"])
         try:
             data = base64.b64decode(row["dist"], validate=True)
         except (KeyError, TypeError, ValueError):
@@ -460,15 +459,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, subs
 
 
-def _scan_config_path(argv: list[str]) -> str | None:
-    for i, item in enumerate(argv):
-        if item == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if item.startswith("--config="):
-            return item.split("=", 1)[1]
-    return None
-
-
 _CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
@@ -518,10 +508,13 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, path: str) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = _build_parser()
-    config_path = _scan_config_path(argv)
     try:
-        if config_path is not None and argv and argv[0] in subs:
-            _apply_config_defaults(subs[argv[0]], config_path)
+        if argv and argv[0] in subs:
+            config = _ArgumentParser(prog=subs[argv[0]].prog, add_help=False)
+            config.add_argument("--config")
+            config_path = config.parse_known_args(argv[1:])[0].config
+            if config_path is not None:
+                _apply_config_defaults(subs[argv[0]], config_path)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help; a usage error raises ValueError

@@ -190,7 +190,7 @@ def _prepare(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, n
     the forward pass reads of it."""
     if len(aug.tokens) > model.max_len:
         raise ValueError(f"input of length {len(aug.tokens)} exceeds max_len {model.max_len}")
-    return model.token_ids(aug.tokens), aug.mask.bits.astype(bool)
+    return model.token_ids(aug.tokens), aug.mask.bits
 
 
 def _forward_pass(model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -40,6 +40,7 @@ DEFAULT_QID_CAP = 4
 SURFACES_FILE = "surfaces.tsv"
 CONTEXTS_FILE = "contexts.tsv"
 META_FILE = "meta.json"
+FORMAT_VERSION = 1  # of the three files, recorded in meta.json
 
 
 class KnowledgeBaseInconsistencyError(RuntimeError):
@@ -330,7 +331,7 @@ def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
             handle.write(f"{qid}\t{kb.contexts[qid]}\n")
 
     meta = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "language": kb.language,
         "property_mask": [kind for kind in PROPERTY_KINDS if kind in kb.property_mask],
     }
@@ -360,6 +361,8 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         if not isinstance(language, str) or not isinstance(kinds, list):
             raise ValueError("'language' must be a string and 'property_mask' a list")
         mask = _check_mask(kinds)
+        if meta.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"'format_version' must be {FORMAT_VERSION}, got {meta.get('format_version')!r}")
 
     lines = _tsv_lines(path / CONTEXTS_FILE)
     contexts: dict[str, str] = {}

@@ -8,6 +8,10 @@ entity's occupation property. Test entities are unseen name combinations,
 so a model without knowledge can at best guess the class, while a model
 that reads the retrieved context sees the occupation word directly.
 
+The knowledge base is compiled straight from ``EntityRecord``s, with no
+dump in between: "human" (Q5), the three occupations (Q901-Q903), and each
+person (Q1000 on) as an instance of human with its class as occupation.
+
 Both models share seeds, architecture and training schedule; the only
 difference is whether retrieved pairs are appended to the input. Dropping
 the occupation property from the knowledge base removes the class signal
@@ -21,7 +25,6 @@ caller. Each arm's parameters are bit-identical to a run of that arm alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from propner.augmenter import assemble
 from propner.encoder import TrainConfig, predict_tags, train
 from propner.evaluator import score
-from propner.kbstore import FULL_PROPERTY_MASK, PROPERTY_KINDS, DumpErrorReport, build_knowledge_base, parse_dump
+from propner.kbstore import FULL_PROPERTY_MASK, PROPERTY_KINDS, EntityRecord, build_knowledge_base
 from propner.matcher import Sentence, build_matcher, retrieve
 
 FIRST_NAMES = (
@@ -104,22 +107,15 @@ def _assign_classes(rng: np.random.Generator, entities: list) -> dict:
     return assignment
 
 
-def _dump_lines(entities: list, class_of: dict) -> list[str]:
-    lines = [json.dumps({"id": HUMAN_QID, "labels": {"en": "human"}})]
-    for _, label, qid in PERSON_CLASSES:
-        lines.append(json.dumps({"id": qid, "labels": {"en": label}}))
+def _records(entities: list, class_of: dict) -> list[EntityRecord]:
+    records = [EntityRecord(HUMAN_QID, {"en": "human"})]
+    records += [EntityRecord(qid, {"en": label}) for _, label, qid in PERSON_CLASSES]
     for index, pair in enumerate(entities):
         occupation_qid = PERSON_CLASSES[class_of[pair]][2]
-        lines.append(
-            json.dumps(
-                {
-                    "id": f"Q{1000 + index}",
-                    "labels": {"en": f"{pair[0]} {pair[1]}"},
-                    "claims": {"P31": [HUMAN_QID], "P106": [occupation_qid]},
-                }
-            )
+        records.append(
+            EntityRecord(f"Q{1000 + index}", {"en": " ".join(pair)}, instanceof=[HUMAN_QID], occupation=[occupation_qid])
         )
-    return lines
+    return records
 
 
 def _sentences(rng: np.random.Generator, entities: list, class_of: dict, per_entity: int, prefix: str) -> list[Sentence]:
@@ -201,11 +197,7 @@ def run_synthetic_ab(
     train_sents = _sentences(rng, train_entities, class_of, cfg.sentences_per_train_entity, "train-")
     test_sents = _sentences(rng, test_entities, class_of, cfg.sentences_per_test_entity, "test-")
 
-    errors = DumpErrorReport()
-    records = list(parse_dump(_dump_lines(train_entities + test_entities, class_of), errors))
-    if len(errors):
-        raise AssertionError(f"synthetic dump produced parse errors: {errors[:3]}")
-    kb = build_knowledge_base(records, "en", properties)
+    kb = build_knowledge_base(_records(train_entities + test_entities, class_of), "en", properties)
     matcher = build_matcher(kb)
 
     def with_knowledge(sentences):

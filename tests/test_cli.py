@@ -258,12 +258,32 @@ class TestCliBehavior:
     def test_seed_required_without_config(self, tmp_path, data_file):
         assert main(["split", "--data", str(data_file), "--k", "2"]) == 1
 
+    @pytest.mark.parametrize("flag", [["--conf", "{}"], ["--conf={}"], ["--config={}"]], ids=" ".join)
+    def test_abbreviated_config_flag_applies_the_file(self, tmp_path, data_file, flag):
+        """argparse takes an unambiguous prefix of a flag, and the file is
+        found as argparse finds the flag."""
+        config = tmp_path / "run.cfg"
+        config.write_text(f"k = 2\nseed = 9\nout = {tmp_path / 'plan.json'}\n", encoding="utf-8")
+        assert main(["split", "--data", str(data_file), *(part.format(config) for part in flag)]) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
+        assert plan["k"] == 2 and plan["seed"] == 9
+
+    def test_last_config_flag_wins(self, tmp_path, data_file):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text(f"k = 3\nseed = 1\nout = {tmp_path / 'first.json'}\n", encoding="utf-8")
+        last.write_text(f"k = 2\nseed = 9\nout = {tmp_path / 'last.json'}\n", encoding="utf-8")
+        assert main(["split", "--data", str(data_file), "--config", str(first), "--config", str(last)]) == 0
+        assert not (tmp_path / "first.json").exists()
+        plan = json.loads((tmp_path / "last.json").read_text(encoding="utf-8"))
+        assert plan["k"] == 2 and plan["seed"] == 9
+
     @pytest.mark.parametrize("argv,needle", [
         (["split", "--data", "d.conll", "--k", "2"], "propner split: the following arguments are required: --seed"),
         (["split", "--data", "d.conll", "--k", "two", "--seed", "1"], "propner split: argument --k: invalid int"),
         (["split", "--data", "d.conll", "--seed", "1", "--bogus"], "propner: unrecognized arguments: --bogus"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
         ([], "the following arguments are required: command"),
+        (["split", "--data", "d.conll", "--seed", "1", "--config"], "propner split: argument --config: expected one argument"),
     ])
     def test_usage_error_is_one_line(self, capsys, argv, needle):
         code = main(argv)
@@ -394,7 +414,8 @@ class TestAugFileValidation:
         from propner import augmenter
 
         edited = self._broken_copy(trained, tmp_path, "mask bits edited by hand")
-        assert [aug.mask for aug in augmenter.read_jsonl(edited)] == [aug.mask for aug in augmenter.read_jsonl(trained[0])]
+        masks = [aug.mask.bits.tobytes() for aug in augmenter.read_jsonl(edited)]
+        assert masks == [aug.mask.bits.tobytes() for aug in augmenter.read_jsonl(trained[0])]
         assert main(["predict", "--model", str(trained[1]), "--aug", str(edited), "--out", str(tmp_path / "p.tsv")]) == 0
 
 
@@ -598,6 +619,8 @@ SIDECAR_DEFECTS = {
     "id with a space": _sidecar_row("s 1"),
     "repeated id": _sidecar_row("s0"),
     "tokens not strings": _sidecar_row(tokens=["a", 2]),
+    "token with whitespace": _sidecar_row(tokens=["New York", "b"]),
+    "empty token": _sidecar_row(tokens=["", "b"]),
     "dist row count": _sidecar_row(values=DIST[:1]),
     "dist row length": _sidecar_row(dist=_b64([0.2, 0.8, 0.6])),
     "dist not numbers": _sidecar_row(dist=[[0.2, "0.8"], [0.6, 0.4]]),
@@ -778,6 +801,10 @@ KB_DEFECTS = {
     "meta.json without a key": ("meta.json", lambda text: '{"language": "en"}', "meta.json: missing key 'property_mask'"),
     "property mask not a list": ("meta.json", lambda text: '{"language": "en", "property_mask": 3}',
                                  "meta.json: 'language' must be a string and 'property_mask' a list"),
+    "format_version 2": ("meta.json", lambda text: text.replace('"format_version": 1', '"format_version": 2'),
+                         "meta.json: 'format_version' must be 1, got 2"),
+    "format_version missing": ("meta.json", lambda text: '{"language": "en", "property_mask": ["instanceof"]}',
+                               "meta.json: 'format_version' must be 1, got None"),
     "surfaces line without a tab": ("surfaces.tsv", lambda text: text + "zeta Q5\n", "surfaces.tsv:{}: expected"),
     "contexts line without a tab": ("contexts.tsv", lambda text: text + "Q77\n", "contexts.tsv:{}: expected"),
     "malformed qid": ("contexts.tsv", lambda text: text + "Qx7\tplace\n", "contexts.tsv:{}: malformed qid 'Qx7'"),

@@ -116,9 +116,8 @@ class TestForward:
         model = tiny_model([aug])
         forward(model, aug)
         assert len(seen) == model.n_layers == 2
-        # one boolean copy of the input's mask, made once for every layer
-        assert seen[0] is seen[1] and seen[0].dtype == bool
-        assert np.array_equal(seen[0], aug.mask.bits)
+        # the input's boolean mask itself, for every layer
+        assert seen[0] is seen[1] is aug.mask.bits and seen[0].dtype == bool
 
     def test_zero_classifier_zero_logits(self):
         aug = assemble(Sentence("s", ["a", "b"], ["O", "O"]), [], 16)

@@ -31,6 +31,41 @@ class TestCorpusHygiene:
         assert len(set(LAST_NAMES)) == len(LAST_NAMES)
 
 
+class _KnowledgeBaseSeen(Exception):
+    pass
+
+
+def _ab_knowledge_base(monkeypatch, **options):
+    """The knowledge base ``run_synthetic_ab`` compiles, caught where the
+    matcher is built, before any training."""
+
+    def build_matcher(kb):
+        raise _KnowledgeBaseSeen(kb)
+
+    monkeypatch.setattr(synthetic, "build_matcher", build_matcher)
+    with pytest.raises(_KnowledgeBaseSeen) as seen:
+        run_synthetic_ab(5, config=QUICK, **options)
+    return seen.value.args[0]
+
+
+class TestKnowledgeBase:
+    def test_each_name_maps_to_one_person_with_its_occupation(self, monkeypatch):
+        kb = _ab_knowledge_base(monkeypatch)
+        occupations = {label for _, label, _ in PERSON_CLASSES}
+        people = {surface: qids for surface, qids in kb.surface_index.items() if " " in surface}
+        assert len(people) == QUICK.n_train_entities + QUICK.n_test_entities
+        for qids in people.values():
+            [qid] = qids
+            human, occupation = kb.contexts[qid].split(" | ")
+            assert human == "human" and occupation in occupations
+        assert set(kb.surface_index) - set(people) == {"human"} | occupations
+
+    def test_without_occupation_the_context_is_human(self, monkeypatch):
+        kb = _ab_knowledge_base(monkeypatch, properties=frozenset({"instanceof", "subclassof"}))
+        people = [qids for surface, qids in kb.surface_index.items() if " " in surface]
+        assert people and all(kb.contexts[qid] == "human" for [qid] in people)
+
+
 class TestRunSyntheticAb:
     def test_report_structure(self):
         report = run_synthetic_ab(5, config=QUICK)
