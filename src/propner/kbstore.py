@@ -10,10 +10,12 @@ qid to a context string: the labels of its property values joined by
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import re
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -27,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 QID_PATTERN = re.compile(r"Q[0-9]+")  # used with fullmatch: "$" would let "Q5\n" through
 _QID_LINES = re.compile(r"(?:Q[0-9]+\n)*")
+_OTHER_SPACE = re.compile(r"[^\S \n]")  # whitespace other than a space or a newline
 
 #: Property kinds in canonical (context concatenation) order.
 PROPERTY_KINDS = ("instanceof", "subclassof", "occupation")
@@ -48,17 +51,56 @@ class KnowledgeBaseInconsistencyError(RuntimeError):
 
 
 def normalize_surface(text: str) -> str:
-    """Normalize a surface form: NFKC, case-fold, collapse whitespace runs.
+    """Normalize a surface form: NFKC, case-fold, NFKC, collapse whitespace runs.
 
     The same normalizer runs at index build time and at query time, so
-    lookups survive casing and character-width variance.
+    lookups survive casing and character-width variance. Case folding can
+    leave text that NFKC changes again (a Greek iota subscript or a dotted
+    capital I before a combining mark), so NFKC runs after it too, which
+    makes a normalized surface normalize to itself.
     """
-    folded = unicodedata.normalize("NFKC", text).casefold()
-    return " ".join(folded.split())
+    return " ".join(_fold(text).split())
+
+
+def _fold(text: str) -> str:
+    return unicodedata.normalize("NFKC", unicodedata.normalize("NFKC", text).casefold())
+
+
+def _normalized_lines(text: str) -> bool:
+    """Whether every line of ``text``, each ended by a newline, is a
+    non-empty surface that ``normalize_surface`` leaves as it is: words
+    joined by single spaces, which NFKC and case folding do not change. A
+    newline is a boundary for NFKC, so one call covers many lines. The
+    tests are substring searches: a regex fullmatch of a repeated group
+    keeps backtracking state for each line, 28 MB for 60k surfaces."""
+    return (
+        not text.startswith((" ", "\n"))
+        and not any(pair in text for pair in ("  ", " \n", "\n ", "\n\n"))
+        and not _OTHER_SPACE.search(text)
+        and _fold(text) == text
+    )
 
 
 def _qid_num(qid: str) -> int:
     return int(qid[1:])
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the block, then restore
+    the state it had, also on an exception.
+
+    The KB compile and the trie build keep every container they make alive,
+    and make no reference cycle, so each collection the collector runs there
+    rescans the whole growing heap and frees nothing; reference counting
+    frees every temporary."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -225,7 +267,11 @@ def build_context(record: EntityRecord, label_lookup: dict[str, str], property_m
     field is preserved. Qids without a resolvable label are silently
     omitted. Labels are whitespace-collapsed so contexts stay TSV-safe.
     """
-    mask = _check_mask(property_mask)
+    return _context(record, label_lookup, _check_mask(property_mask))
+
+
+def _context(record: EntityRecord, label_lookup: dict[str, str], mask: frozenset[str]) -> str:
+    """``build_context`` for a mask that ``_check_mask`` has already checked."""
     parts = []
     for kind in PROPERTY_KINDS:
         if kind not in mask:
@@ -255,39 +301,40 @@ def build_knowledge_base(
     mask = _check_mask(property_mask)
     if qid_cap < 1:
         raise ValueError(f"qid_cap must be at least 1, got {qid_cap}")
-    by_qid: dict[str, EntityRecord] = {}
-    for record in records:
-        if record.qid in by_qid:
-            logger.info("duplicate qid %s in dump, later record wins", record.qid)
-        by_qid[record.qid] = record
+    with _collector_paused():
+        by_qid: dict[str, EntityRecord] = {}
+        for record in records:
+            if record.qid in by_qid:
+                logger.info("duplicate qid %s in dump, later record wins", record.qid)
+            by_qid[record.qid] = record
 
-    label_lookup = {}
-    for qid, record in by_qid.items():
-        label = record.labels.get(language, "")
-        if label:
-            label_lookup[qid] = label
+        label_lookup = {}
+        for qid, record in by_qid.items():
+            label = record.labels.get(language, "")
+            if label:
+                label_lookup[qid] = label
 
-    contexts = {qid: build_context(record, label_lookup, mask) for qid, record in by_qid.items()}
+        contexts = {qid: _context(record, label_lookup, mask) for qid, record in by_qid.items()}
 
-    surface_qids: dict[str, set[str]] = {}
-    for qid, record in by_qid.items():
-        for name in sorted(entity_names(record, language)):
-            surface = normalize_surface(name)
-            if not surface:
-                logger.info("dropping name %r of %s: normalizes to empty", name, qid)
-                continue
-            surface_qids.setdefault(surface, set()).add(qid)
+        surface_qids: dict[str, set[str]] = {}
+        for qid, record in by_qid.items():
+            for name in sorted(entity_names(record, language)):
+                surface = normalize_surface(name)
+                if not surface:
+                    logger.info("dropping name %r of %s: normalizes to empty", name, qid)
+                    continue
+                surface_qids.setdefault(surface, set()).add(qid)
 
-    surface_index: dict[str, list[str]] = {}
-    for surface in sorted(surface_qids):
-        qids = sorted(surface_qids[surface], key=_qid_num)
-        if len(qids) > qid_cap:
-            # Keep the most informative entities: most property values first.
-            richest = sorted(qids, key=lambda q: (-by_qid[q].property_count(), _qid_num(q)))[:qid_cap]
-            qids = sorted(richest, key=_qid_num)
-        surface_index[surface] = qids
+        surface_index: dict[str, list[str]] = {}
+        for surface in sorted(surface_qids):
+            qids = sorted(surface_qids[surface], key=_qid_num)
+            if len(qids) > qid_cap:
+                # Keep the most informative entities: most property values first.
+                richest = sorted(qids, key=lambda q: (-by_qid[q].property_count(), _qid_num(q)))[:qid_cap]
+                qids = sorted(richest, key=_qid_num)
+            surface_index[surface] = qids
 
-    return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)
+        return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)
 
 
 def coverage_rate(kb: KnowledgeBase, dataset: Iterable["Sentence"]) -> float:
@@ -321,10 +368,11 @@ def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
 
-    pairs = sorted((surface, qid) for surface, qids in kb.surface_index.items() for qid in qids)
+    # Surfaces are distinct, so this is the order of the sorted (surface, qid) pairs.
     with open(path / SURFACES_FILE, "w", encoding="utf-8", newline="") as handle:
-        for surface, qid in pairs:
-            handle.write(f"{surface}\t{qid}\n")
+        for surface in sorted(kb.surface_index):
+            for qid in sorted(kb.surface_index[surface]):
+                handle.write(f"{surface}\t{qid}\n")
 
     with open(path / CONTEXTS_FILE, "w", encoding="utf-8", newline="") as handle:
         for qid in sorted(kb.contexts, key=_qid_num):
@@ -351,9 +399,9 @@ def _tsv_lines(path: Path) -> list[str]:
 
 
 def load_kb(kb_dir: str | Path) -> KnowledgeBase:
-    """Load a compiled knowledge base. A malformed file, or a surface whose
-    qid has no context entry, raises an InputError naming the file, and the
-    line in the TSV files."""
+    """Load a compiled knowledge base. A malformed file, a surface that is
+    empty or not normalized, or a surface whose qid has no context entry
+    raises an InputError naming the file, and the line in the TSV files."""
     path = Path(kb_dir)
     with located(path / META_FILE):
         meta = json.loads((path / META_FILE).read_bytes().decode("utf-8"))
@@ -387,6 +435,12 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
                 message = "expected 'surface<TAB>qid'"
             raise InputError(path / SURFACES_FILE, lines.index(line) + 1, message)
         surface_index.setdefault(surface, []).append(qid)
+    # A surface that is not normalized can never match a sentence.
+    if not _normalized_lines("\n".join([*surface_index, ""])):
+        bad = next(surface for surface in surface_index if not _normalized_lines(surface + "\n"))
+        number = next(n for n, line in enumerate(lines, start=1) if line.startswith(bad + "\t"))
+        message = f"surface {bad!r} is not normalized" if bad else "surface is empty"
+        raise InputError(path / SURFACES_FILE, number, message)
     for surface, qids in surface_index.items():
         surface_index[surface] = sorted(set(qids), key=_qid_num)
 

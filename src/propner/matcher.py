@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from propner.kbstore import KnowledgeBase, KnowledgeBaseInconsistencyError, _qid_num, normalize_surface
+from propner.kbstore import (
+    KnowledgeBase,
+    KnowledgeBaseInconsistencyError,
+    _collector_paused,
+    _qid_num,
+    normalize_surface,
+)
 
 
 @dataclass
@@ -57,12 +63,13 @@ class Matcher:
 
 def build_matcher(kb: KnowledgeBase) -> Matcher:
     root = _TrieNode()
-    for surface, qids in kb.surface_index.items():
-        node = root
-        for word in surface.split(" "):
-            node = node.children.setdefault(word, _TrieNode())
-        node.surface = surface
-        node.qids = tuple(qids)
+    with _collector_paused():
+        for surface, qids in kb.surface_index.items():
+            node = root
+            for word in surface.split(" "):
+                node = node.children.setdefault(word, _TrieNode())
+            node.surface = surface
+            node.qids = tuple(qids)
     return Matcher(root, pattern_count=len(kb.surface_index))
 
 

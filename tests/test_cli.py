@@ -808,6 +808,9 @@ KB_DEFECTS = {
     "surfaces line without a tab": ("surfaces.tsv", lambda text: text + "zeta Q5\n", "surfaces.tsv:{}: expected"),
     "contexts line without a tab": ("contexts.tsv", lambda text: text + "Q77\n", "contexts.tsv:{}: expected"),
     "malformed qid": ("contexts.tsv", lambda text: text + "Qx7\tplace\n", "contexts.tsv:{}: malformed qid 'Qx7'"),
+    "surface not normalized": ("surfaces.tsv", lambda text: text + "victor  cousin\tQ5\n",
+                               "surfaces.tsv:{}: surface 'victor  cousin' is not normalized"),
+    "empty surface": ("surfaces.tsv", lambda text: text + "\tQ5\n", "surfaces.tsv:{}: surface is empty"),
 }
 
 

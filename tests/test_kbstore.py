@@ -1,8 +1,10 @@
+import gc
 import json
 import re
+from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from propner.inputs import InputError
 from propner.kbstore import (
@@ -12,6 +14,7 @@ from propner.kbstore import (
     SURFACES_FILE,
     DumpErrorReport,
     EntityRecord,
+    KnowledgeBase,
     build_context,
     build_knowledge_base,
     coverage_rate,
@@ -21,7 +24,7 @@ from propner.kbstore import (
     parse_dump,
     save_kb,
 )
-from propner.matcher import Sentence
+from propner.matcher import Sentence, build_matcher, find_candidates
 
 from helpers import record_line
 
@@ -50,6 +53,15 @@ class TestNormalize:
     def test_empty_results(self):
         assert normalize_surface("   ") == ""
         assert normalize_surface("") == ""
+
+    # Case folding turns the iota subscript into a base letter and the dotted
+    # capital I into "i" plus a combining dot, which NFKC then reorders.
+    @example("\u1f92\u0304")
+    @example("\u0130\u0ec8")
+    @given(st.text())
+    def test_normalized_surface_is_a_fixed_point(self, text):
+        surface = normalize_surface(text)
+        assert normalize_surface(surface) == surface
 
 
 class TestParseDump:
@@ -247,6 +259,47 @@ class TestBuildKnowledgeBase:
         assert all(context == "" for context in kb.contexts.values())
 
 
+class TestCollectorState:
+    """The KB compile and the trie build pause the cyclic garbage collector,
+    and leave it enabled or disabled as they found it, also when they raise."""
+
+    @staticmethod
+    def compile(seen, fail):
+        def records():
+            for number, record in enumerate(parse_dump([record_line(f"Q{i}", f"name {i}") for i in range(1, 5)])):
+                if fail and number == 2:
+                    raise ValueError("record 3 is bad")
+                seen.append(gc.isenabled())
+                yield record
+
+        build_knowledge_base(records(), "en")
+
+    @staticmethod
+    def build_trie(seen, fail):
+        def qids(number):
+            seen.append(gc.isenabled())
+            if fail and number == 2:
+                raise ValueError("surface 3 is bad")
+            yield f"Q{number}"
+
+        build_matcher(KnowledgeBase("en", {f"name {i}": qids(i) for i in range(4)}, {}, FULL_PROPERTY_MASK))
+
+    @pytest.mark.parametrize("build", ["compile", "build_trie"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_state_restored(self, build, enabled, fail):
+        seen = []
+        was_enabled = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            with pytest.raises(ValueError) if fail else nullcontext():
+                getattr(self, build)(seen, fail)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert seen and not any(seen)  # paused while the build ran
+
+
 class TestCoverage:
     def sentences(self):
         return [
@@ -311,3 +364,33 @@ class TestPersistence:
         surfaces.write_text(text + "zeta\tQ999999\n", encoding="utf-8")
         with pytest.raises(InputError, match=re.escape(f"{surfaces}:{len(text.splitlines()) + 1}: surface 'zeta'")):
             load_kb(tmp_path)
+
+    @pytest.mark.parametrize("surface,message", [
+        ("Victor Cousin", "surface 'Victor Cousin' is not normalized"),
+        ("victor  cousin", "surface 'victor  cousin' is not normalized"),
+        ("victor cousin ", "surface 'victor cousin ' is not normalized"),
+        ("victor\u00a0cousin", "surface 'victor\\xa0cousin' is not normalized"),
+        ("e\u0301mile", "surface 'e\u0301mile' is not normalized"),
+        ("", "surface is empty"),
+    ])
+    def test_surface_not_normalized_rejected(self, table_kb, tmp_path, surface, message):
+        save_kb(table_kb, tmp_path)
+        surfaces = tmp_path / SURFACES_FILE
+        lines = surfaces.read_text(encoding="utf-8").splitlines()
+        lines.insert(1, f"{surface}\tQ5")
+        surfaces.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"{surfaces}:2: {message}")):
+            load_kb(tmp_path)
+
+    @example("\u1f92\u0304 \u0130\u0ec8")
+    @given(st.text(min_size=1))
+    def test_any_label_loads_and_matches(self, tmp_path_factory, label):
+        kb = build_knowledge_base(parse_dump([record_line("Q1", label)]), "en")
+        out = tmp_path_factory.mktemp("kb")
+        save_kb(kb, out)
+        reloaded = load_kb(out)
+        assert reloaded.surface_index == kb.surface_index
+        tokens = label.split()
+        if kb.surface_index and all(normalize_surface(token) for token in tokens):
+            hits = find_candidates(build_matcher(reloaded), Sentence("s", tokens))
+            assert [(hit.start, hit.end, hit.qid) for hit in hits] == [(0, len(tokens), "Q1")]
