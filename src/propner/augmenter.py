@@ -36,10 +36,6 @@ SEGMENT_SEPARATOR = "$"
 MASK_MODES = ("default", "strict-paper")
 
 
-class SentenceTooLongError(ValueError):
-    """The sentence alone does not fit the length budget; it is never truncated."""
-
-
 @dataclass(frozen=True)
 class Segment:
     """Sequence positions of one kept span: the entity (in the sentence copy)
@@ -96,13 +92,12 @@ def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mo
     Adjacent pairs over the same span (one per qid of an ambiguous surface)
     form one segment. Segments are kept all-or-nothing in priority order
     (entity span length desc, start asc) while the total length stays within
-    ``max_len``, then laid out in sentence order.
+    ``max_len``, then laid out in sentence order. A sentence that alone
+    does not fit ``max_len`` raises ValueError; it is never truncated.
     """
     n = len(sentence.tokens)
     if max_len < n + 2:
-        raise SentenceTooLongError(
-            f"sentence {sentence.id!r} needs {n + 2} positions but max_len is {max_len}"
-        )
+        raise ValueError(f"sentence {sentence.id!r} needs {n + 2} positions but max_len is {max_len}")
     spans = []  # (start, end, segment tokens: entity echo plus context)
     for (start, end), group in groupby(pairs, key=lambda m: (m.start, m.end)):
         if spans and start < spans[-1][1]:
@@ -234,9 +229,9 @@ def from_json_dict(data: dict) -> AugmentedInput:
         tokens=tokens,
         n_sentence=data["n_sentence"],
         segments=[Segment(_range(seg["entity"]), _range(seg["context"])) for seg in data["segments"]],
-        gold_tags=data.get("gold_tags"),
+        gold_tags=data["gold_tags"],
         sentence_id=data["id"],
-        mask_mode=data.get("mask_mode", "default"),
+        mask_mode=data["mask_mode"],
     )
 
 

@@ -7,8 +7,8 @@ subcommand accepts ``--config FILE`` with ``key = value`` lines supplying
 any flag; explicit command-line flags win. argparse finds ``--config`` as
 it finds any flag, so an abbreviation works and the last one given wins.
 
-Exit codes: 0 success (``--help`` included), 1 usage, validation or parse
-error, 2 internal invariant violation. Every error is one line on stderr.
+Exit codes: 0 success (``--help`` included), 1 any error, which is one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from propner import augmenter
 from propner.encoder import (
     TrainConfig,
-    TrainingDivergedError,
     load_model,
     predict,
     predict_tags,
@@ -35,12 +34,11 @@ from propner.encoder import (
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import score
-from propner.inputs import InputError, parse_lines
+from propner.inputs import InputError, located, parse_lines
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
     DumpErrorReport,
-    KnowledgeBaseInconsistencyError,
     build_knowledge_base,
     coverage_rate,
     load_kb,
@@ -182,7 +180,9 @@ def cmd_build_kb(args) -> int:
 def cmd_coverage(args) -> int:
     kb = load_kb(args.kb)
     dataset = read_conll(args.data)
-    print(json.dumps({"coverage_rate": coverage_rate(kb, dataset)}, sort_keys=True))
+    with located(args.data):  # a sentence without gold tags
+        rate = coverage_rate(kb, dataset)
+    print(json.dumps({"coverage_rate": rate}, sort_keys=True))
     return 0
 
 
@@ -215,7 +215,10 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-    model = train(augmenter.read_jsonl(args.aug, max_len=config.max_len, labeled=True), config)
+    dataset = augmenter.read_jsonl(args.aug, max_len=config.max_len, labeled=True)
+    if not dataset:
+        raise InputError(args.aug, None, "training dataset is empty")
+    model = train(dataset, config)
     save_model(model, args.out)
     print(f"trained {config.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
     return 0
@@ -521,10 +524,7 @@ def main(argv=None) -> int:
             return 0 if exc.code in (0, None) else 1
         logging.basicConfig(level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
         return int(args.func(args) or 0)
-    except (KnowledgeBaseInconsistencyError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TrainingDivergedError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

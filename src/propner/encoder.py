@@ -40,10 +40,6 @@ from propner.inputs import InputError, located
 UNK_TOKEN = "[UNK]"
 
 
-class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
-
-
 @dataclass
 class TrainConfig:
     d_model: int = 32
@@ -354,7 +350,7 @@ def train(dataset: list[AugmentedInput], config: TrainConfig) -> ToyEncoderModel
                 grad.fill(0.0)
                 loss = _loss_and_grads(model, examples[idx], grads)
                 if not np.isfinite(loss):
-                    raise TrainingDivergedError(
+                    raise ValueError(
                         f"non-finite loss at epoch {epoch}: lower the learning rate (current {config.lr})"
                     )
                 grad *= config.lr

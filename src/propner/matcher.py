@@ -9,15 +9,9 @@ by preferring longer entities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from propner.kbstore import (
-    KnowledgeBase,
-    KnowledgeBaseInconsistencyError,
-    _collector_paused,
-    _qid_num,
-    normalize_surface,
-)
+from propner.kbstore import KnowledgeBase, _collector_paused, _qid_num, normalize_surface
 
 
 @dataclass
@@ -118,12 +112,10 @@ def resolve_overlaps(candidates: list[EntityMatch]) -> list[EntityMatch]:
 
 
 def retrieve(kb: KnowledgeBase, matcher: Matcher, sentence: Sentence) -> list[EntityMatch]:
-    """Entity/context pairs for one sentence, non-overlapping, start-sorted."""
-    pairs = []
-    for match in resolve_overlaps(find_candidates(matcher, sentence)):
-        if match.qid not in kb.contexts:
-            raise KnowledgeBaseInconsistencyError(
-                f"qid {match.qid} matched for surface {match.surface!r} has no context entry"
-            )
-        pairs.append(replace(match, context=kb.contexts[match.qid]))
-    return pairs
+    """Entity/context pairs for one sentence, non-overlapping, start-sorted.
+    Every indexed qid has a context: ``build_knowledge_base`` gives it one
+    and ``load_kb`` refuses a KB without it."""
+    return [
+        EntityMatch(m.start, m.end, m.surface, m.qid, kb.contexts[m.qid])
+        for m in resolve_overlaps(find_candidates(matcher, sentence))
+    ]

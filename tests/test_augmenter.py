@@ -6,7 +6,6 @@ import pytest
 from propner.augmenter import (
     AugmentedInput,
     Segment,
-    SentenceTooLongError,
     assemble,
     from_json_dict,
     to_json_dict,
@@ -56,7 +55,7 @@ class TestAssemble:
         assert aug.tokens.count("$") == 1
 
     def test_sentence_never_truncated(self):
-        with pytest.raises(SentenceTooLongError):
+        with pytest.raises(ValueError, match="^sentence 's' needs 7 positions but max_len is 6$"):
             assemble(VICTOR_SENTENCE, [], 6)
 
     def test_rejects_overlapping_pairs(self):

@@ -225,7 +225,7 @@ class TestCliBehavior:
         bad.write_text("one two\n", encoding="utf-8")
         assert main(["split", "--data", str(bad), "--k", "2", "--seed", "1"]) == 1
 
-    def test_internal_inconsistency_exit_code(self, tmp_path, dump_file, data_file):
+    def test_surface_without_context_is_a_load_kb_input_error(self, tmp_path, dump_file, data_file):
         kb_dir = tmp_path / "kb"
         main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(kb_dir)])
         contexts = kb_dir / "contexts.tsv"
@@ -322,6 +322,8 @@ AUG_DEFECTS = [
     "token with a space",
     "empty token",
     "gold tag not a BIO tag",
+    "missing mask_mode",
+    "missing gold_tags",
 ]
 
 
@@ -355,6 +357,8 @@ def _break_line_2(path, defect: str) -> None:
         record["tokens"][1] = ""
     elif defect == "gold tag not a BIO tag":
         record["gold_tags"][1] = "B-X Y"
+    elif defect in ("missing mask_mode", "missing gold_tags"):
+        del record[defect.removeprefix("missing ")]
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -409,6 +413,8 @@ class TestAugFileValidation:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert f"{broken}:2:" in err and "Traceback" not in err
+        if defect.startswith("missing "):
+            assert "missing key '" in err
 
     def test_hand_edited_mask_bits_are_ignored(self, trained, tmp_path):
         from propner import augmenter
@@ -987,6 +993,21 @@ def test_diverging_train_writes_one_line(cli_files, tmp_path):
 def test_train_checks_options_before_reading(tmp_path):
     argv = ["train", "--aug", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "m.bin"), "--seed", "1"]
     _assert_one_error_line(*_run([*argv, "--heads", "0"]), "'n_heads' must be an integer of at least 1, got 0")
+
+
+def test_train_on_empty_aug_file_names_it(tmp_path):
+    aug, out = tmp_path / "aug.jsonl", tmp_path / "m.bin"
+    aug.write_bytes(b"\n")
+    _assert_one_error_line(*_run(["train", "--aug", str(aug), "--out", str(out), "--seed", "1"]),
+                           f"error: {aug}: training dataset is empty")
+    assert not out.exists()
+
+
+def test_coverage_on_unlabeled_data_names_it(cli_files, tmp_path):
+    data = tmp_path / "data.conll"
+    write_conll([Sentence("s1", ["Victor", "Cousin"], ["B-PER", "I-PER"]), Sentence("s2", ["Victor"])], data)
+    _assert_one_error_line(*_run(["coverage", "--kb", str(cli_files["kb"]), "--data", str(data)]),
+                           f"error: {data}: sentence 's2' has no gold tags")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

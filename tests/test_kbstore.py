@@ -365,6 +365,44 @@ class TestPersistence:
         with pytest.raises(InputError, match=re.escape(f"{surfaces}:{len(text.splitlines()) + 1}: surface 'zeta'")):
             load_kb(tmp_path)
 
+    @pytest.mark.parametrize("qid", ["Qx7", "Q", "12Q3", "Q\u0661", "q1", "", "Q5 ", "Q5\r"])
+    def test_malformed_context_qid_rejected(self, table_kb, tmp_path, qid):
+        save_kb(table_kb, tmp_path)
+        contexts = tmp_path / CONTEXTS_FILE
+        lines = contexts.read_text(encoding="utf-8").splitlines()
+        lines.insert(1, f"{qid}\tplace")
+        contexts.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with pytest.raises(InputError, match=re.escape(f"{contexts}:2: malformed qid {qid!r}")):
+            load_kb(tmp_path)
+
+    def test_empty_kb_loads(self, tmp_path):
+        kb = build_knowledge_base([], "en")
+        save_kb(kb, tmp_path)
+        assert (tmp_path / CONTEXTS_FILE).read_bytes() == (tmp_path / SURFACES_FILE).read_bytes() == b""
+        assert load_kb(tmp_path) == kb
+
+    @pytest.mark.parametrize("char", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_only_at_newline(self, tmp_path, char):
+        """Of the characters that ``str.splitlines`` splits at, only the
+        newline ends a KB line."""
+        save_kb(KnowledgeBase("en", {"human": ["Q1"]}, {"Q1": "human"}, FULL_PROPERTY_MASK), tmp_path)
+        contexts = tmp_path / CONTEXTS_FILE
+        contexts.write_bytes(f"Q1\thu{char}man\n".encode("utf-8"))
+        assert load_kb(tmp_path).contexts == {"Q1": f"hu{char}man"}
+        contexts.write_bytes(f"Q1\thu{char}man\nQx7\tplace\n".encode("utf-8"))
+        with pytest.raises(InputError, match=re.escape(f"{contexts}:2: malformed qid 'Qx7'")):
+            load_kb(tmp_path)
+
+    def test_crlf_line_ends(self, table_kb, tmp_path):
+        """An ``\\r`` before a newline, or at the end of the file, is
+        dropped."""
+        save_kb(table_kb, tmp_path)
+        for name in (SURFACES_FILE, CONTEXTS_FILE):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n").removesuffix(b"\n"))
+        reloaded = load_kb(tmp_path)
+        assert (reloaded.surface_index, reloaded.contexts) == (table_kb.surface_index, table_kb.contexts)
+
     @pytest.mark.parametrize("surface,message", [
         ("Victor Cousin", "surface 'Victor Cousin' is not normalized"),
         ("victor  cousin", "surface 'victor  cousin' is not normalized"),

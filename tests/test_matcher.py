@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from propner.kbstore import KnowledgeBaseInconsistencyError
 from propner.matcher import EntityMatch, Sentence, build_matcher, find_candidates, resolve_overlaps, retrieve
 
 from helpers import kb_from_surfaces, random_matcher_case
@@ -149,12 +148,6 @@ class TestRetrieve:
         assert [(m.start, m.end, m.qid) for m in pairs] == [(0, 2, "Q434346"), (4, 5, "Q5")]
         for pair in pairs:
             assert pair.context == table_kb.contexts[pair.qid]
-
-    def test_missing_context_is_internal_error(self, table_kb):
-        matcher = build_matcher(table_kb)
-        del table_kb.contexts["Q434346"]
-        with pytest.raises(KnowledgeBaseInconsistencyError):
-            retrieve(table_kb, matcher, Sentence("s", ["Victor", "Cousin"]))
 
     def test_deterministic(self, table_kb):
         matcher = build_matcher(table_kb)
