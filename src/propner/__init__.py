@@ -12,7 +12,6 @@ from propner.kbstore import (
     KnowledgeBase,
     build_context,
     build_knowledge_base,
-    coverage_rate,
     load_kb,
     normalize_surface,
     parse_dump,
@@ -30,6 +29,6 @@ from propner.matcher import (
 from propner.augmenter import AttentionMask, AugmentedInput, Segment, assemble
 from propner.encoder import ToyEncoderModel, TrainConfig, gradient_check, masked_attention, predict, train
 from propner.ensemble import FoldPlan, WeightedPredictions, extract_spans, kfold_split, repair_bio, weighted_vote
-from propner.evaluator import EvalReport, score
+from propner.evaluator import EvalReport, coverage_rate, score
 
 __version__ = "0.1.0"

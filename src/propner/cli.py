@@ -33,14 +33,13 @@ from propner.encoder import (
     train,
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
-from propner.evaluator import score
+from propner.evaluator import coverage_rate, score
 from propner.inputs import InputError, located, parse_lines
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
     DumpErrorReport,
     build_knowledge_base,
-    coverage_rate,
     load_kb,
     parse_dump,
     save_kb,

@@ -117,6 +117,8 @@ def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > len(dataset):
         raise ValueError(f"k={k} exceeds dataset size {len(dataset)}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"'seed' must be an integer of at least 0, got {seed!r}")
     ids = [sentence.id for sentence in dataset]
     if len(set(ids)) != len(ids):
         raise ValueError("sentence ids must be unique for fold assignment")

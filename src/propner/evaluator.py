@@ -8,9 +8,15 @@ that appear in gold.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
-from propner.ensemble import extract_spans
+from propner.ensemble import extract_spans, repair_bio
+from propner.kbstore import KnowledgeBase, normalize_surface
+from propner.matcher import Sentence
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -84,3 +90,27 @@ def score(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
         sum(per_class[name].f1 for name in sorted(gold_classes)) / len(gold_classes) if gold_classes else 0.0
     )
     return EvalReport(per_class=per_class, micro_precision=micro[0], micro_recall=micro[1], micro_f1=micro[2], macro_f1=macro)
+
+
+def coverage_rate(kb: KnowledgeBase, dataset: Iterable[Sentence]) -> float:
+    """Fraction of gold entity mentions whose surface is in the index.
+
+    Counts mention occurrences, not unique surfaces. A dataset without any
+    gold mention has coverage 1.0 by convention.
+    """
+    total = 0
+    covered = 0
+    for sentence in dataset:
+        if sentence.gold_tags is None:
+            raise ValueError(f"sentence {sentence.id!r} has no gold tags")
+        tags = repair_bio(sentence.gold_tags)
+        if tags != sentence.gold_tags:
+            logger.warning("sentence %s: malformed BIO tags repaired before span extraction", sentence.id)
+        for start, end, _ in sorted(extract_spans(tags)):
+            total += 1
+            surface = normalize_surface(" ".join(sentence.tokens[start:end]))
+            if surface in kb.surface_index:
+                covered += 1
+    if total == 0:
+        return 1.0
+    return covered / total

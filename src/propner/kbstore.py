@@ -18,17 +18,15 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from propner.inputs import InputError, located
 
-if TYPE_CHECKING:
-    from propner.matcher import Sentence
-
 logger = logging.getLogger(__name__)
 
-QID_PATTERN = re.compile(r"Q[0-9]+")  # used with fullmatch: "$" would let "Q5\n" through
-_BAD_QID_LINE = re.compile(r"^(?!Q[0-9]+$)", re.MULTILINE)
+# No leading zero, so that ordering qids by number is a total order.
+QID_PATTERN = re.compile(r"Q[1-9][0-9]*")  # used with fullmatch: "$" would let "Q5\n" through
+_BAD_QID_LINE = re.compile(rf"^(?!{QID_PATTERN.pattern}$)", re.MULTILINE)
 _OTHER_SPACE = re.compile(r"[^\S \n]")  # whitespace other than a space or a newline
 
 #: Property kinds in canonical (context concatenation) order.
@@ -86,10 +84,10 @@ def _collector_paused() -> Iterator[None]:
     """Pause CPython's cyclic garbage collector for the block, then restore
     the state it had, also on an exception.
 
-    The KB compile and the trie build keep every container they make alive,
-    and make no reference cycle, so each collection the collector runs there
-    rescans the whole growing heap and frees nothing; reference counting
-    frees every temporary."""
+    The KB compile keeps every container it makes alive, and makes no
+    reference cycle, so each collection the collector runs there rescans the
+    whole growing heap and frees nothing; reference counting frees every
+    temporary."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -333,32 +331,6 @@ def build_knowledge_base(
         return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)
 
 
-def coverage_rate(kb: KnowledgeBase, dataset: Iterable["Sentence"]) -> float:
-    """Fraction of gold entity mentions whose surface is in the index.
-
-    Counts mention occurrences, not unique surfaces. A dataset without any
-    gold mention has coverage 1.0 by convention.
-    """
-    from propner.ensemble import extract_spans, repair_bio
-
-    total = 0
-    covered = 0
-    for sentence in dataset:
-        if sentence.gold_tags is None:
-            raise ValueError(f"sentence {sentence.id!r} has no gold tags")
-        tags = repair_bio(sentence.gold_tags)
-        if tags != sentence.gold_tags:
-            logger.warning("sentence %s: malformed BIO tags repaired before span extraction", sentence.id)
-        for start, end, _ in sorted(extract_spans(tags)):
-            total += 1
-            surface = normalize_surface(" ".join(sentence.tokens[start:end]))
-            if surface in kb.surface_index:
-                covered += 1
-    if total == 0:
-        return 1.0
-    return covered / total
-
-
 def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
     """Write surfaces.tsv, contexts.tsv and meta.json. Bit-exact across runs."""
     path = Path(out_dir)
@@ -420,6 +392,8 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         qid, tab, context = line.partition("\t")
         if not tab:
             raise InputError(path / CONTEXTS_FILE, number, "expected 'qid<TAB>context'")
+        if qid in contexts:
+            raise InputError(path / CONTEXTS_FILE, number, f"qid {qid!r} is listed twice")
         contexts[qid] = context
     # One search over all qids takes half the time of one match per qid, and
     # keeps no state per line, as a fullmatch of a repeated group would.
@@ -437,7 +411,10 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
             if not tab:
                 message = "expected 'surface<TAB>qid'"
             raise InputError(path / SURFACES_FILE, number, message)
-        surface_index.setdefault(surface, []).append(qid)
+        qids = surface_index.setdefault(surface, [])
+        if qid in qids:
+            raise InputError(path / SURFACES_FILE, number, f"surface {surface!r} is listed with {qid!r} twice")
+        qids.append(qid)
     # A surface that is not normalized can never match a sentence.
     if not _normalized_lines("\n".join([*surface_index, ""])):
         bad = next(surface for surface in surface_index if not _normalized_lines(surface + "\n"))
@@ -445,6 +422,6 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         message = f"surface {bad!r} is not normalized" if bad else "surface is empty"
         raise InputError(path / SURFACES_FILE, number, message)
     for surface, qids in surface_index.items():
-        surface_index[surface] = sorted(set(qids), key=_qid_num)
+        surface_index[surface] = sorted(qids, key=_qid_num)
 
     return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)

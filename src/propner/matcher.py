@@ -1,7 +1,8 @@
 """Multi-pattern matching of knowledge-base surfaces against token sequences.
 
-Surfaces are indexed in a word-level trie so every occurrence of every
-surface is found in one left-to-right pass per start position. Matches
+The matcher is the KB's surface index plus the set of every word prefix of
+every surface, so a scan from each start position grows its span one token
+at a time and stops at the first span that no surface starts with. Matches
 respect token boundaries: a surface must cover whole tokens, because the
 BIO labels we ultimately predict are token-level. Overlaps are resolved
 by preferring longer entities.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from propner.kbstore import KnowledgeBase, _collector_paused, _qid_num, normalize_surface
+from propner.kbstore import KnowledgeBase, _qid_num, normalize_surface
 
 
 @dataclass
@@ -38,57 +39,50 @@ class EntityMatch:
     context: str = ""
 
 
-class _TrieNode:
-    __slots__ = ("children", "surface", "qids")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.surface: str | None = None
-        self.qids: tuple[str, ...] = ()
-
-
-@dataclass
+@dataclass(frozen=True)
 class Matcher:
-    """Immutable word trie over all KB surfaces."""
+    """The KB's surface index and every word prefix of its surfaces. The
+    empty prefix is one, so a span may start at a token that normalizes to
+    nothing."""
 
-    _root: _TrieNode = field(repr=False)
-    pattern_count: int = 0
+    surfaces: dict[str, list[str]] = field(repr=False)
+    prefixes: frozenset[str] = field(repr=False)
 
 
 def build_matcher(kb: KnowledgeBase) -> Matcher:
-    root = _TrieNode()
-    with _collector_paused():
-        for surface, qids in kb.surface_index.items():
-            node = root
-            for word in surface.split(" "):
-                node = node.children.setdefault(word, _TrieNode())
-            node.surface = surface
-            node.qids = tuple(qids)
-    return Matcher(root, pattern_count=len(kb.surface_index))
+    prefixes = {""}
+    for surface in kb.surface_index:
+        # A surface's words are joined by single spaces, so its word prefixes
+        # end where a space starts. The set stays closed under taking word
+        # prefixes, so the first prefix already in it ends the walk.
+        cut = len(surface)
+        while cut > 0 and (prefix := surface[:cut]) not in prefixes:
+            prefixes.add(prefix)
+            cut = surface.rfind(" ", 0, cut)
+    return Matcher(kb.surface_index, frozenset(prefixes))
 
 
 def find_candidates(matcher: Matcher, sentence: Sentence) -> list[EntityMatch]:
     """All (span, qid) occurrences of KB surfaces, possibly overlapping.
 
-    Tokens are normalized with the KB normalizer before lookup; a token that
-    normalizes to several words (or to nothing) consumes that many trie
-    edges, so the matched surface always equals the normalization of the
-    span's tokens joined by single spaces.
+    Tokens are normalized with the KB normalizer before lookup, and a span's
+    key is the words of its tokens joined by single spaces, so the matched
+    surface always equals the normalization of the span's tokens joined by
+    single spaces. A token that normalizes to nothing adds no words, and the
+    span goes on past it.
     """
-    token_words = [normalize_surface(token).split() for token in sentence.tokens]
+    token_words = [normalize_surface(token) for token in sentence.tokens]
+    surfaces, prefixes = matcher.surfaces, matcher.prefixes
     matches = []
     for start in range(len(token_words)):
-        node = matcher._root
+        key = ""
         for end, words in enumerate(token_words[start:], start=start):
-            for word in words:
-                node = node.children.get(word)
-                if node is None:
-                    break
-            if node is None:
+            if words:
+                key = f"{key} {words}" if key else words
+            if key not in prefixes:
                 break
-            if node.surface is not None:
-                for qid in node.qids:
-                    matches.append(EntityMatch(start, end + 1, node.surface, qid))
+            for qid in surfaces.get(key, ()):
+                matches.append(EntityMatch(start, end + 1, key, qid))
     return matches
 
 

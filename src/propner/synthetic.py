@@ -189,6 +189,7 @@ def run_synthetic_ab(
     property masks or mask modes compare models on identical data.
     """
     cfg = config or SyntheticConfig()
+    train_config = TrainConfig(max_len=MAX_LEN, epochs=cfg.epochs, seed=seed)  # checks the seed before numpy takes it
     rng = np.random.default_rng(seed)
 
     train_entities, test_entities = _entity_pairs(rng, cfg.n_train_entities, cfg.n_test_entities)
@@ -206,7 +207,6 @@ def run_synthetic_ab(
     def without_knowledge(sentences):
         return [assemble(s, [], MAX_LEN, mask_mode) for s in sentences]
 
-    train_config = TrainConfig(max_len=MAX_LEN, epochs=cfg.epochs, seed=seed)
     augmented_pred, baseline_pred = _pair_map(
         _train_and_tag,
         (with_knowledge(train_sents), with_knowledge(test_sents), train_config),

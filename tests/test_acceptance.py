@@ -12,8 +12,8 @@ import pytest
 from propner.cli import main
 from propner.encoder import TrainConfig, build_vocab, gradient_check, hidden_states, init_model, masked_attention
 from propner.ensemble import WeightedPredictions, repair_bio, weighted_vote
-from propner.evaluator import score
-from propner.kbstore import build_knowledge_base, coverage_rate, parse_dump, save_kb
+from propner.evaluator import coverage_rate, score
+from propner.kbstore import build_knowledge_base, parse_dump, save_kb
 from propner.matcher import Sentence, build_matcher, find_candidates, resolve_overlaps
 from propner.synthetic import run_synthetic_ab
 

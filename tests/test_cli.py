@@ -220,6 +220,11 @@ class TestCliBehavior:
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["coverage", "--kb", str(tmp_path / "nope"), "--data", str(tmp_path / "also-nope")]) == 1
 
+    @pytest.mark.parametrize("command", ["split", "synthetic-ab"])
+    def test_negative_seed_names_the_flag(self, data_file, command):
+        argv = ["split", "--data", str(data_file), "--k", "2"] if command == "split" else [command]
+        _assert_one_error_line(*_run([*argv, "--seed", "-1"]), "'seed' must be an integer of at least 0, got -1")
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.conll"
         bad.write_text("one two\n", encoding="utf-8")
@@ -814,6 +819,11 @@ KB_DEFECTS = {
     "surfaces line without a tab": ("surfaces.tsv", lambda text: text + "zeta Q5\n", "surfaces.tsv:{}: expected"),
     "contexts line without a tab": ("contexts.tsv", lambda text: text + "Q77\n", "contexts.tsv:{}: expected"),
     "malformed qid": ("contexts.tsv", lambda text: text + "Qx7\tplace\n", "contexts.tsv:{}: malformed qid 'Qx7'"),
+    "qid with a leading zero": ("contexts.tsv", lambda text: text + "Q01\tplace\n",
+                                "contexts.tsv:{}: malformed qid 'Q01'"),
+    "qid listed twice": ("contexts.tsv", lambda text: text + "Q5\tplace\n", "contexts.tsv:{}: qid 'Q5' is listed twice"),
+    "surface and qid listed twice": ("surfaces.tsv", lambda text: text + "human\tQ5\n",
+                                     "surfaces.tsv:{}: surface 'human' is listed with 'Q5' twice"),
     "surface not normalized": ("surfaces.tsv", lambda text: text + "victor  cousin\tQ5\n",
                                "surfaces.tsv:{}: surface 'victor  cousin' is not normalized"),
     "empty surface": ("surfaces.tsv", lambda text: text + "\tQ5\n", "surfaces.tsv:{}: surface is empty"),

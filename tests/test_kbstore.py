@@ -17,13 +17,13 @@ from propner.kbstore import (
     KnowledgeBase,
     build_context,
     build_knowledge_base,
-    coverage_rate,
     entity_names,
     load_kb,
     normalize_surface,
     parse_dump,
     save_kb,
 )
+from propner.evaluator import coverage_rate
 from propner.matcher import Sentence, build_matcher, find_candidates
 
 from helpers import record_line
@@ -123,10 +123,12 @@ class TestParseDump:
         (b'{"labels": {}}', "missing 'id' field"),
         (b'{"id": "X1"}', "malformed qid 'X1'"),
         (b'{"id": "Q5\\n"}', "malformed qid 'Q5\\n'"),
+        (b'{"id": "Q01"}', "malformed qid 'Q01'"),
         (b'{"id": "Q1", "claims": ["P31"]}', "field 'claims' must be an object"),
         (b'{"id": "Q1", "claims": {"P31": "Q5"}}', "claim P31 must be a list"),
         (b'{"id": "Q1", "claims": {"P106": ["Q5", "q6"]}}', "claim P106 contains malformed qid 'q6'"),
         (b'{"id": "Q1", "claims": {"P31": ["Q7\\n"]}}', "claim P31 contains malformed qid 'Q7\\n'"),
+        (b'{"id": "Q1", "claims": {"P31": ["Q01"]}}', "claim P31 contains malformed qid 'Q01'"),
         (b'{"id": "Q1", "labels": "Victor"}', "field 'labels' must be an object"),
         (b'{"id": "Q1", "labels": {"en": 7}}', "field 'labels' has a non-string value for 'en'"),
         (b'{"id": "Q1", "sitelinks": ["enwiki"]}', "field 'sitelinks' must be an object"),
@@ -260,8 +262,8 @@ class TestBuildKnowledgeBase:
 
 
 class TestCollectorState:
-    """The KB compile and the trie build pause the cyclic garbage collector,
-    and leave it enabled or disabled as they found it, also when they raise."""
+    """The KB compile pauses the cyclic garbage collector, and leaves it
+    enabled or disabled as it found it, also when it raises."""
 
     @staticmethod
     def compile(seen, fail):
@@ -274,17 +276,7 @@ class TestCollectorState:
 
         build_knowledge_base(records(), "en")
 
-    @staticmethod
-    def build_trie(seen, fail):
-        def qids(number):
-            seen.append(gc.isenabled())
-            if fail and number == 2:
-                raise ValueError("surface 3 is bad")
-            yield f"Q{number}"
-
-        build_matcher(KnowledgeBase("en", {f"name {i}": qids(i) for i in range(4)}, {}, FULL_PROPERTY_MASK))
-
-    @pytest.mark.parametrize("build", ["compile", "build_trie"])
+    @pytest.mark.parametrize("build", ["compile"])
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("fail", [False, True])
     def test_state_restored(self, build, enabled, fail):

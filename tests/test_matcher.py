@@ -25,7 +25,6 @@ class TestBuildMatcher:
     def test_reports_both_patterns(self):
         kb = kb_from_surfaces(["victor cousin", "human"])
         matcher = build_matcher(kb)
-        assert matcher.pattern_count == 2
         hits = find_candidates(matcher, Sentence("s", ["victor", "cousin", "human"]))
         assert {m.surface for m in hits} == {"victor cousin", "human"}
 
@@ -69,6 +68,17 @@ class TestFindCandidates:
             matcher = build_matcher(kb)
             got = as_keys(find_candidates(matcher, sentence))
             assert got == brute_force_candidates(kb, sentence.tokens)
+
+    def test_long_surface_equals_brute_force(self):
+        # The 19-word prefix of the 20-word surface is in the prefix set, so
+        # the scan from token 0 runs to it and stops at the diverging word.
+        words = [f"w{i}" for i in range(20)]
+        kb = kb_from_surfaces([" ".join(words), "w18 w19", "w5"])
+        matcher = build_matcher(kb)
+        for tokens in (words, words[:19] + ["other", "w19"], ["x", *words, "w5"]):
+            got = as_keys(find_candidates(matcher, Sentence("s", tokens)))
+            assert got == brute_force_candidates(kb, tokens)
+        assert {k[:2] for k in as_keys(find_candidates(matcher, Sentence("s", words)))} == {(0, 20), (18, 20), (5, 6)}
 
     def test_shared_surface_emits_pair_per_qid(self):
         kb = kb_from_surfaces(["human", "human"])
