@@ -221,13 +221,15 @@ def _range(bounds: list[int]) -> range:
 def from_json_dict(data: dict) -> AugmentedInput:
     """Rebuild an input from its JSON form. Raises KeyError, TypeError or
     ValueError on a malformed record, ``check_id_and_tokens`` included."""
-    tokens = data["tokens"]
+    tokens, n_sentence = data["tokens"], data["n_sentence"]
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise TypeError("'tokens' must be a list of strings")
-    check_id_and_tokens(data["id"], tokens[1 : data["n_sentence"] + 1])
+    if type(n_sentence) is not int:  # not a bool either, which would be written back as one
+        raise TypeError(f"'n_sentence' must be an integer, got {n_sentence!r}")
+    check_id_and_tokens(data["id"], tokens[1 : n_sentence + 1])
     return AugmentedInput(
         tokens=tokens,
-        n_sentence=data["n_sentence"],
+        n_sentence=n_sentence,
         segments=[Segment(_range(seg["entity"]), _range(seg["context"])) for seg in data["segments"]],
         gold_tags=data["gold_tags"],
         sentence_id=data["id"],

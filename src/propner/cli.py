@@ -84,6 +84,8 @@ def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str
                 raise ValueError("header must look like '# id <string>'")
             if rows:
                 raise ValueError("'# id' header inside a sentence block")
+            if sentence_id is not None:
+                raise ValueError(f"header for id {sentence_id!r} has no token lines")
             sentence_id = claim(fields[2])
         else:
             if sentence_id is None:
@@ -131,13 +133,6 @@ def _write_tagged(rows: list[tuple[str, list[str], list[str]]], path) -> None:
             for token, tag in zip(tokens, tags):
                 handle.write(f"{token}\t{tag}\n")
             handle.write("\n")
-
-
-def _read_tag_sequences(path) -> list[tuple[str, list[str]]]:
-    """(id, tags) blocks from either prediction output (2 columns) or dataset
-    format (4 columns with tags); as in ``read_conll``, a block without a
-    header takes its block index as id."""
-    return [(sid, [fields[-1] for fields in rows]) for sid, rows in _read_blocks(path, (2, 4))]
 
 
 def _parse_properties(text: str) -> frozenset[str]:
@@ -341,7 +336,7 @@ def cmd_score(args) -> int:
     if any(s.gold_tags is None for s in gold_sentences):
         raise InputError(args.gold, None, "contains unlabeled sentences")
     gold = {s.id: s.gold_tags for s in gold_sentences}
-    pred = dict(_read_tag_sequences(args.pred))
+    pred = {sid: [fields[-1] for fields in rows] for sid, rows in _read_blocks(args.pred, (2, 4))}
     for sid, tags in gold.items():
         if sid not in pred:
             raise InputError(args.pred, None, f"no prediction for id {sid!r}")

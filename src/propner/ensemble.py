@@ -98,8 +98,7 @@ class WeightedPredictions:
             raise ValueError("fold weights must be finite and non-negative")
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one fold weight must be positive")
-        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
-            raise ValueError("'labels' must be distinct and in sorted order")
+        check_labels(self.labels)
         first = self.distributions[0]
         for fold, dists in enumerate(self.distributions):
             if len(dists) != len(first):

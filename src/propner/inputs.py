@@ -2,13 +2,13 @@
 
 A defect of an input file is reported as one ``InputError`` that names the
 file and, where the file has lines, the line: ``path:line: message``.
-``parse_lines`` reads the line-oriented formats; ``located`` serves readers
-that parse a file, or a header, as a whole.
+``read_lines`` splits a text file into lines for every reader but the
+dump's, which streams; ``parse_lines`` parses them one by one, and
+``located`` serves readers that parse a file, or a header, as a whole.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -39,19 +39,35 @@ class located:
             raise InputError(self.path, self.line, message) from None
 
 
+def read_lines(path) -> list[str]:
+    """The lines of the text file at ``path``. A line ends at ``\\n``, and an
+    ``\\r`` before it is dropped; the rest is kept whole, because whitespace
+    around it can be data: a trailing tab ends an empty last column.
+
+    The file is decoded as UTF-8 whole, which is much faster than line by
+    line. An undecodable byte raises an InputError at its line, whose
+    message gives the byte's offset in the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(path, data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
+    if not lines[-1]:
+        lines.pop()  # the empty rest after the last newline
+    if b"\r" in data:
+        lines = [line.removesuffix("\r") for line in lines]
+    return lines
+
+
 def parse_lines(path, parse: Callable[[str], T | None]) -> list[T]:
     """The results other than None of ``parse`` called on each line of
-    ``path``, then on one empty line past the end, which closes a record
-    that ends at a blank line.
-
-    A line ends at ``\\n``, and an ``\\r`` before it is dropped. The rest is
-    decoded as UTF-8 and passed on whole, because whitespace around it can
-    be data: a trailing tab ends an empty last column.
-    """
+    ``path`` (see ``read_lines``), then on one empty line past the end,
+    which closes a record that ends at a blank line."""
     results = []
-    with open(path, "rb") as handle, located(path) as where:
-        for where.line, raw in enumerate(chain(handle, [b""]), start=1):
-            result = parse(raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8"))
+    with located(path) as where:
+        for where.line, line in enumerate([*read_lines(path), ""], start=1):
+            result = parse(line)
             if result is not None:
                 results.append(result)
     return results

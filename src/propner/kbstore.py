@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from propner.inputs import InputError, located
+from propner.inputs import InputError, located, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -355,23 +355,6 @@ def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
         handle.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
-def _tsv_lines(path: Path) -> list[str]:
-    """The lines of a KB TSV file. A line ends at ``\\n``, and an ``\\r``
-    before it is dropped. The file is decoded whole, which is much faster
-    than line by line; the line of a decoding error is found only when
-    decoding fails."""
-    data = path.read_bytes()
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise InputError(path, data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
-    if not lines[-1]:
-        lines.pop()  # the empty rest after the last newline
-    if b"\r" in data:
-        lines = [line.removesuffix("\r") for line in lines]
-    return lines
-
-
 def load_kb(kb_dir: str | Path) -> KnowledgeBase:
     """Load a compiled knowledge base. A malformed file, a surface that is
     empty or not normalized, or a surface whose qid has no context entry
@@ -386,7 +369,7 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         if meta.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"'format_version' must be {FORMAT_VERSION}, got {meta.get('format_version')!r}")
 
-    lines = _tsv_lines(path / CONTEXTS_FILE)
+    lines = read_lines(path / CONTEXTS_FILE)
     contexts: dict[str, str] = {}
     for number, line in enumerate(lines, start=1):
         qid, tab, context = line.partition("\t")
@@ -396,13 +379,15 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
             raise InputError(path / CONTEXTS_FILE, number, f"qid {qid!r} is listed twice")
         contexts[qid] = context
     # One search over all qids takes half the time of one match per qid, and
-    # keeps no state per line, as a fullmatch of a repeated group would.
-    if contexts and _BAD_QID_LINE.search("\n".join(contexts)):
-        bad = next(qid for qid in contexts if not QID_PATTERN.fullmatch(qid))
-        number = next(n for n, line in enumerate(lines, start=1) if line.startswith(bad + "\t"))
-        raise InputError(path / CONTEXTS_FILE, number, f"malformed qid {bad!r}")
+    # keeps no state per line, as a fullmatch of a repeated group would. Each
+    # line holds one distinct qid, so the newlines before a match count the
+    # lines before its line.
+    joined = "\n".join(contexts)
+    if contexts and (bad := _BAD_QID_LINE.search(joined)):
+        number = joined.count("\n", 0, bad.start()) + 1
+        raise InputError(path / CONTEXTS_FILE, number, f"malformed qid {list(contexts)[number - 1]!r}")
 
-    lines = _tsv_lines(path / SURFACES_FILE)
+    lines = read_lines(path / SURFACES_FILE)
     surface_index: dict[str, list[str]] = {}
     for number, line in enumerate(lines, start=1):
         surface, tab, qid = line.partition("\t")
@@ -417,8 +402,8 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         qids.append(qid)
     # A surface that is not normalized can never match a sentence.
     if not _normalized_lines("\n".join([*surface_index, ""])):
-        bad = next(surface for surface in surface_index if not _normalized_lines(surface + "\n"))
-        number = next(n for n, line in enumerate(lines, start=1) if line.startswith(bad + "\t"))
+        surfaces = (line.partition("\t")[0] for line in lines)
+        number, bad = next((n, s) for n, s in enumerate(surfaces, start=1) if not _normalized_lines(s + "\n"))
         message = f"surface {bad!r} is not normalized" if bad else "surface is empty"
         raise InputError(path / SURFACES_FILE, number, message)
     for surface, qids in surface_index.items():

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 import propner
 from propner import augmenter
 from propner.augmenter import Segment
-from propner.cli import _read_sidecar, _read_tag_sequences, main, read_conll, sidecar_header, sidecar_row, write_conll
+from propner.cli import _read_blocks, _read_sidecar, main, read_conll, sidecar_header, sidecar_row, write_conll
 from propner.encoder import TrainConfig, load_model, predict, save_model, train
 from propner.ensemble import WeightedPredictions, weighted_vote
 from propner.inputs import InputError
@@ -329,6 +329,7 @@ AUG_DEFECTS = [
     "gold tag not a BIO tag",
     "missing mask_mode",
     "missing gold_tags",
+    "n_sentence a boolean",
 ]
 
 
@@ -364,6 +365,8 @@ def _break_line_2(path, defect: str) -> None:
         record["gold_tags"][1] = "B-X Y"
     elif defect in ("missing mask_mode", "missing gold_tags"):
         del record[defect.removeprefix("missing ")]
+    elif defect == "n_sentence a boolean":  # the rest is a valid layout for a sentence of 1 token
+        record.update(n_sentence=True, segments=[], gold_tags=record["gold_tags"][:1])
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -443,7 +446,7 @@ class TestHashTokens:
         pred = tmp_path / "pred.tsv"
         pred.write_text(f"{header}\na\tO\n", encoding="utf-8")
         with pytest.raises(InputError, match=re.escape(f"{pred}:1:")):
-            _read_tag_sequences(pred)
+            _read_blocks(pred, (2, 4))
 
     def test_hash_token_in_predictions(self, tmp_path, capsys):
         gold = tmp_path / "gold.conll"
@@ -534,10 +537,15 @@ class TestScoreById:
         code, _, err = self._score(tmp_path, pred_text)
         _assert_one_error_line(code, err, needle)
 
+    @pytest.mark.parametrize("between", ["", "\n"], ids=["back to back", "blank line between"])
+    def test_header_without_token_lines(self, tmp_path, between):
+        code, _, err = self._score(tmp_path, f"# id a\n{between}# id b\nthe\tO\nhuman\tB-OTH\n\n")
+        _assert_one_error_line(code, err, "pred.tsv:2: header for id 'a' has no token lines")
+
     def test_blocks_without_header_take_their_index(self, tmp_path):
         pred = tmp_path / "pred.tsv"
         pred.write_text("a\tO\n\n# id x\nb\tO\n\nc\tO\n", encoding="utf-8")
-        assert [sid for sid, _ in _read_tag_sequences(pred)] == ["0", "x", "2"]
+        assert [sid for sid, _ in _read_blocks(pred, (2, 4))] == ["0", "x", "2"]
 
     def test_invalid_utf8_in_predictions(self, tmp_path):
         gold = tmp_path / "gold.conll"
@@ -561,6 +569,7 @@ class TestDuplicateIds:
         ("# id s1\na _ _ O\n\n# id s1\nb _ _ O\n", ":4: duplicate id 's1'"),
         ("a _ _ O\n\n# id 0\nb _ _ O\n", ":3: duplicate id '0'"),  # a header takes an earlier block's index
         ("# id 1\na _ _ O\n\nb _ _ O\n", ":4: duplicate id '1'"),  # a block's index is an earlier header's id
+        ("# id a\n# id b\nx _ _ O\n\n# id c\ny _ _ O\n", ":2: header for id 'a' has no token lines"),
     ])
     def test_dataset(self, tmp_path, text, needle):
         data = tmp_path / "data.conll"
@@ -766,7 +775,8 @@ def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights)
     argv = ["vote", "--preds", *paths, "--weights", ",".join(map(str, weights)), "--out", str(out)]
     assert main(argv + ["--hard"] * hard) == 0
     expected = weighted_vote(WeightedPredictions(model.labels, list(weights), folds), hard=hard)
-    assert _read_tag_sequences(out) == [(aug.sentence_id, tags) for aug, tags in zip(augs, expected)]
+    voted = [(sid, [tag for _, tag in rows]) for sid, rows in _read_blocks(out, (2, 4))]
+    assert voted == [(aug.sentence_id, tags) for aug, tags in zip(augs, expected)]
 
 
 class TestTagsNameTheirFile:
@@ -1028,13 +1038,18 @@ def test_qid_cap_below_one(tmp_path, dump_file, cap):
     assert not out.exists()
 
 
-def test_import_leaves_out_hashlib():
+@pytest.mark.parametrize("module,absent", [
+    ("propner.cli", ["hashlib", "multiprocessing"]),
+    ("propner.kbstore", ["numpy", "propner.encoder"]),
+], ids=["cli", "kbstore"])
+def test_import_leaves_out_hashlib(module, absent):
     """hashlib loads OpenSSL, which only the commands that read or write a
-    model need; multiprocessing serves only the synthetic A/B."""
-    script = "import sys, propner.cli; print('hashlib' in sys.modules, 'multiprocessing' in sys.modules)"
+    model need; multiprocessing serves only the synthetic A/B. The package
+    exports no names, so a module loads only what it imports itself."""
+    script = f"import sys, {module}; print([name for name in {absent!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(propner.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == "[]\n"
 
 
 CHUNKS = st.one_of(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -148,6 +150,14 @@ class TestWeightedVote:
     def test_repeated_label_rejected(self):
         with pytest.raises(ValueError, match="'labels' must be distinct and in sorted order"):
             WeightedPredictions(["O", "B-X", "O"], [1.0], [[np.zeros((1, 3))]])
+
+    @pytest.mark.parametrize("labels,needle", [
+        ([], "'labels' must be a non-empty list of strings"),
+        (["O", "x"], "'labels': invalid BIO tag 'x'"),
+    ])
+    def test_labels_checked_at_construction(self, labels, needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            WeightedPredictions(labels, [1.0], [[np.zeros((2, len(labels)))]])
 
     def test_mismatched_token_counts_rejected(self):
         good = [np.zeros((2, 3))]

@@ -15,6 +15,8 @@ def test_only_the_line_ending_is_dropped(tmp_path):
 @pytest.mark.parametrize("data,message", [
     (b'{"n": 1}\n\n{"n": 2}\nx\n', "4: Expecting value"),
     (b'{"n": 1}\n\xff\n', "2: 'utf-8' codec can't decode byte 0xff"),
+    # the file is decoded before any line is parsed, and the offset is in the file
+    (b'x\n\xff\n', "2: 'utf-8' codec can't decode byte 0xff in position 2"),
     (b'{"n": 1}\n{}\n', "2: missing key 'n'"),
     (b'{"n": 1}\n[]\n', "2: list indices must be integers"),
 ])
