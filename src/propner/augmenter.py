@@ -205,12 +205,15 @@ def to_json_dict(aug: AugmentedInput) -> dict:
 
 def check_id_and_tokens(sentence_id, tokens) -> None:
     """Check a record's id and its sentence tokens: each must be a non-empty
-    string without whitespace, as ``read_conll`` makes them, so that a
-    prediction file's ``# id`` header and token lines can carry them."""
+    string without whitespace, and there must be at least one token, as
+    ``read_conll`` makes them, so that a prediction file's ``# id`` header
+    and token lines can carry them."""
     if not isinstance(sentence_id, str) or sentence_id.split() != [sentence_id]:
         raise ValueError(f"'id' must be a non-empty string without whitespace, got {sentence_id!r}")
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str} or " ".join(tokens).split() != tokens:
         raise ValueError("sentence tokens must be non-empty strings without whitespace")
+    if not tokens:
+        raise ValueError("the sentence has no tokens")
 
 
 def _range(bounds: list[int]) -> range:

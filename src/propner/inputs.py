@@ -63,11 +63,12 @@ def read_lines(path) -> list[str]:
 def parse_lines(path, parse: Callable[[str], T | None]) -> list[T]:
     """The results other than None of ``parse`` called on each line of
     ``path`` (see ``read_lines``), then on one empty line past the end,
-    which closes a record that ends at a blank line."""
+    which closes a record that ends at a blank line. A defect found there
+    is reported at the file's last line, where the record ends, or at line
+    1 of an empty file."""
     results = []
-    with located(path) as where:
-        for where.line, line in enumerate([*read_lines(path), ""], start=1):
-            result = parse(line)
-            if result is not None:
-                results.append(result)
-    return results
+    with located(path, 1) as where:
+        for where.line, line in enumerate(read_lines(path), start=1):
+            results.append(parse(line))
+        results.append(parse(""))
+    return [result for result in results if result is not None]

@@ -6,17 +6,21 @@ P279 subclass-of, P106 occupation) whose values are again qids. The
 compiled knowledge base maps normalized surface forms to qids and each
 qid to a context string: the labels of its property values joined by
 " | ", in instance-of, subclass-of, occupation order.
+
+The compile reads the records once and keeps of each entity only strings
+and an int (label, surfaces, enabled property values, property count), so a
+dump-scale compile holds no record and gives CPython's cyclic collector
+nothing to rescan.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import re
 import unicodedata
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -77,24 +81,6 @@ def _normalized_lines(text: str) -> bool:
 
 def _qid_num(qid: str) -> int:
     return int(qid[1:])
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause CPython's cyclic garbage collector for the block, then restore
-    the state it had, also on an exception.
-
-    The KB compile keeps every container it makes alive, and makes no
-    reference cycle, so each collection the collector runs there rescans the
-    whole growing heap and frees nothing; reference counting frees every
-    temporary."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass
@@ -261,22 +247,25 @@ def build_context(record: EntityRecord, label_lookup: dict[str, str], property_m
     field is preserved. Qids without a resolvable label are silently
     omitted. Labels are whitespace-collapsed so contexts stay TSV-safe.
     """
-    return _context(record, label_lookup, _check_mask(property_mask))
+    return _context(_values(record, _check_mask(property_mask)), label_lookup)
 
 
-def _context(record: EntityRecord, label_lookup: dict[str, str], mask: frozenset[str]) -> str:
-    """``build_context`` for a mask that ``_check_mask`` has already checked."""
+def _values(record: EntityRecord, mask: frozenset[str]) -> str:
+    """The record's property values of the kinds in ``mask``, in context
+    order, joined by spaces."""
+    return " ".join(qid for kind in PROPERTY_KINDS if kind in mask for qid in getattr(record, kind))
+
+
+def _context(values: str, label_lookup: dict[str, str]) -> str:
+    """``build_context`` of the property values that ``_values`` joined."""
     parts = []
-    for kind in PROPERTY_KINDS:
-        if kind not in mask:
+    for qid in values.split():
+        label = label_lookup.get(qid)
+        if not label:
             continue
-        for qid in getattr(record, kind):
-            label = label_lookup.get(qid)
-            if not label:
-                continue
-            cleaned = " ".join(label.split())
-            if cleaned:
-                parts.append(cleaned)
+        cleaned = " ".join(label.split())
+        if cleaned:
+            parts.append(cleaned)
     return CONTEXT_SEPARATOR.join(parts)
 
 
@@ -288,47 +277,48 @@ def build_knowledge_base(
 ) -> KnowledgeBase:
     """Compile records into a surface index plus per-qid contexts.
 
-    Two passes: the first collects qid -> label (property values are qids
-    whose labels live in other records), the second builds contexts and the
-    surface index. Deterministic for identical input.
+    The records are read once. Of each, only its label, its normalized
+    surfaces (one per line), its enabled property values (joined by spaces)
+    and its property count are kept, as one tuple of three strings and an
+    int; a later record with the same qid replaces the whole entry. The
+    first collection that sees such a tuple stops tracking it, since none
+    of its items is tracked (a nested tuple could still be), so the pass
+    leaves CPython's cyclic collector nothing per record to rescan.
+    Contexts, which need the labels of other records, and the surface index
+    are built after the pass. Deterministic for identical input.
     """
     mask = _check_mask(property_mask)
     if qid_cap < 1:
         raise ValueError(f"qid_cap must be at least 1, got {qid_cap}")
-    with _collector_paused():
-        by_qid: dict[str, EntityRecord] = {}
-        for record in records:
-            if record.qid in by_qid:
-                logger.info("duplicate qid %s in dump, later record wins", record.qid)
-            by_qid[record.qid] = record
+    entries: dict[str, tuple[str, str, str, int]] = {}
+    for record in records:
+        if record.qid in entries:
+            logger.info("duplicate qid %s in dump, later record wins", record.qid)
+        surfaces = []
+        for name in sorted(entity_names(record, language)):
+            surface = normalize_surface(name)
+            if not surface:
+                logger.info("dropping name %r of %s: normalizes to empty", name, record.qid)
+                continue
+            surfaces.append(surface)
+        label = record.labels.get(language, "")
+        entries[record.qid] = (label, "\n".join(surfaces), _values(record, mask), record.property_count())
 
-        label_lookup = {}
-        for qid, record in by_qid.items():
-            label = record.labels.get(language, "")
-            if label:
-                label_lookup[qid] = label
+    label_lookup = {qid: entry[0] for qid, entry in entries.items() if entry[0]}
+    contexts = {qid: _context(entry[2], label_lookup) for qid, entry in entries.items()}
 
-        contexts = {qid: _context(record, label_lookup, mask) for qid, record in by_qid.items()}
+    surface_index: dict[str, list[str]] = {}
+    # splitlines cuts only at whitespace other than a space, which no normalized surface holds.
+    pairs = sorted({(surface, qid) for qid, entry in entries.items() for surface in entry[1].splitlines()})
+    for surface, group in groupby(pairs, key=lambda pair: pair[0]):
+        qids = sorted((qid for _, qid in group), key=_qid_num)
+        if len(qids) > qid_cap:
+            # Keep the most informative entities: most property values first.
+            richest = sorted(qids, key=lambda q: (-entries[q][3], _qid_num(q)))[:qid_cap]
+            qids = sorted(richest, key=_qid_num)
+        surface_index[surface] = qids
 
-        surface_qids: dict[str, set[str]] = {}
-        for qid, record in by_qid.items():
-            for name in sorted(entity_names(record, language)):
-                surface = normalize_surface(name)
-                if not surface:
-                    logger.info("dropping name %r of %s: normalizes to empty", name, qid)
-                    continue
-                surface_qids.setdefault(surface, set()).add(qid)
-
-        surface_index: dict[str, list[str]] = {}
-        for surface in sorted(surface_qids):
-            qids = sorted(surface_qids[surface], key=_qid_num)
-            if len(qids) > qid_cap:
-                # Keep the most informative entities: most property values first.
-                richest = sorted(qids, key=lambda q: (-by_qid[q].property_count(), _qid_num(q)))[:qid_cap]
-                qids = sorted(richest, key=_qid_num)
-            surface_index[surface] = qids
-
-        return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)
+    return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)
 
 
 def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:

@@ -330,6 +330,7 @@ AUG_DEFECTS = [
     "missing mask_mode",
     "missing gold_tags",
     "n_sentence a boolean",
+    "no sentence tokens",
 ]
 
 
@@ -367,6 +368,8 @@ def _break_line_2(path, defect: str) -> None:
         del record[defect.removeprefix("missing ")]
     elif defect == "n_sentence a boolean":  # the rest is a valid layout for a sentence of 1 token
         record.update(n_sentence=True, segments=[], gold_tags=record["gold_tags"][:1])
+    elif defect == "no sentence tokens":  # a valid layout, but augment never writes an empty sentence
+        record.update(tokens=["[CLS]", "[SEP]"], n_sentence=0, segments=[], gold_tags=[])
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -537,10 +540,14 @@ class TestScoreById:
         code, _, err = self._score(tmp_path, pred_text)
         _assert_one_error_line(code, err, needle)
 
-    @pytest.mark.parametrize("between", ["", "\n"], ids=["back to back", "blank line between"])
-    def test_header_without_token_lines(self, tmp_path, between):
-        code, _, err = self._score(tmp_path, f"# id a\n{between}# id b\nthe\tO\nhuman\tB-OTH\n\n")
-        _assert_one_error_line(code, err, "pred.tsv:2: header for id 'a' has no token lines")
+    @pytest.mark.parametrize("pred_text,needle", [
+        ("# id a\n# id b\nthe\tO\nhuman\tB-OTH\n\n", ":2: header for id 'a'"),
+        ("# id a\n\n# id b\nthe\tO\nhuman\tB-OTH\n\n", ":2: header for id 'a'"),
+        (GOLD_AB.replace("_ _ ", "") + "# id c\n", ":9: header for id 'c'"),  # its own line, not one past the end
+    ], ids=["back to back", "blank line between", "last line"])
+    def test_header_without_token_lines(self, tmp_path, pred_text, needle):
+        code, _, err = self._score(tmp_path, pred_text)
+        _assert_one_error_line(code, err, f"pred.tsv{needle} has no token lines")
 
     def test_blocks_without_header_take_their_index(self, tmp_path):
         pred = tmp_path / "pred.tsv"
@@ -570,6 +577,7 @@ class TestDuplicateIds:
         ("a _ _ O\n\n# id 0\nb _ _ O\n", ":3: duplicate id '0'"),  # a header takes an earlier block's index
         ("# id 1\na _ _ O\n\nb _ _ O\n", ":4: duplicate id '1'"),  # a block's index is an earlier header's id
         ("# id a\n# id b\nx _ _ O\n\n# id c\ny _ _ O\n", ":2: header for id 'a' has no token lines"),
+        ("x _ _ O\n\n# id a\n", ":3: header for id 'a' has no token lines"),  # a header on the last line
     ])
     def test_dataset(self, tmp_path, text, needle):
         data = tmp_path / "data.conll"
@@ -641,6 +649,7 @@ SIDECAR_DEFECTS = {
     "tokens not strings": _sidecar_row(tokens=["a", 2]),
     "token with whitespace": _sidecar_row(tokens=["New York", "b"]),
     "empty token": _sidecar_row(tokens=["", "b"]),
+    "no tokens": _sidecar_row(tokens=[], values=np.zeros((0, 2))),
     "dist row count": _sidecar_row(values=DIST[:1]),
     "dist row length": _sidecar_row(dist=_b64([0.2, 0.8, 0.6])),
     "dist not numbers": _sidecar_row(dist=[[0.2, "0.8"], [0.6, 0.4]]),
@@ -682,10 +691,10 @@ class TestSidecarValidation:
         _assert_one_error_line(code, err, f"{sidecar}:1: {needle}")
 
     def test_valid_rows_vote(self, tmp_path):
-        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(), _sidecar_row("s2", [], np.zeros((0, 2))))
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(), _sidecar_row("s2", ["c"], [[0.9, 0.1]]))
         out = tmp_path / "v.tsv"
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\n\n"
+        assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\nc\tB-X\n\n"
 
     @pytest.mark.parametrize("labels,dist", [
         (["O", "O"], [[0.2, 0.8], [0.6, 0.4]]), ([], [[], []]), (["O", "B-X"], [[0.2, 0.8], [0.6, 0.4]]),
@@ -746,7 +755,7 @@ FLOAT64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
 
 
 @settings(max_examples=100, deadline=None)
-@given(dist=st.tuples(st.integers(0, 6), st.integers(1, 4)).flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=FLOAT64)))
+@given(dist=st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=FLOAT64)))
 @example(dist=np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [np.finfo(float).max, -np.finfo(float).tiny]]))
 def test_sidecar_round_trip_is_bit_identical(tmp_path_factory, dist):
     labels = [f"B-L{i}" for i in range(dist.shape[1])]

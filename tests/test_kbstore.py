@@ -1,7 +1,6 @@
 import gc
 import json
 import re
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -213,9 +212,20 @@ class TestBuildKnowledgeBase:
         assert kb.surface_index["human"] == ["Q9", "Q70"]
 
     def test_duplicate_qid_later_wins(self):
-        lines = [record_line("Q1", "first"), record_line("Q1", "second")]
-        kb = build_knowledge_base(parse_dump(lines), "en")
+        """The later record replaces the earlier one whole: its names, its
+        label in a referrer's context and its property count under qid_cap."""
+        lines = [
+            record_line("Q1", "first", aliases=["name"]),
+            record_line("Q2", "referrer", p31=["Q1"]),
+            record_line("Q3", "name", p31=["Q2"]),
+            record_line("Q4", "name", p31=["Q2"]),
+            record_line("Q1", "second", aliases=["name"], p31=["Q2"], p106=["Q2"]),
+        ]
+        kb = build_knowledge_base(parse_dump(lines), "en", qid_cap=2)
         assert "second" in kb.surface_index and "first" not in kb.surface_index
+        assert kb.contexts["Q2"] == "second"
+        assert kb.surface_index["name"] == ["Q1", "Q3"]  # 2 property values, where Q3 and Q4 have 1
+        assert not any("first" in context for context in kb.contexts.values())
 
     def test_qid_cap_keeps_most_properties(self):
         lines = [
@@ -261,35 +271,23 @@ class TestBuildKnowledgeBase:
         assert all(context == "" for context in kb.contexts.values())
 
 
-class TestCollectorState:
-    """The KB compile pauses the cyclic garbage collector, and leaves it
-    enabled or disabled as it found it, also when it raises."""
+class TestCompileMemory:
+    def test_keeps_fewer_tracked_objects_than_records(self):
+        """Of each record the compile keeps only strings and an int, in a
+        tuple that CPython's cyclic collector stops tracking, so reading 2000
+        records leaves fewer tracked objects than records."""
+        lines = [record_line(f"Q{i}", f"name {i}", aliases=[f"alias {i}"], p31=["Q1"]) for i in range(1, 2001)]
+        tracked = []
 
-    @staticmethod
-    def compile(seen, fail):
         def records():
-            for number, record in enumerate(parse_dump([record_line(f"Q{i}", f"name {i}") for i in range(1, 5)])):
-                if fail and number == 2:
-                    raise ValueError("record 3 is bad")
-                seen.append(gc.isenabled())
-                yield record
+            gc.collect()
+            tracked.append(len(gc.get_objects()))
+            yield from parse_dump(lines)
+            gc.collect()
+            tracked.append(len(gc.get_objects()))
 
         build_knowledge_base(records(), "en")
-
-    @pytest.mark.parametrize("build", ["compile"])
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_state_restored(self, build, enabled, fail):
-        seen = []
-        was_enabled = gc.isenabled()
-        gc.enable() if enabled else gc.disable()
-        try:
-            with pytest.raises(ValueError) if fail else nullcontext():
-                getattr(self, build)(seen, fail)
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was_enabled else gc.disable()
-        assert seen and not any(seen)  # paused while the build ran
+        assert tracked[1] - tracked[0] < len(lines)
 
 
 class TestCoverage:
