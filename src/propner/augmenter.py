@@ -217,8 +217,9 @@ def check_id_and_tokens(sentence_id, tokens) -> None:
 
 
 def _range(bounds: list[int]) -> range:
-    start, stop = bounds
-    return range(start, stop)
+    if [type(bound) for bound in bounds] != [int, int]:  # a bool would be written back as an int
+        raise TypeError(f"a segment range must be two integers, got {bounds!r}")
+    return range(*bounds)
 
 
 def from_json_dict(data: dict) -> AugmentedInput:

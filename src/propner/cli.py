@@ -371,11 +371,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file supplying defaults for any flag")
-    sub.add_argument("--verbose", action="store_true", help="log at INFO level")
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _ArgumentParser(prog="propner", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -384,7 +379,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     def command(name: str, help_text: str, fn) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(func=fn)
-        _add_common(sub)
+        sub.add_argument("--config", help="key = value file supplying defaults for any flag")
+        sub.add_argument("--verbose", action="store_true", help="log at INFO level")
         subs[name] = sub
         return sub
 

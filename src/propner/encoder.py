@@ -81,12 +81,15 @@ class ToyEncoderModel:
         self.params = self.views(self.flat)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Named views into ``flat``, a buffer laid out like ``self.flat``."""
-        return _views(flat, _param_shapes(len(self.vocab), len(self.labels), self))
-
-    def token_ids(self, tokens: list[str]) -> np.ndarray:
-        unk = self.vocab[UNK_TOKEN]
-        return np.array([self.vocab.get(token, unk) for token in tokens], dtype=np.int64)
+        """Named views into ``flat``, a buffer laid out like ``self.flat``:
+        the parameters one after another in sorted-name order."""
+        shapes = _param_shapes(len(self.vocab), len(self.labels), self)
+        views, offset = {}, 0
+        for name in sorted(shapes):
+            count = math.prod(shapes[name])
+            views[name] = flat[offset : offset + count].reshape(shapes[name])
+            offset += count
+        return views
 
 
 def build_vocab(datasets: list[AugmentedInput]) -> dict[str, int]:
@@ -113,17 +116,6 @@ def _param_shapes(n_vocab: int, n_labels: int, config: TrainConfig | ToyEncoderM
         shapes.update({prefix + "w1": (d, ff), prefix + "b1": (ff,), prefix + "w2": (ff, d), prefix + "b2": (d,)})
     shapes.update({"cls.w": (d, n_labels), "cls.b": (n_labels,)})
     return shapes
-
-
-def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Views into ``flat`` of the given shapes, laid out one after another in
-    sorted-name order."""
-    views, offset = {}, 0
-    for name in sorted(shapes):
-        count = math.prod(shapes[name])
-        views[name] = flat[offset : offset + count].reshape(shapes[name])
-        offset += count
-    return views
 
 
 def init_model(vocab: dict[str, int], labels: list[str], config: TrainConfig) -> ToyEncoderModel:
@@ -186,7 +178,8 @@ def _prepare(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, n
     the forward pass reads of it."""
     if len(aug.tokens) > model.max_len:
         raise ValueError(f"input of length {len(aug.tokens)} exceeds max_len {model.max_len}")
-    return model.token_ids(aug.tokens), aug.mask.bits
+    unk = model.vocab[UNK_TOKEN]
+    return np.array([model.vocab.get(token, unk) for token in aug.tokens], dtype=np.int64), aug.mask.bits
 
 
 def _forward_pass(model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -229,24 +222,17 @@ def hidden_states(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     return _forward_pass(model, *_prepare(model, aug))[1]["final"]
 
 
-def _label_targets(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
-    """Label indices of the sentence tokens, positions 1..n_sentence; empty
-    when the input is unlabeled."""
-    index = {label: i for i, label in enumerate(model.labels)}
-    targets = []
-    for tag in aug.gold_tags or ():
-        if tag not in index:
-            raise ValueError(f"tag {tag!r} not in model label set")
-        targets.append(index[tag])
-    return np.array(targets, dtype=np.int64)
-
-
 def _example(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A training input as the loss reads it: its ``_prepare``d token ids
-    and mask, then its label targets."""
-    targets = _label_targets(model, aug)
-    if len(targets) == 0:
+    and mask, then the label indices of its sentence tokens, positions
+    1..n_sentence."""
+    if not aug.gold_tags:
         raise ValueError(f"input {aug.sentence_id!r} has no labeled positions")
+    index = {label: i for i, label in enumerate(model.labels)}
+    try:
+        targets = np.array([index[tag] for tag in aug.gold_tags], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"tag {exc.args[0]!r} not in model label set") from None
     return (*_prepare(model, aug), targets)
 
 
@@ -413,7 +399,7 @@ def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, 
 
 
 _MODEL_FORMAT = "toy-encoder"
-_MODEL_VERSION = 2  # version 1 has no digest
+_MODEL_VERSION = 2
 
 
 def _digest(header: dict, body: bytes) -> str:
@@ -449,25 +435,25 @@ def save_model(model: ToyEncoderModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyEncoderModel:
-    """Read a ``save_model`` file, of version 1 or 2. A header line that is
-    not such a header, or whose array list is not the one its
-    hyperparameters give, a body of another length than those arrays, and
-    (version 2) a digest that does not match raise an InputError naming the
-    file."""
+    """Read a ``save_model`` file. A header line that is not such a header,
+    or whose array list is not the one its hyperparameters give, a body of
+    another length than those arrays, and a digest that does not match
+    raise an InputError naming the file."""
     with open(path, "rb") as handle:
         header_line, body = handle.readline(), handle.read()
     with located(path, 1):
         header = json.loads(header_line.decode("utf-8"))
-        version = header["version"]
-        if header["format"] != _MODEL_FORMAT or type(version) is not int or version not in (1, _MODEL_VERSION):
-            raise ValueError(f"not a {_MODEL_FORMAT} model file of version 1 or {_MODEL_VERSION}")
+        if header["format"] != _MODEL_FORMAT or type(header["version"]) is not int or header["version"] != _MODEL_VERSION:
+            raise ValueError(f"not a {_MODEL_FORMAT} model file of version {_MODEL_VERSION}")
         hp = header["hyperparams"]
         config = TrainConfig(**{key: hp[key] for key in _HYPERPARAMS})
         # Every layer has arrays, which bounds the shape table built below.
         if config.n_layers >= len(header["arrays"]):
             raise ValueError("'n_layers' must be below the number of arrays")
         vocab, labels = hp["vocab"], check_labels(hp["labels"])
-        if not isinstance(vocab, dict) or sorted(vocab.values()) != list(range(len(vocab))) or UNK_TOKEN not in vocab:
+        # A bool would pass the order test, since sorted takes False for 0.
+        if (not isinstance(vocab, dict) or set(map(type, vocab.values())) - {int}
+                or sorted(vocab.values()) != list(range(len(vocab))) or UNK_TOKEN not in vocab):
             raise ValueError(f"'vocab' must number its tokens, {UNK_TOKEN!r} among them, from 0 on")
         shapes = dict(sorted(_param_shapes(len(vocab), len(labels), config).items()))
         if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]:
@@ -486,6 +472,6 @@ def load_model(path: str | Path) -> ToyEncoderModel:
     if not np.isfinite(model.flat).all():
         name = next(name for name, view in model.params.items() if not np.isfinite(view).all())
         raise InputError(path, None, f"non-finite values in {name!r}")
-    if version == _MODEL_VERSION and header.get("digest") != _digest(header, body):
+    if header.get("digest") != _digest(header, body):
         raise InputError(path, None, "the digest does not match the header and body")
     return model

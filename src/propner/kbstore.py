@@ -22,7 +22,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from propner.inputs import InputError, located, read_lines
 
@@ -95,9 +95,6 @@ class EntityRecord:
     subclassof: list[str] = field(default_factory=list)
     occupation: list[str] = field(default_factory=list)
 
-    def property_count(self) -> int:
-        return len(self.instanceof) + len(self.subclassof) + len(self.occupation)
-
 
 @dataclass
 class KnowledgeBase:
@@ -124,32 +121,24 @@ class _BadLine(ValueError):
     pass
 
 
-def _string_map(obj: dict, key: str) -> dict[str, str]:
-    value = obj.get(key, {})
+def _language_map(obj: dict, key: str, valid: Callable[[object], bool], message: str) -> dict:
+    """The per-language object ``obj[key]``, empty when missing or null.
+    Each value must pass ``valid``; ``message``, formatted with ``key`` and
+    ``lang``, describes one that does not."""
+    value = obj.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise _BadLine(f"field {key!r} must be an object")
-    out = {}
-    for lang, text in value.items():
-        if not isinstance(text, str):
-            raise _BadLine(f"field {key!r} has a non-string value for {lang!r}")
-        out[lang] = text
-    return out
+    for lang, item in value.items():
+        if not valid(item):
+            raise _BadLine(message.format(key=key, lang=lang))
+    return value
 
 
-def _alias_map(obj: dict) -> dict[str, list[str]]:
-    value = obj.get("aliases", {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise _BadLine("field 'aliases' must be an object")
-    out = {}
-    for lang, items in value.items():
-        if not isinstance(items, list) or any(not isinstance(a, str) for a in items):
-            raise _BadLine(f"aliases for {lang!r} must be a list of strings")
-        out[lang] = list(items)
-    return out
+# The value check and message of _language_map for names and for alias lists.
+_STRING = (lambda v: type(v) is str, "field {key!r} has a non-string value for {lang!r}")
+_STRING_LIST = (lambda v: type(v) is list and {*map(type, v)} <= {str}, "aliases for {lang!r} must be a list of strings")
 
 
 def _claim_list(claims: dict, pid: str) -> list[str]:
@@ -186,13 +175,13 @@ def _record_from_line(raw: bytes | str) -> EntityRecord | None:
     claims = obj.get("claims", {}) or {}
     if not isinstance(claims, dict):
         raise _BadLine("field 'claims' must be an object")
-    sitelinks = _string_map(obj, "sitelinks")
+    sitelinks = _language_map(obj, "sitelinks", *_STRING)
     # Convention: sitelink key "<lang>wiki" carries the title for <lang>.
     titles = {key[: -len("wiki")]: title for key, title in sitelinks.items() if key.endswith("wiki") and key != "wiki"}
     return EntityRecord(
         qid=qid,
-        labels=_string_map(obj, "labels"),
-        aliases=_alias_map(obj),
+        labels=_language_map(obj, "labels", *_STRING),
+        aliases=_language_map(obj, "aliases", *_STRING_LIST),
         sitelink_titles=titles,
         instanceof=_claim_list(claims, "P31"),
         subclassof=_claim_list(claims, "P279"),
@@ -302,7 +291,8 @@ def build_knowledge_base(
                 continue
             surfaces.append(surface)
         label = record.labels.get(language, "")
-        entries[record.qid] = (label, "\n".join(surfaces), _values(record, mask), record.property_count())
+        count = len(record.instanceof) + len(record.subclassof) + len(record.occupation)
+        entries[record.qid] = (label, "\n".join(surfaces), _values(record, mask), count)
 
     label_lookup = {qid: entry[0] for qid, entry in entries.items() if entry[0]}
     contexts = {qid: _context(entry[2], label_lookup) for qid, entry in entries.items()}

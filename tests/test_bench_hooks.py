@@ -1,7 +1,8 @@
-"""The names the benchmark's tracer rebinds still exist with the shapes it
-relies on. A renamed function would otherwise break only a traced benchmark
-run (``bench/run.py --trace``), which the test suite does not start."""
+"""The names the benchmark reads and its tracer rebinds still exist with the
+shapes it relies on. A renamed function would otherwise break only a
+benchmark run (``bench/run.py``), which the test suite does not start."""
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -14,8 +15,11 @@ from propner.matcher import Sentence
 from conftest import table_dump_lines
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
 def _tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = BENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -28,6 +32,38 @@ TARGETS = _tracing().TARGETS
 @pytest.mark.parametrize("module,name", TARGETS)
 def test_target_is_a_function(module, name):
     assert inspect.isfunction(getattr(importlib.import_module(f"propner.{module}"), name))
+
+
+def _bench_references() -> list[tuple[str, str, str]]:
+    """(file, module, name) of each ``propner`` module attribute that a
+    ``bench/*.py`` file reads: ``<alias>.<name>`` where ``<alias>`` is bound
+    by ``import propner`` or ``from propner import <module>``, and each name
+    of a ``from propner.<module> import``."""
+    refs = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update({a.asname or a.name: a.name for a in node.names if a.name == "propner"})
+            elif isinstance(node, ast.ImportFrom) and node.module == "propner":
+                modules.update({a.asname or a.name: f"propner.{a.name}" for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("propner."):
+                refs += [(path.name, node.module, a.name) for a in node.names]
+        refs += [
+            (path.name, modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+    return refs
+
+
+def test_every_name_the_bench_reads_exists():
+    refs = _bench_references()
+    assert refs, "no propner references found under bench/"
+    missing = sorted({f"{file}: {module}.{name}" for file, module, name in refs
+                      if not hasattr(importlib.import_module(module), name)})
+    assert missing == []
 
 
 def test_parse_dump_is_a_generator_function():

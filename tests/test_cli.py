@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -331,6 +332,7 @@ AUG_DEFECTS = [
     "missing gold_tags",
     "n_sentence a boolean",
     "no sentence tokens",
+    "entity bound a boolean",
 ]
 
 
@@ -370,6 +372,8 @@ def _break_line_2(path, defect: str) -> None:
         record.update(n_sentence=True, segments=[], gold_tags=record["gold_tags"][:1])
     elif defect == "no sentence tokens":  # a valid layout, but augment never writes an empty sentence
         record.update(tokens=["[CLS]", "[SEP]"], n_sentence=0, segments=[], gold_tags=[])
+    elif defect == "entity bound a boolean":  # true reads as 1, which makes a valid range
+        segment["entity"] = [True, segment["entity"][1]]
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -902,24 +906,32 @@ def cli_files(tmp_path_factory):
             "dump": dump, "kb": root / "kb", "config": config}
 
 
-def _edit_header(edit):
-    """A model file transform that applies ``edit`` to the parsed header."""
+def _edit_header(edit, redigest: bool = False):
+    """A model file transform that applies ``edit`` to the parsed header. The
+    digest is left stale unless ``redigest``."""
     def apply(data: bytes) -> bytes:
         header, body = data.split(b"\n", 1)
         record = json.loads(header)
         edit(record)
+        if redigest:
+            rest = {key: value for key, value in record.items() if key != "digest"}
+            canonical = json.dumps(rest, sort_keys=True, ensure_ascii=False).encode("utf-8")
+            record["digest"] = hashlib.blake2b(canonical + body).hexdigest()
         return json.dumps(record).encode("utf-8") + b"\n" + body
     return apply
 
 
-def _version_1(**hyperparams):
-    """A model file transform to a version-1 file, which has no digest, with
-    ``hyperparams`` in its header."""
-    def edit(header):
-        del header["digest"]
-        header["version"] = 1
-        header["hyperparams"].update(hyperparams)
-    return _edit_header(edit)
+def _hyperparams(**hyperparams):
+    """A model file transform that puts ``hyperparams`` in the header and
+    leaves the digest stale."""
+    return _edit_header(lambda header: header["hyperparams"].update(hyperparams))
+
+
+def _bool_vocab(header):
+    """Number the first two vocab tokens False and True, which sort as 0 and 1."""
+    vocab = header["hyperparams"]["vocab"]
+    first = next(token for token, index in vocab.items() if index == 1)
+    vocab.update({"[UNK]": False, first: True})
 
 
 MODEL_DEFECTS = {
@@ -938,11 +950,13 @@ MODEL_DEFECTS = {
         lambda data: data[:-8] + struct.pack("<d", struct.unpack("<d", data[-8:])[0] + 1.0),
         ": the digest does not match",
     ),
-    # Version-1 files have no digest, so only the labels and config checks catch these.
-    "labels not BIO tags, version 1": (_version_1(labels=["B-OTH", "B-PER", "O", "PER"]), ":1: 'labels': invalid BIO tag 'PER'"),
-    "labels repeated, version 1": (_version_1(labels=["B-OTH", "B-PER", "B-PER", "O"]), ":1: 'labels' must be distinct"),
-    "labels unsorted, version 1": (_version_1(labels=["O", "I-PER", "B-PER", "B-OTH"]), ":1: 'labels' must be distinct"),
-    "seed not an integer, version 1": (_version_1(seed="x"), ":1: 'seed' must be an integer of at least 0, got 'x'"),
+    # The digest is checked last, so the labels and config checks catch these.
+    "labels not BIO tags": (_hyperparams(labels=["B-OTH", "B-PER", "O", "PER"]), ":1: 'labels': invalid BIO tag 'PER'"),
+    "labels repeated": (_hyperparams(labels=["B-OTH", "B-PER", "B-PER", "O"]), ":1: 'labels' must be distinct"),
+    "labels unsorted": (_hyperparams(labels=["O", "I-PER", "B-PER", "B-OTH"]), ":1: 'labels' must be distinct"),
+    "seed not an integer": (_hyperparams(seed="x"), ":1: 'seed' must be an integer of at least 0, got 'x'"),
+    "vocab indices booleans": (_edit_header(_bool_vocab, redigest=True), ":1: 'vocab' must number its tokens"),
+    "version 1": (_edit_header(lambda h: h.update(version=1)), ":1: not a toy-encoder model file of version 2"),
 }
 
 
