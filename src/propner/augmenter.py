@@ -179,28 +179,45 @@ def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode:
     return AttentionMask(bits=bits)
 
 
-def to_json_dict(aug: AugmentedInput) -> dict:
-    """JSON-serializable form (format 1). ``mask_bits`` lists the set bits
+def _mask_bits(aug: AugmentedInput) -> str:
+    """The pairs of format 1's ``mask_bits``, written from the layout: the
+    set mask bits outside the sentence block, in the row order of
+    ``np.argwhere``. Entity rows attend their context; in the default mode,
+    context rows attend their entity and then their context, and every
+    other row after [SEP] attends itself."""
+
+    def pairs(columns) -> str:
+        return ", ".join([f"[\0, {column}]" for column in columns])
+
+    blocks = []  # (first row, stop row, the pairs of each row, "\0" standing for the row)
+    for seg in aug.segments:
+        ent, ctx = seg.entity_positions, seg.context_positions
+        blocks.append((ent.start, ent.stop, pairs(ctx)))
+        if aug.mask_mode == "default":
+            blocks.append((ctx.start, ctx.stop, pairs([*ent, *ctx])))
+    if aug.mask_mode == "default":
+        row = aug.n_sentence + 2
+        for start, stop, _ in sorted(blocks[1::2]):  # the context blocks
+            blocks.append((row, start, "[\0, \0]"))
+            row = stop
+        blocks.append((row, len(aug.tokens), "[\0, \0]"))
+    rows = [template.replace("\0", str(row)) for start, stop, template in sorted(blocks) for row in range(start, stop)]
+    return ", ".join(rows)
+
+
+def to_json_line(aug: AugmentedInput) -> str:
+    """The aug-JSONL line of an input (format 1), without its newline: keys
+    sorted, non-ASCII text as it is. ``mask_bits`` lists the set bits
     outside the implicit all-ones sentence block for readers of the format;
     ``from_json_dict`` ignores it and derives the mask from the layout."""
-    block = aug.n_sentence + 2
-    extra_bits = aug.mask.bits.copy()
-    extra_bits[:block, :block] = False
-    return {
-        "id": aug.sentence_id,
-        "tokens": list(aug.tokens),
-        "n_sentence": aug.n_sentence,
-        "segments": [
-            {
-                "entity": [seg.entity_positions.start, seg.entity_positions.stop],
-                "context": [seg.context_positions.start, seg.context_positions.stop],
-            }
-            for seg in aug.segments
-        ],
-        "mask_mode": aug.mask_mode,
-        "mask_bits": np.argwhere(extra_bits).tolist(),
-        "gold_tags": aug.gold_tags,
-    }
+    segments = [{"context": [s.context_positions.start, s.context_positions.stop],
+                 "entity": [s.entity_positions.start, s.entity_positions.stop]} for s in aug.segments]
+    # "mask_bits" sorts between "id" and "mask_mode"; the rest of the line is encoded in two halves around it.
+    head, tail = (json.dumps(half, sort_keys=True, ensure_ascii=False) for half in (
+        {"gold_tags": aug.gold_tags, "id": aug.sentence_id},
+        {"mask_mode": aug.mask_mode, "n_sentence": aug.n_sentence, "segments": segments, "tokens": aug.tokens},
+    ))
+    return f'{head[:-1]}, "mask_bits": [{_mask_bits(aug)}], {tail[1:]}'
 
 
 def check_id_and_tokens(sentence_id, tokens) -> None:
@@ -244,7 +261,7 @@ def from_json_dict(data: dict) -> AugmentedInput:
 def write_jsonl(augs: list[AugmentedInput], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for aug in augs:
-            handle.write(json.dumps(to_json_dict(aug), sort_keys=True, ensure_ascii=False) + "\n")
+            handle.write(to_json_line(aug) + "\n")
 
 
 def read_jsonl(path, max_len: int | None = None, labeled: bool = False) -> list[AugmentedInput]:

@@ -458,7 +458,9 @@ def load_model(path: str | Path) -> ToyEncoderModel:
         shapes = dict(sorted(_param_shapes(len(vocab), len(labels), config).items()))
         if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]:
             raise ValueError("the array list does not match the hyperparameters")
-        epoch_losses = list(header.get("epoch_losses", []))
+        epoch_losses = header["epoch_losses"]
+        if type(epoch_losses) is not list or not all(type(x) in (int, float) and math.isfinite(x) for x in epoch_losses):
+            raise ValueError("'epoch_losses' must be a list of finite numbers")
     size = 8 * sum(map(math.prod, shapes.values()))
     if len(body) != size:
         raise InputError(path, None, f"the arrays take {size} bytes, {len(body)} follow the header")

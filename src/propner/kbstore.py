@@ -172,7 +172,7 @@ def _record_from_line(raw: bytes | str) -> EntityRecord | None:
         raise _BadLine("missing 'id' field")
     if not isinstance(qid, str) or not QID_PATTERN.fullmatch(qid):
         raise _BadLine(f"malformed qid {qid!r}")
-    claims = obj.get("claims", {}) or {}
+    claims = {} if obj.get("claims") is None else obj["claims"]
     if not isinstance(claims, dict):
         raise _BadLine("field 'claims' must be an object")
     sitelinks = _language_map(obj, "sitelinks", *_STRING)

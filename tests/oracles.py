@@ -7,6 +7,8 @@ package internals it verifies.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from propner.kbstore import KnowledgeBase, normalize_surface
@@ -79,6 +81,27 @@ def rule_mask(n_sentence: int, size: int, segments, mode: str) -> np.ndarray:
                 value = 0
             bits[i, j] = value
     return bits
+
+
+def reference_json_line(aug) -> str:
+    """An input's aug-JSONL line (format 1) as ``json.dumps`` writes its
+    dict, with ``mask_bits`` read off the dense mask by ``np.argwhere``."""
+    bits = aug.mask.bits.copy()
+    bits[: aug.n_sentence + 2, : aug.n_sentence + 2] = False
+    record = {
+        "id": aug.sentence_id,
+        "tokens": aug.tokens,
+        "n_sentence": aug.n_sentence,
+        "segments": [
+            {"entity": [s.entity_positions.start, s.entity_positions.stop],
+             "context": [s.context_positions.start, s.context_positions.stop]}
+            for s in aug.segments
+        ],
+        "mask_mode": aug.mask_mode,
+        "mask_bits": np.argwhere(bits).tolist(),
+        "gold_tags": aug.gold_tags,
+    }
+    return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
 def reference_softmax_row(scores: np.ndarray, allowed: list[int]) -> np.ndarray:

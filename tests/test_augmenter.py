@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,13 @@ from propner.augmenter import (
     Segment,
     assemble,
     from_json_dict,
-    to_json_dict,
+    to_json_line,
+    write_jsonl,
 )
 from propner.matcher import EntityMatch, Sentence
 
 from helpers import random_augmented
-from oracles import rule_mask
+from oracles import reference_json_line, rule_mask
 
 VICTOR_PAIR = EntityMatch(0, 2, "victor cousin", "Q434346", "human | philosopher | politician")
 VICTOR_SENTENCE = Sentence("s", ["Victor", "Cousin", "was", "a", "philosopher"], ["B-PER", "I-PER", "O", "O", "O"])
@@ -202,20 +204,101 @@ class TestMask:
             assemble(VICTOR_SENTENCE, [], 64, "loose")
 
 
+def _gapped_layout(rng: np.random.Generator, mode: str) -> AugmentedInput:
+    """A layout as a hand-written file may give it: segments listed in any
+    order, and rows after [SEP] that no context covers, a "$" or not."""
+    n = int(rng.integers(1, 9))
+    tokens = ["[CLS]", *(f"w{i}" for i in range(n)), "[SEP]"]
+    segments = []
+    for start in range(1, n + 1, 2):
+        if rng.random() < 0.6:
+            tokens += ["$"] * int(rng.integers(0, 3))
+            width = int(rng.integers(1, 4))
+            segments.append(Segment(range(start, start + 1), range(len(tokens), len(tokens) + width)))
+            tokens += ["x"] * width
+    tokens += ["$"] * int(rng.integers(0, 3))
+    order = rng.permutation(len(segments))
+    return AugmentedInput(tokens, n, [segments[i] for i in order], None, "g", mode)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("mode", ["default", "strict-paper"])
     def test_json_round_trip(self, mode):
         rng = np.random.default_rng(123)
         for _ in range(40):
             aug = random_augmented(rng, mode)
-            assert from_json_dict(to_json_dict(aug)) == aug
+            assert from_json_dict(json.loads(to_json_line(aug))) == aug
 
     def test_gold_tags_preserved(self):
         aug = assemble(VICTOR_SENTENCE, [VICTOR_PAIR], 64)
-        data = to_json_dict(aug)
+        data = json.loads(to_json_line(aug))
         assert data["gold_tags"] == ["B-PER", "I-PER", "O", "O", "O"]
         assert from_json_dict(data).gold_tags == aug.gold_tags
 
     def test_sentence_block_not_serialized(self):
         aug = assemble(VICTOR_SENTENCE, [], 64)
-        assert to_json_dict(aug)["mask_bits"] == []
+        assert json.loads(to_json_line(aug))["mask_bits"] == []
+
+    @pytest.mark.parametrize("mode", ["default", "strict-paper"])
+    def test_line_matches_dense_mask_encoding(self, mode):
+        """``mask_bits`` is written from the layout; the reference encodes
+        ``np.argwhere`` of the dense mask outside the sentence block."""
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            for aug in (random_augmented(rng, mode, labeled=True), _gapped_layout(rng, mode)):
+                assert to_json_line(aug) == reference_json_line(aug)
+
+    GOLDEN_LINES = [
+        (
+            r'{"gold_tags": ["B-PER", "O", "O", "O", "B-LOC"], "id": "q\"1", "mask_bits": [[1, 7], [1, 8], '
+            r'[1, 9], [1, 10], [5, 12], [5, 13], [7, 1], [7, 7], [7, 8], [7, 9], [7, 10], [8, 1], [8, 7], [8, '
+            r'8], [8, 9], [8, 10], [9, 1], [9, 7], [9, 8], [9, 9], [9, 10], [10, 1], [10, 7], [10, 8], [10, '
+            r'9], [10, 10], [11, 11], [12, 5], [12, 12], [12, 13], [13, 5], [13, 12], [13, 13]], '
+            r'"mask_mode": "default", "n_sentence": 5, "segments": [{"context": [7, 11], "entity": [1, 2]}, '
+            r'{"context": [12, 14], "entity": [5, 6]}], "tokens": ["[CLS]", "Zoë", "said", "\"hi\"", "to", '
+            r'"back\\slash", "[SEP]", "Zoë", "human", "|", "café", "$", "back\\slash", "town"]}'
+        ),
+        (
+            r'{"gold_tags": null, "id": "s2", "mask_bits": [[1, 5], [1, 6], [1, 7], [1, 8], [1, 9], [1, 10], '
+            r'[1, 11], [2, 5], [2, 6], [2, 7], [2, 8], [2, 9], [2, 10], [2, 11]], '
+            r'"mask_mode": "strict-paper", "n_sentence": 3, "segments": [{"context": [5, 12], "entity": [1, '
+            r'3]}], "tokens": ["[CLS]", "Victor", "Cousin", "wrote", "[SEP]", "Victor", "Cousin", "human", '
+            r'"|", "philosopher", "|", "politician"]}'
+        ),
+        (
+            r'{"gold_tags": null, "id": "s4", "mask_bits": [[1, 9], [1, 10], [3, 6], [3, 7], [5, 5], [6, 3], '
+            r'[6, 6], [6, 7], [7, 3], [7, 6], [7, 7], [8, 8], [9, 1], [9, 9], [9, 10], [10, 1], [10, 9], [10, '
+            r'10], [11, 11]], "mask_mode": "default", "n_sentence": 3, "segments": [{"context": [6, 8], '
+            r'"entity": [3, 4]}, {"context": [9, 11], "entity": [1, 2]}], "tokens": ["[CLS]", "a", "b", "c", '
+            r'"[SEP]", "x", "c", "y", "$", "a", "z", "w"]}'
+        ),
+        (
+            r'{"gold_tags": ["O", "O", "B-X"], "id": "s5", "mask_bits": [[1, 9], [1, 10], [3, 6], [3, 7]], '
+            r'"mask_mode": "strict-paper", "n_sentence": 3, "segments": [{"context": [6, 8], "entity": [3, '
+            r'4]}, {"context": [9, 11], "entity": [1, 2]}], "tokens": ["[CLS]", "a", "b", "c", "[SEP]", "x", '
+            r'"c", "y", "$", "a", "z", "w"]}'
+        ),
+        (
+            r'{"gold_tags": null, "id": "s6", "mask_bits": [], "mask_mode": "default", "n_sentence": 1, '
+            r'"segments": [], "tokens": ["[CLS]", "one", "[SEP]"]}'
+        ),
+
+    ]
+
+    def test_golden_bytes(self, tmp_path):
+        quoted = Sentence('q"1', ["Zoë", "said", '"hi"', "to", "back\\slash"], ["B-PER", "O", "O", "O", "B-LOC"])
+        pairs = [EntityMatch(0, 1, "zoë", "Q1", "human | café"), EntityMatch(4, 5, "back\\slash", "Q2", "town")]
+        ambiguous = [EntityMatch(0, 2, "victor cousin", "Q3", "human | philosopher"),
+                     EntityMatch(0, 2, "victor cousin", "Q4", "human | politician")]
+        # Segments out of order, with uncovered rows after [SEP] and at the end.
+        tokens = ["[CLS]", "a", "b", "c", "[SEP]", "x", "c", "y", "$", "a", "z", "w"]
+        segments = [Segment(range(3, 4), range(6, 8)), Segment(range(1, 2), range(9, 11))]
+        augs = [
+            assemble(quoted, pairs, 64),
+            assemble(Sentence("s2", ["Victor", "Cousin", "wrote"]), ambiguous, 64, "strict-paper"),
+            AugmentedInput(tokens, 3, segments, None, "s4", "default"),
+            AugmentedInput(tokens, 3, segments, ["O", "O", "B-X"], "s5", "strict-paper"),
+            assemble(Sentence("s6", ["one"]), [], 64),
+        ]
+        write_jsonl(augs, tmp_path / "aug.jsonl")
+        assert (tmp_path / "aug.jsonl").read_bytes() == "".join(line + "\n" for line in self.GOLDEN_LINES).encode("utf-8")

@@ -934,6 +934,7 @@ def _bool_vocab(header):
     vocab.update({"[UNK]": False, first: True})
 
 
+_LOSSES = ":1: 'epoch_losses' must be a list of finite numbers"
 MODEL_DEFECTS = {
     "body truncated": (lambda data: data[:-5], ": the arrays take"),
     "8 bytes appended": (lambda data: data + bytes(8), ": the arrays take"),
@@ -957,6 +958,9 @@ MODEL_DEFECTS = {
     "seed not an integer": (_hyperparams(seed="x"), ":1: 'seed' must be an integer of at least 0, got 'x'"),
     "vocab indices booleans": (_edit_header(_bool_vocab, redigest=True), ":1: 'vocab' must number its tokens"),
     "version 1": (_edit_header(lambda h: h.update(version=1)), ":1: not a toy-encoder model file of version 2"),
+    "epoch_losses a string": (_edit_header(lambda h: h.update(epoch_losses="ab"), redigest=True), _LOSSES),
+    "epoch_losses not finite": (_edit_header(lambda h: h["epoch_losses"].append(float("nan")), redigest=True), _LOSSES),
+    "epoch_losses missing": (_edit_header(lambda h: h.pop("epoch_losses"), redigest=True), ":1: missing key 'epoch_losses'"),
 }
 
 

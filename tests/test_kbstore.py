@@ -124,6 +124,10 @@ class TestParseDump:
         (b'{"id": "Q5\\n"}', "malformed qid 'Q5\\n'"),
         (b'{"id": "Q01"}', "malformed qid 'Q01'"),
         (b'{"id": "Q1", "claims": ["P31"]}', "field 'claims' must be an object"),
+        (b'{"id": "Q1", "claims": []}', "field 'claims' must be an object"),
+        (b'{"id": "Q1", "claims": 0}', "field 'claims' must be an object"),
+        (b'{"id": "Q1", "claims": ""}', "field 'claims' must be an object"),
+        (b'{"id": "Q1", "claims": false}', "field 'claims' must be an object"),
         (b'{"id": "Q1", "claims": {"P31": "Q5"}}', "claim P31 must be a list"),
         (b'{"id": "Q1", "claims": {"P106": ["Q5", "q6"]}}', "claim P106 contains malformed qid 'q6'"),
         (b'{"id": "Q1", "claims": {"P31": ["Q7\\n"]}}', "claim P31 contains malformed qid 'Q7\\n'"),
@@ -149,6 +153,10 @@ class TestParseDump:
         records = list(parse_dump(lines, report))
         assert [record.qid for record in records] == ["Q2"]
         assert [(error.line_number, error.message) for error in report] == expected
+
+    def test_claims_missing_or_null_mean_none(self):
+        records = list(parse_dump(['{"id": "Q1"}', '{"id": "Q2", "claims": null}']))
+        assert [(r.qid, r.instanceof, r.subclassof, r.occupation) for r in records] == [("Q1", [], [], []), ("Q2", [], [], [])]
 
     def test_sitelink_language_mapping(self):
         line = json.dumps({"id": "Q9", "sitelinks": {"enwiki": "Nine", "dewiki": "Neun", "other": "x"}})
