@@ -209,7 +209,8 @@ def to_json_line(aug: AugmentedInput) -> str:
     """The aug-JSONL line of an input (format 1), without its newline: keys
     sorted, non-ASCII text as it is. ``mask_bits`` lists the set bits
     outside the implicit all-ones sentence block for readers of the format;
-    ``from_json_dict`` ignores it and derives the mask from the layout."""
+    ``from_json_dict`` ignores it and derives the mask from the layout, and
+    ``read_jsonl`` skips it undecoded when it is the one written here."""
     segments = [{"context": [s.context_positions.start, s.context_positions.stop],
                  "entity": [s.entity_positions.start, s.entity_positions.stop]} for s in aug.segments]
     # "mask_bits" sorts between "id" and "mask_mode"; the rest of the line is encoded in two halves around it.
@@ -258,6 +259,37 @@ def from_json_dict(data: dict) -> AugmentedInput:
     )
 
 
+def _decode(line: str) -> AugmentedInput:
+    """``from_json_dict(json.loads(line))``, without decoding a
+    ``mask_bits`` that is the one the writer would write.
+
+    The line is cut at the writer's delimiters, the first
+    ``', "mask_bits": ['`` and the first ``'], "mask_mode": '`` after it.
+    The rest, with ``', "mask_mode": '`` joined back, is decoded; its input
+    is kept if ``_mask_bits`` of it equals the text cut out. Every other
+    line, and one whose rest does not decode or check, is decoded whole.
+
+    This is sound. The ``"`` before ``mask_mode`` in the rest follows a
+    space, so it is not escaped: it opens or closes a string. It cannot
+    close one, because a bare ``mask_mode`` is not JSON, so it opens a key,
+    and the comma before it parts two members of an object. The line is
+    the rest with a member ``"mask_bits": [...]`` put back before that key,
+    and its value, as ``_mask_bits`` writes it, is a list of integer pairs.
+    So the whole line decodes to the same data plus that member, and
+    ``from_json_dict`` reads no ``mask_bits``, at any depth."""
+    head, cut, rest = line.partition(', "mask_bits": [')
+    bits, cut_end, tail = rest.partition('], "mask_mode": ')
+    if cut and cut_end:
+        try:
+            aug = from_json_dict(json.loads(f'{head}, "mask_mode": {tail}'))
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            if _mask_bits(aug) == bits:
+                return aug
+    return from_json_dict(json.loads(line))
+
+
 def write_jsonl(augs: list[AugmentedInput], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for aug in augs:
@@ -268,14 +300,18 @@ def read_jsonl(path, max_len: int | None = None, labeled: bool = False) -> list[
     """Load an aug-JSONL file. A malformed line, a repeated id, a gold tag
     that is not a BIO tag, an input longer than ``max_len`` or, if
     ``labeled``, an input without gold tags raises an InputError naming
-    ``path:line``. Each distinct tag is checked once."""
+    ``path:line``. Each distinct tag is checked once.
+
+    A ``mask_bits`` that is the one ``to_json_line`` writes is skipped
+    without being decoded (see ``_decode``); any other is decoded with the
+    whole line and ignored, so a line that is not JSON is still refused."""
     tags: set[str] = set()
     ids: set[str] = set()
 
     def parse(line: str) -> AugmentedInput | None:
         if not line.strip():
             return None
-        aug = from_json_dict(json.loads(line))
+        aug = _decode(line)
         if aug.sentence_id in ids:
             raise ValueError(f"duplicate id {aug.sentence_id!r}")
         ids.add(aug.sentence_id)

@@ -317,8 +317,6 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
 
 
 def cmd_vote(args) -> int:
-    if len(args.weights) != len(args.preds):
-        raise ValueError(f"{len(args.weights)} weights for {len(args.preds)} prediction files")
     labels, rows = first = _read_sidecar(args.preds[0])
     folds = [rows] + [_read_sidecar(path, first)[1] for path in args.preds[1:]]
     preds = WeightedPredictions(

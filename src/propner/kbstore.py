@@ -376,17 +376,21 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
             if not tab:
                 message = "expected 'surface<TAB>qid'"
             raise InputError(path / SURFACES_FILE, number, message)
-        qids = surface_index.setdefault(surface, [])
-        if qid in qids:
+        qids = surface_index.get(surface)
+        if qids is None:
+            surface_index[surface] = [qid]  # allocated to fit, where append reserves 4 slots; most surfaces have one qid
+        elif qid in qids:
             raise InputError(path / SURFACES_FILE, number, f"surface {surface!r} is listed with {qid!r} twice")
-        qids.append(qid)
+        else:
+            qids.append(qid)
     # A surface that is not normalized can never match a sentence.
     if not _normalized_lines("\n".join([*surface_index, ""])):
         surfaces = (line.partition("\t")[0] for line in lines)
         number, bad = next((n, s) for n, s in enumerate(surfaces, start=1) if not _normalized_lines(s + "\n"))
         message = f"surface {bad!r} is not normalized" if bad else "surface is empty"
         raise InputError(path / SURFACES_FILE, number, message)
-    for surface, qids in surface_index.items():
-        surface_index[surface] = sorted(qids, key=_qid_num)
+    for qids in surface_index.values():
+        if len(qids) > 1:
+            qids.sort(key=_qid_num)
 
     return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)

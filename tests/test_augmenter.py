@@ -1,17 +1,21 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from propner import augmenter
 from propner.augmenter import (
     AugmentedInput,
     Segment,
     assemble,
     from_json_dict,
+    read_jsonl,
     to_json_line,
     write_jsonl,
 )
+from propner.inputs import InputError
 from propner.matcher import EntityMatch, Sentence
 
 from helpers import random_augmented
@@ -302,3 +306,87 @@ class TestSerialization:
         ]
         write_jsonl(augs, tmp_path / "aug.jsonl")
         assert (tmp_path / "aug.jsonl").read_bytes() == "".join(line + "\n" for line in self.GOLDEN_LINES).encode("utf-8")
+
+
+def _writer_inputs(seed: int) -> list[AugmentedInput]:
+    """Inputs of every layout the generators make, in both mask modes and
+    with distinct ids, plus one without segments in each mode."""
+    rng = np.random.default_rng(seed)
+    augs = [assemble(Sentence(f"e-{mode}", ["one"]), [], 8, mode) for mode in ("default", "strict-paper")]
+    for mode in ("default", "strict-paper"):
+        for _ in range(15):
+            augs += [random_augmented(rng, mode, labeled=True), random_augmented(rng, mode), _gapped_layout(rng, mode)]
+    return [replace(aug, sentence_id=f"{index}-{aug.sentence_id}") for index, aug in enumerate(augs)]
+
+
+def _variants(line: str) -> dict[str, str]:
+    """A writer's line, and lines that differ from it where the decode of
+    ``read_jsonl`` cuts ``mask_bits`` out."""
+    data = json.loads(line)
+    bits = data["mask_bits"]
+
+    def dumps(record: dict, **options) -> str:
+        return json.dumps(record, ensure_ascii=False, **options)
+
+    return {
+        "as written": line,
+        "compact separators": dumps(data, sort_keys=True, separators=(",", ":")),
+        "keys reversed": dumps(dict(reversed(data.items()))),
+        "tokens first": dumps({"tokens": data["tokens"], **data}),
+        "space inside mask_bits": line.replace('"mask_bits": [', '"mask_bits": [ ', 1),
+        "mask bits edited by hand": dumps({**data, "mask_bits": [[-1, -1], [0, 99]]}, sort_keys=True),
+        "one mask bit dropped": dumps({**data, "mask_bits": bits[:-1]}, sort_keys=True),
+        "one mask bit added": dumps({**data, "mask_bits": [*bits, [0, 0]]}, sort_keys=True),
+        "no mask_bits": dumps({key: value for key, value in data.items() if key != "mask_bits"}, sort_keys=True),
+        "mask_bits not JSON": line.replace('"mask_bits": [', '"mask_bits": [[1, 07]' + (", " if bits else ""), 1),
+        "escaped delimiters in a string": dumps(
+            {**data, "comment": ', "mask_bits": [], "mask_mode": "strict-paper"'}, sort_keys=True),
+        "nested object with mask_mode": dumps(
+            {**data, "extra": {"a": 1, "mask_bits": [], "mask_mode": "loose"}}, sort_keys=True),
+        "key between mask_bits and mask_mode": dumps({**data, "mask_bitz": []}, sort_keys=True),
+        "mask_mode not a mode": dumps({**data, "mask_mode": "loose"}, sort_keys=True),
+        "text after the object": line + " x",
+    }
+
+
+class TestDecode:
+    """``read_jsonl`` skips a ``mask_bits`` the writer would write; what it
+    reads must not differ from decoding each line whole."""
+
+    FIRST_LINE = to_json_line(assemble(Sentence("first", ["a"]), [], 8))
+
+    @staticmethod
+    def _outcome(path: Path):
+        try:
+            return [(aug, aug.mask.bits.tobytes()) for aug in read_jsonl(path)]
+        except InputError as exc:
+            return str(exc)
+
+    def test_same_inputs_or_error_as_a_whole_decode(self, tmp_path, monkeypatch):
+        cases = []
+        for index, aug in enumerate(_writer_inputs(5)):
+            for name, line in _variants(to_json_line(aug)).items():
+                path = tmp_path / f"{index}-{name}.jsonl"
+                path.write_text(f"{self.FIRST_LINE}\n{line}\n", encoding="utf-8")
+                cases.append((name, path, self._outcome(path)))
+        monkeypatch.setattr(augmenter, "_decode", lambda line: from_json_dict(json.loads(line)))
+        refused = set()
+        for name, path, outcome in cases:
+            expected = self._outcome(path)
+            assert outcome == expected, (name, path.read_text(encoding="utf-8"))
+            if isinstance(expected, str):
+                assert expected.startswith(f"{path}:2: ")
+                refused.add(name)
+        assert refused == {"mask_bits not JSON", "mask_mode not a mode", "text after the object"}
+
+    def test_writer_lines_skip_mask_bits(self, tmp_path, monkeypatch):
+        """A line the writer wrote is never decoded whole: no text that
+        ``json.loads`` gets holds ``mask_bits``. Without this a broken cut
+        would fall back to the whole decode and go unseen."""
+        augs = _writer_inputs(6)
+        write_jsonl(augs, tmp_path / "aug.jsonl")
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, *args, **options: decoded.append(text) or loads(text, *args, **options))
+        assert read_jsonl(tmp_path / "aug.jsonl") == augs
+        assert len(decoded) == len(augs) and not any('"mask_bits"' in text for text in decoded)

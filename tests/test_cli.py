@@ -700,6 +700,13 @@ class TestSidecarValidation:
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\nc\tB-X\n\n"
 
+    def test_weight_count_must_match_the_files(self, tmp_path):
+        """``WeightedPredictions`` holds the rule; the CLI reports it."""
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row())
+        argv = ["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1,1", "--out", str(tmp_path / "v.tsv")]
+        _assert_one_error_line(*_run(argv), "error: 3 weights for 2 folds")
+        assert not (tmp_path / "v.tsv").exists()
+
     @pytest.mark.parametrize("labels,dist", [
         (["O", "O"], [[0.2, 0.8], [0.6, 0.4]]), ([], [[], []]), (["O", "B-X"], [[0.2, 0.8], [0.6, 0.4]]),
     ])

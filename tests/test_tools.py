@@ -1,0 +1,42 @@
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_line_coverage_names_the_lines_that_never_ran(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        '"""A module."""\n'
+        "\n"
+        "\n"
+        "def called(x):\n"
+        "    y = x + 1\n"
+        "    return y\n"
+        "\n"
+        "\n"
+        "def uncalled(x):\n"
+        '    """Never called."""\n'
+        "    y = [x * 2 for _ in range(3)]\n"
+        "    return y\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_mod.py").write_text(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "\n"
+        "sys.path.insert(0, str(Path(__file__).parent / 'src'))\n"
+        "\n"
+        "import mod\n"
+        "\n"
+        "\n"
+        "def test_called():\n"
+        "    assert mod.called(1) == 2\n",
+        encoding="utf-8",
+    )
+    argv = [sys.executable, str(TOOLS / "line_coverage.py"), "--src", str(tmp_path / "src"), "-q", "-p", "no:cacheprovider",
+            str(tmp_path / "test_mod.py")]
+    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert [line for line in run.stdout.splitlines() if line.startswith("src/")] == ["src/mod.py:11", "src/mod.py:12"]
