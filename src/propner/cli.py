@@ -2,10 +2,11 @@
 
 Dataset files are CoNLL-style: sentence blocks separated by blank lines,
 an optional ``# id <string>`` header per block, and token lines
-``token _ _ TAG`` (the tag column is absent for unlabeled data). Every
-subcommand accepts ``--config FILE`` with ``key = value`` lines supplying
-any flag; explicit command-line flags win. argparse finds ``--config`` as
-it finds any flag, so an abbreviation works and the last one given wins.
+``token _ _ TAG`` (the tag column is absent for unlabeled data, which
+``score`` and ``coverage`` refuse). Every subcommand accepts ``--config
+FILE`` with ``key = value`` lines supplying any flag; explicit command-line
+flags win. argparse finds ``--config`` as it finds any flag, so an
+abbreviation works and the last one given wins.
 
 Exit codes: 0 success (``--help`` included), 1 any error, which is one
 line on stderr.
@@ -34,7 +35,7 @@ from propner.encoder import (
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import coverage_rate, score
-from propner.inputs import InputError, located, parse_lines
+from propner.inputs import InputError, parse_lines
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
@@ -50,7 +51,7 @@ from propner.synthetic import SyntheticConfig, run_synthetic_ab
 logger = logging.getLogger(__name__)
 
 
-def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str]]]]:
+def _read_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str]]]]:
     """Blank-line separated blocks as (id, rows of whitespace-separated
     fields). The id comes from a ``# id <string>`` header, or is the block
     index; a repeated id is an error at its second header or, for a block
@@ -92,7 +93,7 @@ def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str
                 sentence_id = claim(str(len(blocks)))
             width = len(fields)
             if width not in widths:
-                raise ValueError(f"expected {widths[0]} or {widths[1]} columns, got {width}")
+                raise ValueError(f"expected {' or '.join(map(str, widths))} columns, got {width}")
             if rows and width != len(rows[0]):
                 raise ValueError(f"{width} columns in a block whose first line has {len(rows[0])}")
             if width % 2 == 0 and fields[-1] not in tags:
@@ -103,11 +104,12 @@ def _read_blocks(path, widths: tuple[int, int]) -> list[tuple[str, list[list[str
     return blocks
 
 
-def read_conll(path) -> list[Sentence]:
+def read_conll(path, labeled: bool = False) -> list[Sentence]:
     """Parse a dataset file into sentences; block index becomes the id when
-    no ``# id`` header is present."""
+    no ``# id`` header is present. If ``labeled``, every row must carry a
+    tag."""
     sentences = []
-    for sid, rows in _read_blocks(path, (3, 4)):
+    for sid, rows in _read_blocks(path, (4,) if labeled else (3, 4)):
         tags = [fields[3] for fields in rows] if len(rows[0]) == 4 else None
         sentences.append(Sentence(sid, [fields[0] for fields in rows], tags))
     return sentences
@@ -173,9 +175,7 @@ def cmd_build_kb(args) -> int:
 
 def cmd_coverage(args) -> int:
     kb = load_kb(args.kb)
-    dataset = read_conll(args.data)
-    with located(args.data):  # a sentence without gold tags
-        rate = coverage_rate(kb, dataset)
+    rate = coverage_rate(kb, read_conll(args.data, labeled=True))
     print(json.dumps({"coverage_rate": rate}, sort_keys=True))
     return 0
 
@@ -330,10 +330,7 @@ def cmd_vote(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold_sentences = read_conll(args.gold)
-    if any(s.gold_tags is None for s in gold_sentences):
-        raise InputError(args.gold, None, "contains unlabeled sentences")
-    gold = {s.id: s.gold_tags for s in gold_sentences}
+    gold = {s.id: s.gold_tags for s in read_conll(args.gold, labeled=True)}
     pred = {sid: [fields[-1] for fields in rows] for sid, rows in _read_blocks(args.pred, (2, 4))}
     for sid, tags in gold.items():
         if sid not in pred:

@@ -82,7 +82,9 @@ class WeightedPredictions:
     Weights are the folds' validation micro F1 scores, used unnormalized:
     the voted argmax is invariant to scaling them by any positive constant.
     Labels are distinct and sorted, so an argmax tie goes to the smallest
-    label.
+    label. The shapes are the caller's to check: every fold covers the same
+    sentences, and each distribution has one row per token and one column
+    per label.
     """
 
     labels: list[str]
@@ -92,22 +94,11 @@ class WeightedPredictions:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.distributions):
             raise ValueError(f"{len(self.weights)} weights for {len(self.distributions)} folds")
-        if not self.weights:
-            raise ValueError("no folds to vote over")
         if not all(math.isfinite(w) and w >= 0 for w in self.weights):
             raise ValueError("fold weights must be finite and non-negative")
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one fold weight must be positive")
         check_labels(self.labels)
-        first = self.distributions[0]
-        for fold, dists in enumerate(self.distributions):
-            if len(dists) != len(first):
-                raise ValueError(f"fold {fold} covers {len(dists)} sentences, fold 0 covers {len(first)}")
-            for s, dist in enumerate(dists):
-                if dist.shape != first[s].shape:
-                    raise ValueError(f"fold {fold} sentence {s}: token/label counts differ across folds")
-                if dist.shape[1] != len(self.labels):
-                    raise ValueError(f"distribution has {dist.shape[1]} columns for {len(self.labels)} labels")
 
 
 def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:

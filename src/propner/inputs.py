@@ -9,6 +9,7 @@ dump's, which streams; ``parse_lines`` parses them one by one, and
 
 from __future__ import annotations
 
+import codecs
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -46,9 +47,12 @@ def read_lines(path) -> list[str]:
 
     The file is decoded as UTF-8 whole, which is much faster than line by
     line. An undecodable byte raises an InputError at its line, whose
-    message gives the byte's offset in the file."""
+    message gives the byte's offset in the file. A leading byte order mark
+    is refused, not read as part of the first line."""
     with open(path, "rb") as handle:
         data = handle.read()
+    if data.startswith(codecs.BOM_UTF8):
+        raise InputError(path, 1, "starts with a UTF-8 byte order mark")
     try:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:

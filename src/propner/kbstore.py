@@ -142,7 +142,7 @@ _STRING_LIST = (lambda v: type(v) is list and {*map(type, v)} <= {str}, "aliases
 
 
 def _claim_list(claims: dict, pid: str) -> list[str]:
-    value = claims.get(pid, [])
+    value = claims.get(pid)
     if value is None:
         return []
     if not isinstance(value, list):

@@ -333,6 +333,7 @@ AUG_DEFECTS = [
     "n_sentence a boolean",
     "no sentence tokens",
     "entity bound a boolean",
+    "n_sentence past the tokens",
 ]
 
 
@@ -374,6 +375,9 @@ def _break_line_2(path, defect: str) -> None:
         record.update(tokens=["[CLS]", "[SEP]"], n_sentence=0, segments=[], gold_tags=[])
     elif defect == "entity bound a boolean":  # true reads as 1, which makes a valid range
         segment["entity"] = [True, segment["entity"][1]]
+    elif defect == "n_sentence past the tokens":  # [SEP] and what follows it read as sentence tokens
+        n_sentence = len(record["tokens"]) - 1
+        record.update(n_sentence=n_sentence, segments=[], gold_tags=["O"] * n_sentence)
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -430,6 +434,8 @@ class TestAugFileValidation:
         assert f"{broken}:2:" in err and "Traceback" not in err
         if defect.startswith("missing "):
             assert "missing key '" in err
+        if defect == "n_sentence past the tokens":
+            assert "tokens cannot hold a sentence of" in err
 
     def test_hand_edited_mask_bits_are_ignored(self, trained, tmp_path):
         from propner import augmenter
@@ -582,6 +588,8 @@ class TestDuplicateIds:
         ("# id 1\na _ _ O\n\nb _ _ O\n", ":4: duplicate id '1'"),  # a block's index is an earlier header's id
         ("# id a\n# id b\nx _ _ O\n\n# id c\ny _ _ O\n", ":2: header for id 'a' has no token lines"),
         ("x _ _ O\n\n# id a\n", ":3: header for id 'a' has no token lines"),  # a header on the last line
+        ("a _ _ O\n# id b\nb _ _ O\n", ":2: '# id' header inside a sentence block"),
+        ("\ufeff# id a\nx _ _ O\n", ":1: starts with a UTF-8 byte order mark"),
     ])
     def test_dataset(self, tmp_path, text, needle):
         data = tmp_path / "data.conll"
@@ -797,6 +805,10 @@ def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights)
     expected = weighted_vote(WeightedPredictions(model.labels, list(weights), folds), hard=hard)
     voted = [(sid, [tag for _, tag in rows]) for sid, rows in _read_blocks(out, (2, 4))]
     assert voted == [(aug.sentence_id, tags) for aug, tags in zip(augs, expected)]
+    config, from_config = tmp_path / "vote.cfg", tmp_path / "voted-by-config.tsv"
+    config.write_text(f"hard = {'yes' if hard else 'no'}\n", encoding="utf-8")
+    assert main([*argv[:-1], str(from_config), "--config", str(config)]) == 0
+    assert from_config.read_bytes() == out.read_bytes()
 
 
 class TestTagsNameTheirFile:
@@ -829,6 +841,10 @@ class TestTagsNameTheirFile:
     (["split", "--seed", "1", "--data"], b"k\n", ":1: expected 'key = value'"),
     (["build-kb", "--lang", "en", "--out", "kb", "--dump"], b"properties = bogus\n", ":1: unknown property kinds"),
     (["score", "--pred", "p.tsv", "--gold"], b"report = xml\n", ":1: expected one of json, text"),
+    (["build-kb", "--lang", "en", "--out", "kb", "--dump"], b"properties = ,\n", ":1: property list is empty"),
+    (["vote", "--out", "v.tsv", "--preds"], b"weights = 1,zz\n", ":1: bad weight list '1,zz'"),
+    (["vote", "--weights", "1", "--out", "v.tsv", "--preds"], b"preds =\n", ":1: expected at least one value"),
+    (["split", "--data"], b"\xef\xbb\xbfseed = 1\n", ":1: starts with a UTF-8 byte order mark"),
 ])
 def test_config_error_names_its_line(tmp_path, data_file, argv, text, needle):
     config = tmp_path / "run.cfg"
@@ -1061,7 +1077,7 @@ def test_coverage_on_unlabeled_data_names_it(cli_files, tmp_path):
     data = tmp_path / "data.conll"
     write_conll([Sentence("s1", ["Victor", "Cousin"], ["B-PER", "I-PER"]), Sentence("s2", ["Victor"])], data)
     _assert_one_error_line(*_run(["coverage", "--kb", str(cli_files["kb"]), "--data", str(data)]),
-                           f"error: {data}: sentence 's2' has no gold tags")
+                           f"error: {data}:6: expected 4 columns, got 3")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -1165,6 +1181,41 @@ class TestRobustness:
             assert all("dump line" in line and "skipped" in line for line in err.splitlines()) if source == "dump" else not err
         else:
             _assert_one_error_line(code, err)
+
+    @settings(max_examples=50, deadline=None)
+    @given(edits=EDITS)
+    def test_aug_file_reads_what_its_writer_writes_back(self, cli_files, edits):
+        """A mutated aug-JSONL file is refused with an InputError that names
+        it, or the writer writes back inputs that read as the same values."""
+        root = cli_files["root"]
+        mutated, written = root / "mutated-aug.jsonl", root / "written-aug.jsonl"
+        mutated.write_bytes(_mutate(cli_files["aug"].read_bytes(), edits))
+        try:
+            augs = augmenter.read_jsonl(mutated)
+        except InputError as exc:
+            assert str(exc).startswith(f"{mutated}:")
+            return
+        augmenter.write_jsonl(augs, written)
+        assert augmenter.read_jsonl(written) == augs
+
+    @settings(max_examples=50, deadline=None)
+    @given(edits=EDITS)
+    def test_sidecar_reads_what_its_writer_writes_back(self, cli_files, edits):
+        """As above for a prediction sidecar: its labels, and each row's id,
+        tokens and distribution bit for bit."""
+        root = cli_files["root"]
+        mutated, written = root / "mutated.dist.jsonl", root / "written.dist.jsonl"
+        mutated.write_bytes(_mutate(cli_files["sidecar"].read_bytes(), edits))
+        try:
+            labels, rows = _read_sidecar(mutated)
+        except InputError as exc:
+            assert str(exc).startswith(f"{mutated}:")
+            return
+        _write_sidecar(written, *(sidecar_row(row["id"], row["tokens"], row["dist"]) for row in rows), labels=labels)
+        again_labels, again_rows = _read_sidecar(written)
+        assert again_labels == labels and len(again_rows) == len(rows)
+        for row, again in zip(rows, again_rows):
+            assert (again["id"], again["tokens"], again["dist"].tobytes()) == (row["id"], row["tokens"], row["dist"].tobytes())
 
     @settings(max_examples=100, deadline=None)
     @given(edit=st.one_of(

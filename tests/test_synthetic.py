@@ -87,6 +87,14 @@ class TestRunSyntheticAb:
         assert full["n_train_sentences"] == masked["n_train_sentences"]
         assert full["baseline_micro_f1"] == masked["baseline_micro_f1"]
 
+    def test_name_pools_too_small_before_training(self, monkeypatch):
+        def train(dataset, config):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(synthetic, "train", train)
+        with pytest.raises(ValueError, match="^name pools too small for requested entity counts$"):
+            run_synthetic_ab(1, config=SyntheticConfig(n_train_entities=900, n_test_entities=1))
+
     def test_both_mask_modes_produce_reports(self):
         default = run_synthetic_ab(5, config=QUICK)
         strict = run_synthetic_ab(5, mask_mode="strict-paper", config=QUICK)
