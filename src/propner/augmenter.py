@@ -25,7 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from propner.ensemble import check_tag
-from propner.inputs import parse_lines
+from propner.inputs import check_utf8, parse_lines
 from propner.kbstore import CONTEXT_SEPARATOR
 from propner.matcher import EntityMatch, Sentence
 
@@ -223,15 +223,16 @@ def to_json_line(aug: AugmentedInput) -> str:
 
 def check_id_and_tokens(sentence_id, tokens) -> None:
     """Check a record's id and its sentence tokens: each must be a non-empty
-    string without whitespace, and there must be at least one token, as
-    ``read_conll`` makes them, so that a prediction file's ``# id`` header
-    and token lines can carry them."""
+    string without whitespace that UTF-8 can encode, and there must be at
+    least one token, as ``read_conll`` makes them, so that a prediction
+    file's ``# id`` header and token lines can carry them."""
     if not isinstance(sentence_id, str) or sentence_id.split() != [sentence_id]:
         raise ValueError(f"'id' must be a non-empty string without whitespace, got {sentence_id!r}")
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str} or " ".join(tokens).split() != tokens:
         raise ValueError("sentence tokens must be non-empty strings without whitespace")
     if not tokens:
         raise ValueError("the sentence has no tokens")
+    check_utf8(f"{sentence_id} {' '.join(tokens)}")
 
 
 def _range(bounds: list[int]) -> range:
@@ -242,10 +243,13 @@ def _range(bounds: list[int]) -> range:
 
 def from_json_dict(data: dict) -> AugmentedInput:
     """Rebuild an input from its JSON form. Raises KeyError, TypeError or
-    ValueError on a malformed record, ``check_id_and_tokens`` included."""
+    ValueError on a malformed record, ``check_id_and_tokens`` included.
+    Every token must encode as UTF-8, since ``train`` writes the vocabulary
+    into the model file."""
     tokens, n_sentence = data["tokens"], data["n_sentence"]
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise TypeError("'tokens' must be a list of strings")
+    check_utf8("".join(tokens))
     if type(n_sentence) is not int:  # not a bool either, which would be written back as one
         raise TypeError(f"'n_sentence' must be an integer, got {n_sentence!r}")
     check_id_and_tokens(data["id"], tokens[1 : n_sentence + 1])

@@ -35,7 +35,7 @@ from propner.encoder import (
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import coverage_rate, score
-from propner.inputs import InputError, parse_lines
+from propner.inputs import InputError, parse_lines, refuse_bom
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
@@ -165,6 +165,7 @@ def _dump_json(data, path: str | None) -> None:
 def cmd_build_kb(args) -> int:
     report = DumpErrorReport()
     with open(args.dump, "rb") as handle:
+        refuse_bom(args.dump, handle.peek(3))
         kb = build_knowledge_base(parse_dump(handle, report), args.lang, args.properties, qid_cap=args.qid_cap)
     save_kb(kb, args.out)
     for error in report:

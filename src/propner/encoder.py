@@ -35,7 +35,7 @@ import numpy as np
 
 from propner.augmenter import AugmentedInput
 from propner.ensemble import check_labels
-from propner.inputs import InputError, located
+from propner.inputs import InputError, check_utf8, located
 
 UNK_TOKEN = "[UNK]"
 
@@ -433,6 +433,7 @@ def save_model(model: ToyEncoderModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ToyEncoderModel:
     """Read a ``save_model`` file. A header line that is not such a header,
+    that holds a string UTF-8 cannot encode (the digest encodes the header),
     or whose array list is not the one its hyperparameters give, a body of
     another length than those arrays, and a digest that does not match
     raise an InputError naming the file."""
@@ -440,6 +441,7 @@ def load_model(path: str | Path) -> ToyEncoderModel:
         header_line, body = handle.readline(), handle.read()
     with located(path, 1):
         header = json.loads(header_line.decode("utf-8"))
+        check_utf8(json.dumps(header, ensure_ascii=False))
         if header["format"] != _MODEL_FORMAT or type(header["version"]) is not int or header["version"] != _MODEL_VERSION:
             raise ValueError(f"not a {_MODEL_FORMAT} model file of version {_MODEL_VERSION}")
         hp = header["hyperparams"]

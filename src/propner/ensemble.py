@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAG_PATTERN = re.compile(r"O|[BI]-\S+")  # used with fullmatch: "$" would let "O\n" through
+# Used with fullmatch: "$" would let "O\n" through. A lone surrogate, which
+# UTF-8 cannot encode, is refused like whitespace.
+TAG_PATTERN = re.compile(r"O|[BI]-[^\s\ud800-\udfff]+")
 
 
 def check_tag(tag: str) -> str:

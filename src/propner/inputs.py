@@ -5,6 +5,8 @@ file and, where the file has lines, the line: ``path:line: message``.
 ``read_lines`` splits a text file into lines for every reader but the
 dump's, which streams; ``parse_lines`` parses them one by one, and
 ``located`` serves readers that parse a file, or a header, as a whole.
+A text file is UTF-8 without a byte order mark, and a string read from
+JSON must be one that UTF-8 can encode (``check_utf8``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,24 @@ class located:
             raise InputError(self.path, self.line, message) from None
 
 
+def refuse_bom(path, head: bytes) -> None:
+    """Refuse the file at ``path`` if its first bytes, ``head``, are a UTF-8
+    byte order mark, which would otherwise be read as part of line 1."""
+    if head.startswith(codecs.BOM_UTF8):
+        raise InputError(path, 1, "starts with a UTF-8 byte order mark")
+
+
+def check_utf8(text: str) -> str:
+    """``text`` if UTF-8 can encode it. A JSON escape of a lone surrogate,
+    such as ``"\\ud800"``, decodes to a string that it cannot, so a reader
+    of JSON refuses such a string before any writer meets it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{exc.object[exc.start]!r} is a lone surrogate, which UTF-8 cannot encode") from None
+    return text
+
+
 def read_lines(path) -> list[str]:
     """The lines of the text file at ``path``. A line ends at ``\\n``, and an
     ``\\r`` before it is dropped; the rest is kept whole, because whitespace
@@ -48,11 +68,10 @@ def read_lines(path) -> list[str]:
     The file is decoded as UTF-8 whole, which is much faster than line by
     line. An undecodable byte raises an InputError at its line, whose
     message gives the byte's offset in the file. A leading byte order mark
-    is refused, not read as part of the first line."""
+    is refused (``refuse_bom``)."""
     with open(path, "rb") as handle:
         data = handle.read()
-    if data.startswith(codecs.BOM_UTF8):
-        raise InputError(path, 1, "starts with a UTF-8 byte order mark")
+    refuse_bom(path, data)
     try:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:

@@ -24,7 +24,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from propner.inputs import InputError, located, read_lines
+from propner.inputs import InputError, check_utf8, located, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,11 @@ class EntityRecord:
 @dataclass
 class KnowledgeBase:
     """Compiled dictionary. Treated as immutable once built or loaded, so it
-    can be shared freely across concurrent readers."""
+    can be shared freely across concurrent readers.
+
+    Its order is set when it is built: surfaces sorted, each surface's qids
+    and the contexts' qids in increasing number. ``save_kb`` writes it as it
+    is held, and ``load_kb`` keeps the order of the files."""
 
     language: str
     surface_index: dict[str, list[str]]
@@ -154,10 +158,11 @@ def _claim_list(claims: dict, pid: str) -> list[str]:
 
 
 def _record_from_line(raw: bytes | str) -> EntityRecord | None:
-    """The record of one dump line, or None for a blank line."""
+    """The record of one dump line, or None for a blank line. A line with a
+    string that UTF-8 cannot encode is a bad line (``check_utf8``)."""
     try:
-        line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
-    except UnicodeDecodeError as exc:
+        line = (raw.decode("utf-8") if isinstance(raw, bytes) else check_utf8(raw)).strip()
+    except ValueError as exc:  # a UnicodeDecodeError is one
         raise _BadLine(f"invalid UTF-8: {exc}")
     if not line:
         return None
@@ -165,6 +170,11 @@ def _record_from_line(raw: bytes | str) -> EntityRecord | None:
         obj = json.loads(line)
     except ValueError as exc:
         raise _BadLine(f"invalid JSON: {exc}")
+    if "\\ud" in line or "\\uD" in line:  # only an escape of a surrogate decodes to one
+        try:
+            check_utf8(json.dumps(obj, ensure_ascii=False))
+        except ValueError as exc:
+            raise _BadLine(str(exc))
     if not isinstance(obj, dict):
         raise _BadLine("line is not a JSON object")
     qid = obj.get("id")
@@ -295,7 +305,7 @@ def build_knowledge_base(
         entries[record.qid] = (label, "\n".join(surfaces), _values(record, mask), count)
 
     label_lookup = {qid: entry[0] for qid, entry in entries.items() if entry[0]}
-    contexts = {qid: _context(entry[2], label_lookup) for qid, entry in entries.items()}
+    contexts = {qid: _context(entries[qid][2], label_lookup) for qid in sorted(entries, key=_qid_num)}
 
     surface_index: dict[str, list[str]] = {}
     # splitlines cuts only at whitespace other than a space, which no normalized surface holds.
@@ -312,19 +322,19 @@ def build_knowledge_base(
 
 
 def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
-    """Write surfaces.tsv, contexts.tsv and meta.json. Bit-exact across runs."""
+    """Write surfaces.tsv, contexts.tsv and meta.json, in the order the KB
+    holds its surfaces, qids and contexts. Bit-exact across runs."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
 
-    # Surfaces are distinct, so this is the order of the sorted (surface, qid) pairs.
     with open(path / SURFACES_FILE, "w", encoding="utf-8", newline="") as handle:
-        for surface in sorted(kb.surface_index):
-            for qid in sorted(kb.surface_index[surface]):
+        for surface, qids in kb.surface_index.items():
+            for qid in qids:
                 handle.write(f"{surface}\t{qid}\n")
 
     with open(path / CONTEXTS_FILE, "w", encoding="utf-8", newline="") as handle:
-        for qid in sorted(kb.contexts, key=_qid_num):
-            handle.write(f"{qid}\t{kb.contexts[qid]}\n")
+        for qid, context in kb.contexts.items():
+            handle.write(f"{qid}\t{context}\n")
 
     meta = {
         "format_version": FORMAT_VERSION,
@@ -336,9 +346,10 @@ def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
 
 
 def load_kb(kb_dir: str | Path) -> KnowledgeBase:
-    """Load a compiled knowledge base. A malformed file, a surface that is
-    empty or not normalized, or a surface whose qid has no context entry
-    raises an InputError naming the file, and the line in the TSV files."""
+    """Load a compiled knowledge base, in the order of its files. A
+    malformed file, a surface that is empty or not normalized, a surface
+    whose lines are apart or whose qid has no context entry raises an
+    InputError naming the file, and the line in the TSV files."""
     path = Path(kb_dir)
     with located(path / META_FILE):
         meta = json.loads((path / META_FILE).read_bytes().decode("utf-8"))
@@ -381,6 +392,8 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
             surface_index[surface] = [qid]  # allocated to fit, where append reserves 4 slots; most surfaces have one qid
         elif qid in qids:
             raise InputError(path / SURFACES_FILE, number, f"surface {surface!r} is listed with {qid!r} twice")
+        elif not lines[number - 2].startswith(f"{surface}\t"):  # the index holds one list per surface
+            raise InputError(path / SURFACES_FILE, number, f"surface {surface!r} is listed again after other surfaces")
         else:
             qids.append(qid)
     # A surface that is not normalized can never match a sentence.
@@ -389,8 +402,5 @@ def load_kb(kb_dir: str | Path) -> KnowledgeBase:
         number, bad = next((n, s) for n, s in enumerate(surfaces, start=1) if not _normalized_lines(s + "\n"))
         message = f"surface {bad!r} is not normalized" if bad else "surface is empty"
         raise InputError(path / SURFACES_FILE, number, message)
-    for qids in surface_index.values():
-        if len(qids) > 1:
-            qids.sort(key=_qid_num)
 
     return KnowledgeBase(language=language, surface_index=surface_index, contexts=contexts, property_mask=mask)

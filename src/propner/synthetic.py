@@ -77,7 +77,6 @@ class SyntheticConfig:
     n_train_entities: int = 90
     n_test_entities: int = 45
     sentences_per_train_entity: int = 3
-    sentences_per_test_entity: int = 1
     epochs: int = 50
 
 
@@ -196,7 +195,7 @@ def run_synthetic_ab(
     class_of = _assign_classes(rng, train_entities)
     class_of.update(_assign_classes(rng, test_entities))
     train_sents = _sentences(rng, train_entities, class_of, cfg.sentences_per_train_entity, "train-")
-    test_sents = _sentences(rng, test_entities, class_of, cfg.sentences_per_test_entity, "test-")
+    test_sents = _sentences(rng, test_entities, class_of, 1, "test-")
 
     kb = build_knowledge_base(_records(train_entities + test_entities, class_of), "en", properties)
     matcher = build_matcher(kb)

@@ -24,7 +24,8 @@ from propner.augmenter import Segment
 from propner.cli import _read_blocks, _read_sidecar, main, read_conll, sidecar_header, sidecar_row, write_conll
 from propner.encoder import TrainConfig, load_model, predict, save_model, train
 from propner.ensemble import WeightedPredictions, weighted_vote
-from propner.inputs import InputError
+from propner.inputs import InputError, read_lines
+from propner.kbstore import CONTEXTS_FILE, SURFACES_FILE, load_kb, save_kb
 from propner.matcher import Sentence
 
 from conftest import table_dump_lines
@@ -209,6 +210,13 @@ class TestPipeline:
 
 
 class TestCliBehavior:
+    def test_dump_with_a_byte_order_mark_is_refused(self, dump_file, tmp_path):
+        """As every other text input is, at line 1, before anything is written."""
+        dump_file.write_bytes(b"\xef\xbb\xbf" + dump_file.read_bytes())
+        code, err = _run(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(tmp_path / "kb")])
+        _assert_one_error_line(code, err, f"error: {dump_file}:1: starts with a UTF-8 byte order mark")
+        assert not (tmp_path / "kb").exists()
+
     def test_unknown_flag_is_error(self, dump_file, tmp_path):
         assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(tmp_path / "kb"), "--bogus"]) == 1
 
@@ -334,6 +342,9 @@ AUG_DEFECTS = [
     "no sentence tokens",
     "entity bound a boolean",
     "n_sentence past the tokens",
+    "id with a lone surrogate",
+    "context token with a lone surrogate",
+    "gold tag with a lone surrogate",
 ]
 
 
@@ -378,6 +389,12 @@ def _break_line_2(path, defect: str) -> None:
     elif defect == "n_sentence past the tokens":  # [SEP] and what follows it read as sentence tokens
         n_sentence = len(record["tokens"]) - 1
         record.update(n_sentence=n_sentence, segments=[], gold_tags=["O"] * n_sentence)
+    elif defect == "id with a lone surrogate":  # json.dumps writes it as the escape "\ud800"
+        record["id"] = "s\ud800"
+    elif defect == "context token with a lone surrogate":  # train writes every token into the model's vocabulary
+        record["tokens"][segment["context"][0]] += "\ud800"
+    elif defect == "gold tag with a lone surrogate":
+        record["gold_tags"][1] = "B-\ud800"
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -670,6 +687,8 @@ SIDECAR_DEFECTS = {
     "dist not finite": _sidecar_row(values=[[0.2, 0.8], [np.nan, 0.4]]),
     "dist too large for a float": _sidecar_row(values=[[0.2, 0.8], [np.inf, 0.4]]),
     "invalid UTF-8": "\udcff\n",
+    "id with a lone surrogate": _sidecar_row(id="s\ud800"),  # json.dumps writes the escape "\ud800"
+    "token with a lone surrogate": _sidecar_row(tokens=["a\ud800", "b"], dist=_b64(DIST)),
 }
 
 HEADER_DEFECTS = {
@@ -679,6 +698,7 @@ HEADER_DEFECTS = {
     "version 1": '{"format": "propner-dist", "labels": ["B-X", "O"], "version": 1}\n',
     "format missing": '{"labels": ["B-X", "O"], "version": 2}\n',
     "labels not a list": sidecar_header("O"),
+    "labels with a lone surrogate": '{"format": "propner-dist", "labels": ["B-\\ud800", "O"], "version": 2}\n',
 }
 
 
@@ -699,7 +719,10 @@ class TestSidecarValidation:
         sidecar = tmp_path / "p.dist.jsonl"
         sidecar.write_text(HEADER_DEFECTS[defect], encoding="utf-8")
         code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
-        needle = "'labels' must be" if defect.startswith("labels") else "not a propner-dist sidecar of version 2 (re-run"
+        needle = {
+            "labels not a list": "'labels' must be",
+            "labels with a lone surrogate": "'labels': invalid BIO tag 'B-\\ud800'",
+        }.get(defect, "not a propner-dist sidecar of version 2 (re-run")
         _assert_one_error_line(code, err, f"{sidecar}:1: {needle}")
 
     def test_valid_rows_vote(self, tmp_path):
@@ -873,6 +896,8 @@ KB_DEFECTS = {
     "surface not normalized": ("surfaces.tsv", lambda text: text + "victor  cousin\tQ5\n",
                                "surfaces.tsv:{}: surface 'victor  cousin' is not normalized"),
     "empty surface": ("surfaces.tsv", lambda text: text + "\tQ5\n", "surfaces.tsv:{}: surface is empty"),
+    "surface listed apart": ("surfaces.tsv", lambda text: text + "human\tQ82955\n",
+                             "surfaces.tsv:{}: surface 'human' is listed again after other surfaces"),
 }
 
 
@@ -957,6 +982,13 @@ def _bool_vocab(header):
     vocab.update({"[UNK]": False, first: True})
 
 
+def _surrogate_token(header):
+    """Rename a vocab token to one that holds a lone surrogate, which
+    ``json.dumps`` writes as the escape ``\\ud800``."""
+    vocab = header["hyperparams"]["vocab"]
+    vocab["x\ud800"] = vocab.pop(next(token for token in vocab if token != "[UNK]"))
+
+
 _LOSSES = ":1: 'epoch_losses' must be a list of finite numbers"
 MODEL_DEFECTS = {
     "body truncated": (lambda data: data[:-5], ": the arrays take"),
@@ -984,6 +1016,7 @@ MODEL_DEFECTS = {
     "epoch_losses a string": (_edit_header(lambda h: h.update(epoch_losses="ab"), redigest=True), _LOSSES),
     "epoch_losses not finite": (_edit_header(lambda h: h["epoch_losses"].append(float("nan")), redigest=True), _LOSSES),
     "epoch_losses missing": (_edit_header(lambda h: h.pop("epoch_losses"), redigest=True), ":1: missing key 'epoch_losses'"),
+    "vocab token with a lone surrogate": (_edit_header(_surrogate_token), ":1: '\\ud800' is a lone surrogate"),
 }
 
 
@@ -1126,6 +1159,21 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
+def _check_kb_written_back(kb, mutated, written) -> None:
+    """``load_kb`` of ``kb`` raises an InputError naming ``mutated``, one of
+    its files, or the surfaces file, which it reads last and checks against
+    the contexts; or ``save_kb`` of what it loaded writes back each TSV
+    file's lines, as ``read_lines`` reads them, in the same order."""
+    try:
+        loaded = load_kb(kb)
+    except InputError as exc:
+        assert str(exc).startswith((f"{mutated}:", f"{kb / SURFACES_FILE}:"))
+        return
+    save_kb(loaded, written)
+    for name in (SURFACES_FILE, CONTEXTS_FILE):
+        assert read_lines(written / name) == read_lines(kb / name)
+
+
 class TestRobustness:
     """A mutated input file either works or fails with exit 1 and one
     ``error:`` line; an exception escaping ``main`` fails the test."""
@@ -1197,6 +1245,25 @@ class TestRobustness:
             return
         augmenter.write_jsonl(augs, written)
         assert augmenter.read_jsonl(written) == augs
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from([SURFACES_FILE, CONTEXTS_FILE]), edits=EDITS)
+    def test_kb_reads_what_its_writer_writes_back(self, cli_files, name, edits):
+        """As above for a KB file: ``save_kb`` keeps the order that
+        ``load_kb`` read."""
+        root = cli_files["root"]
+        kb = root / "round-trip-kb"
+        shutil.copytree(cli_files["kb"], kb, dirs_exist_ok=True)
+        (kb / name).write_bytes(_mutate((cli_files["kb"] / name).read_bytes(), edits))
+        _check_kb_written_back(kb, kb / name, root / "written-kb")
+
+    def test_kb_qids_written_back_in_the_order_read(self, cli_files, tmp_path):
+        """``Q9`` before ``Q70``, which sort the other way as strings."""
+        shutil.copytree(cli_files["kb"], tmp_path, dirs_exist_ok=True)
+        (tmp_path / SURFACES_FILE).write_text("nine\tQ9\nnine\tQ70\n", encoding="utf-8")
+        (tmp_path / CONTEXTS_FILE).write_text("Q9\t\nQ70\t\n", encoding="utf-8")
+        _check_kb_written_back(tmp_path, tmp_path / SURFACES_FILE, tmp_path / "written")
+        assert read_lines(tmp_path / "written" / SURFACES_FILE) == ["nine\tQ9", "nine\tQ70"]
 
     @settings(max_examples=50, deadline=None)
     @given(edits=EDITS)

@@ -139,6 +139,7 @@ class TestParseDump:
         (b'{"id": "Q1", "aliases": ["Vic"]}', "field 'aliases' must be an object"),
         (b'{"id": "Q1", "aliases": {"en": "Vic"}}', "aliases for 'en' must be a list of strings"),
         (b'{"id": "Q1", "aliases": {"en": ["Vic", 2]}}', "aliases for 'en' must be a list of strings"),
+        (b'{"id": "Q1", "labels": {"en": "bad\\ud800name"}}', "'\\ud800' is a lone surrogate, which UTF-8 cannot encode"),
         (b'{"id": "Q2", "claims": {"P31": ["Q5"]}}', None),
     ]
 
@@ -153,6 +154,17 @@ class TestParseDump:
         records = list(parse_dump(lines, report))
         assert [record.qid for record in records] == ["Q2"]
         assert [(error.line_number, error.message) for error in report] == expected
+
+    def test_surrogates_that_utf8_can_encode(self):
+        """An escaped surrogate pair decodes to one character, which is kept;
+        a str line that holds a lone surrogate itself is a bad line."""
+        report = DumpErrorReport()
+        lines = ['{"id": "Q1", "labels": {"en": "\\ud83d\\ude00 \\\\ud800"}}', '{"id": "Q2", "labels": {"en": "a\ud800"}}']
+        [record] = list(parse_dump(lines, report))
+        assert record.labels == {"en": "\U0001f600 \\ud800"}
+        assert [(e.line_number, e.message) for e in report] == [
+            (2, "invalid UTF-8: '\\ud800' is a lone surrogate, which UTF-8 cannot encode"),
+        ]
 
     def test_claims_missing_or_null_mean_none(self):
         records = list(parse_dump(['{"id": "Q1"}', '{"id": "Q2", "claims": null}']))
@@ -349,11 +361,14 @@ class TestPersistence:
         for name in (SURFACES_FILE, CONTEXTS_FILE, META_FILE):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_surfaces_sorted_lexicographically(self, table_kb, tmp_path):
-        save_kb(table_kb, tmp_path)
-        lines = (tmp_path / SURFACES_FILE).read_text(encoding="utf-8").splitlines()
-        pairs = [tuple(line.split("\t")) for line in lines]
-        assert pairs == sorted(pairs)
+    def test_qids_written_in_increasing_number(self, tmp_path):
+        """The build sets the order, and ``save_kb`` writes it as it is:
+        ``Q9`` before ``Q70``, which sort the other way as strings."""
+        kb = build_knowledge_base(parse_dump([record_line("Q70", "nine"), record_line("Q9", "Nine")]), "en")
+        assert kb.surface_index == {"nine": ["Q9", "Q70"]}
+        save_kb(kb, tmp_path)
+        assert (tmp_path / SURFACES_FILE).read_text(encoding="utf-8") == "nine\tQ9\nnine\tQ70\n"
+        assert (tmp_path / CONTEXTS_FILE).read_text(encoding="utf-8") == "Q9\t\nQ70\t\n"
 
     def test_inconsistent_kb_rejected(self, table_kb, tmp_path):
         save_kb(table_kb, tmp_path)
