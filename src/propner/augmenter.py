@@ -19,7 +19,7 @@ the sentence tokens, and the mask mode; the mask is derived from those.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -53,12 +53,13 @@ class AttentionMask:
     bits: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentedInput:
     """An assembled input. ``gold_tags`` holds one tag per sentence token, or
-    None when unlabeled. ``mask`` is computed from the layout and
-    ``mask_mode`` at construction, so it cannot disagree with them; inputs
-    compare by those fields alone."""
+    None when unlabeled. The layout and ``mask_mode`` are checked at
+    construction; the input stores no mask. ``mask`` derives a fresh one
+    from them on each read, where the encoder reads it, so it cannot
+    disagree with them and no input holds a (size, size) array."""
 
     tokens: list[str]
     n_sentence: int
@@ -66,7 +67,6 @@ class AugmentedInput:
     gold_tags: list[str] | None
     sentence_id: str = ""
     mask_mode: str = "default"
-    mask: AttentionMask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gold = self.gold_tags
@@ -74,7 +74,35 @@ class AugmentedInput:
             not isinstance(gold, list) or len(gold) != self.n_sentence or not all(isinstance(tag, str) for tag in gold)
         ):
             raise ValueError(f"'gold_tags' must be null or {self.n_sentence} strings, one per sentence token")
-        self.mask = _mask_from_layout(len(self.tokens), self.n_sentence, self.segments, self.mask_mode)
+        _check_layout(len(self.tokens), self.n_sentence, self.segments, self.mask_mode)
+
+    @property
+    def mask(self) -> AttentionMask:
+        """The entity-aware mask of the layout, built anew on each read.
+
+        Both modes set the full sentence block (queries and keys below
+        n_sentence+2) and let each entity span attend its own segment. The
+        strict-paper mode stops there, leaving segment positions with
+        all-zero query rows; the default mode additionally mirrors
+        entity<->segment attention, lets a segment attend itself, and gives
+        "$" separators diagonal self-attention, so every query row has at
+        least one key."""
+        size, block = len(self.tokens), self.n_sentence + 2
+        bits = np.zeros((size, size), dtype=bool)
+        bits[:block, :block] = True
+        default = self.mask_mode == "default"
+        for seg in self.segments:
+            ent = slice(seg.entity_positions.start, seg.entity_positions.stop)
+            ctx = slice(seg.context_positions.start, seg.context_positions.stop)
+            bits[ent, ctx] = True
+            if default:
+                bits[ctx, ent] = True
+                bits[ctx, ctx] = True
+        if default:
+            # Diagonal cells from (block, block) on, a flat stride of size+1.
+            # Segment diagonals are set already; this adds the "$" separators.
+            bits.flat[block * (size + 1) :: size + 1] = True
+        return AttentionMask(bits=bits)
 
 
 def _span_context(group: list[EntityMatch]) -> str:
@@ -87,7 +115,7 @@ def _span_context(group: list[EntityMatch]) -> str:
 
 
 def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mode: str = "default") -> AugmentedInput:
-    """Build the augmented token sequence, segment layout and mask.
+    """Build the augmented token sequence and segment layout.
 
     Adjacent pairs over the same span (one per qid of an ambiguous surface)
     form one segment. Segments are kept all-or-nothing in priority order
@@ -131,52 +159,31 @@ def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mo
     )
 
 
-def _segment_slice(positions: range, name: str, low: int, high: int) -> slice:
-    """``positions`` as a slice, checked to be non-empty, unit-stepped and
-    inside [low, high)."""
+def _check_range(positions: range, name: str, low: int, high: int) -> None:
+    """Check ``positions`` to be non-empty, unit-stepped and inside [low, high)."""
     if positions.step != 1 or not positions:
         raise ValueError(f"{name} {positions} must be non-empty with step 1")
     if positions.start < low or positions.stop > high:
         raise ValueError(f"{name} range [{positions.start}, {positions.stop}) outside [{low}, {high})")
-    return slice(positions.start, positions.stop)
 
 
-def _mask_from_layout(size: int, n_sentence: int, segments: list[Segment], mode: str) -> AttentionMask:
-    """Entity-aware mask of a layout.
-
-    Both modes set the full sentence block (queries and keys below
-    n_sentence+2) and let each entity span attend its own segment. The
-    strict-paper mode stops there, leaving segment positions with all-zero
-    query rows; the default mode additionally mirrors entity<->segment
-    attention, lets a segment attend itself, and gives "$" separators
-    diagonal self-attention, so every query row has at least one key.
-    Entity ranges must lie in the sentence, context ranges after [SEP],
-    and no two ranges may overlap.
-    """
+def _check_layout(size: int, n_sentence: int, segments: list[Segment], mode: str) -> None:
+    """Check a layout that ``AugmentedInput.mask`` can fill: a known mask
+    mode, tokens that hold the sentence block, entity ranges in the
+    sentence, context ranges after [SEP], and no two ranges overlapping."""
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     block = n_sentence + 2
     if n_sentence < 0 or size < block:
         raise ValueError(f"{size} tokens cannot hold a sentence of {n_sentence} plus [CLS] and [SEP]")
-    bits = np.zeros((size, size), dtype=bool)
-    bits[:block, :block] = True
-    spans = []
+    ranges = []
     for seg in segments:
-        ent = _segment_slice(seg.entity_positions, "entity", 1, n_sentence + 1)
-        ctx = _segment_slice(seg.context_positions, "context", block, size)
-        spans += (ent, ctx)
-        bits[ent, ctx] = True
-        if mode == "default":
-            bits[ctx, ent] = True
-            bits[ctx, ctx] = True
-    spans.sort()
-    if any(cur.start < prev.stop for prev, cur in zip(spans, spans[1:])):
+        _check_range(seg.entity_positions, "entity", 1, n_sentence + 1)
+        _check_range(seg.context_positions, "context", block, size)
+        ranges += (seg.entity_positions, seg.context_positions)
+    ranges.sort(key=lambda positions: positions.start)
+    if any(cur.start < prev.stop for prev, cur in zip(ranges, ranges[1:])):
         raise ValueError("segment ranges overlap")
-    if mode == "default":
-        # Diagonal cells from (block, block) on, a flat stride of size+1.
-        # Segment diagonals are set already; this adds the "$" separators.
-        bits.flat[block * (size + 1) :: size + 1] = True
-    return AttentionMask(bits=bits)
 
 
 def _mask_bits(aug: AugmentedInput) -> str:
@@ -209,8 +216,8 @@ def to_json_line(aug: AugmentedInput) -> str:
     """The aug-JSONL line of an input (format 1), without its newline: keys
     sorted, non-ASCII text as it is. ``mask_bits`` lists the set bits
     outside the implicit all-ones sentence block for readers of the format;
-    ``from_json_dict`` ignores it and derives the mask from the layout, and
-    ``read_jsonl`` skips it undecoded when it is the one written here."""
+    ``from_json_dict`` ignores it, as the mask is derived from the layout,
+    and ``read_jsonl`` skips it undecoded when it is the one written here."""
     segments = [{"context": [s.context_positions.start, s.context_positions.stop],
                  "entity": [s.entity_positions.start, s.entity_positions.stop]} for s in aug.segments]
     # "mask_bits" sorts between "id" and "mask_mode"; the rest of the line is encoded in two halves around it.

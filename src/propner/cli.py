@@ -35,7 +35,7 @@ from propner.encoder import (
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import coverage_rate, score
-from propner.inputs import InputError, parse_lines, refuse_bom
+from propner.inputs import InputError, parse_lines, read_lines, refuse_bom
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
@@ -197,13 +197,26 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
+def _block_line(path, index: int) -> int:
+    """The line at which block ``index`` of a dataset file that
+    ``read_conll`` has read starts: its ``# id`` header, or its first row.
+    Such a file's blocks are its runs of non-blank lines."""
+    lines = read_lines(path)
+    starts = [number for number, (before, line) in enumerate(zip(["", *lines], lines), start=1)
+              if line.split() and not before.split()]
+    return starts[index]
+
+
 def cmd_augment(args) -> int:
     kb = load_kb(args.kb)
     matcher = build_matcher(kb)
     augs = []
-    for sentence in read_conll(args.data):
+    for index, sentence in enumerate(read_conll(args.data)):
         pairs = retrieve(kb, matcher, sentence)
-        augs.append(augmenter.assemble(sentence, pairs, args.max_len, args.mask_mode))
+        try:
+            augs.append(augmenter.assemble(sentence, pairs, args.max_len, args.mask_mode))
+        except ValueError as exc:  # the sentence does not fit --max-len
+            raise InputError(args.data, _block_line(args.data, index), str(exc)) from None
     augmenter.write_jsonl(augs, args.out)
     return 0
 

@@ -175,7 +175,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _prepare(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray]:
     """The token ids and the boolean attention mask of an input, all that
-    the forward pass reads of it."""
+    the forward pass reads of it. The mask is derived from the input's
+    layout here, once per pass, and every layer reads that one array."""
     if len(aug.tokens) > model.max_len:
         raise ValueError(f"input of length {len(aug.tokens)} exceeds max_len {model.max_len}")
     unk = model.vocab[UNK_TOKEN]

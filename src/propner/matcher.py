@@ -91,17 +91,23 @@ def resolve_overlaps(candidates: list[EntityMatch]) -> list[EntityMatch]:
 
     Priority is (span length desc, start asc, qid asc); ties among
     equal-length overlapping spans go to the leftmost. All qids sharing one
-    selected span survive together since they occupy the same tokens.
+    selected span survive together since they occupy the same tokens. A
+    per-token occupancy array makes each test linear in the span's length:
+    selected spans never overlap, so a candidate over a selected span is
+    kept and any other is dropped if it covers an occupied token.
     """
     ordered = sorted(candidates, key=lambda m: (m.start - m.end, m.start, _qid_num(m.qid)))
     selected: list[EntityMatch] = []
     spans: set[tuple[int, int]] = set()
+    occupied = bytearray(max((m.end for m in candidates), default=0))  # 1 at each token of a selected span
     for cand in ordered:
         span = (cand.start, cand.end)
-        if any(s < cand.end and cand.start < e and (s, e) != span for s, e in spans):
-            continue
+        if span not in spans:
+            if any(occupied[cand.start : cand.end]):
+                continue
+            occupied[cand.start : cand.end] = b"\1" * (cand.end - cand.start)
+            spans.add(span)
         selected.append(cand)
-        spans.add(span)
     return sorted(selected, key=lambda m: (m.start, m.end, _qid_num(m.qid)))
 
 

@@ -54,6 +54,22 @@ def check_selection(candidates: list[EntityMatch], selected: list[EntityMatch]) 
         assert blockers, f"candidate {(cand.start, cand.end, cand.qid)} was discarded without a conflict"
 
 
+def pairwise_resolve(candidates: list[EntityMatch]) -> list[EntityMatch]:
+    """Greedy overlap resolution by the pairwise rule: in priority order
+    (length desc, start asc, qid number asc), a candidate is dropped if it
+    overlaps any selected span of a different extent."""
+    ordered = sorted(candidates, key=lambda m: (m.start - m.end, m.start, int(m.qid[1:])))
+    selected: list[EntityMatch] = []
+    spans: set[tuple[int, int]] = set()
+    for cand in ordered:
+        span = (cand.start, cand.end)
+        if any(spans_overlap(s, span) and s != span for s in spans):
+            continue
+        selected.append(cand)
+        spans.add(span)
+    return sorted(selected, key=lambda m: (m.start, m.end, int(m.qid[1:])))
+
+
 def rule_mask(n_sentence: int, size: int, segments, mode: str) -> np.ndarray:
     """Build the attention mask by evaluating the masking rules per cell."""
     entity_of = [-1] * size

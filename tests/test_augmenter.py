@@ -1,5 +1,6 @@
+import gc
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,25 @@ class TestMask:
             replace(aug, mask_mode="loose").mask
         with pytest.raises(ValueError):
             assemble(VICTOR_SENTENCE, [], 64, "loose")
+
+    def test_inputs_hold_no_array(self, tmp_path):
+        """An input stores its layout only: nothing reachable from one that
+        ``assemble`` or ``read_jsonl`` returns is a numpy array, and its
+        fields cannot be reassigned past the layout check."""
+        rng = np.random.default_rng(8)
+        augs = [replace(random_augmented(rng, mode), sentence_id=f"{mode}-{i}")
+                for mode in augmenter.MASK_MODES for i in range(20)]
+        write_jsonl(augs, tmp_path / "aug.jsonl")
+        for aug in [*augs, *read_jsonl(tmp_path / "aug.jsonl")]:
+            seen, stack = set(), [aug]
+            while stack:
+                held = stack.pop()
+                if id(held) not in seen and not isinstance(held, type):
+                    assert not isinstance(held, np.ndarray), aug
+                    seen.add(id(held))
+                    stack += gc.get_referents(held)
+        with pytest.raises(FrozenInstanceError):
+            augs[0].segments = [Segment(range(0, 9), range(0, 9))]
 
 
 def _gapped_layout(rng: np.random.Generator, mode: str) -> AugmentedInput:

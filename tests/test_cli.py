@@ -217,6 +217,22 @@ class TestCliBehavior:
         _assert_one_error_line(code, err, f"error: {dump_file}:1: starts with a UTF-8 byte order mark")
         assert not (tmp_path / "kb").exists()
 
+    def test_sentence_past_max_len_is_located(self, dump_file, tmp_path):
+        """The sentence that does not fit ``--max-len`` is named at its
+        line in the data file, with or without an ``# id`` header."""
+        kb = tmp_path / "kb"
+        assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(kb)]) == 0
+        data = tmp_path / "d.conll"
+        for text, line, name in (
+            ("# id s0\nshort _ _\n\n\n# id s1\nVictor _ _\nCousin _ _\nspoke _ _\n", 5, "s1"),
+            ("short _ _\n\nVictor _ _\nCousin _ _\nspoke _ _\n", 3, "1"),
+        ):
+            data.write_text(text, encoding="utf-8")
+            code, err = _run(["augment", "--kb", str(kb), "--data", str(data), "--out", str(tmp_path / "a.jsonl"),
+                              "--max-len", "4"])
+            _assert_one_error_line(code, err, f"error: {data}:{line}: sentence '{name}' needs 5 positions but max_len is 4")
+            assert not (tmp_path / "a.jsonl").exists()
+
     def test_unknown_flag_is_error(self, dump_file, tmp_path):
         assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(tmp_path / "kb"), "--bogus"]) == 1
 
@@ -345,6 +361,8 @@ AUG_DEFECTS = [
     "id with a lone surrogate",
     "context token with a lone surrogate",
     "gold tag with a lone surrogate",
+    "segments overlap",
+    "entity range past the sentence",
 ]
 
 
@@ -395,6 +413,10 @@ def _break_line_2(path, defect: str) -> None:
         record["tokens"][segment["context"][0]] += "\ud800"
     elif defect == "gold tag with a lone surrogate":
         record["gold_tags"][1] = "B-\ud800"
+    elif defect == "segments overlap":  # a second entity whose segment shares the first one's context
+        record["segments"].append({"entity": [1, 2], "context": segment["context"]})
+    elif defect == "entity range past the sentence":  # ends on [SEP]
+        segment["entity"] = [segment["entity"][0], record["n_sentence"] + 2]
     elif defect == "mask bits edited by hand":
         record["mask_bits"] = [[-1, -1], [0, 99]]
     lines[1] = '{"tokens": [' if defect == "malformed JSON" else json.dumps(record)
@@ -453,6 +475,10 @@ class TestAugFileValidation:
             assert "missing key '" in err
         if defect == "n_sentence past the tokens":
             assert "tokens cannot hold a sentence of" in err
+        if defect == "segments overlap":
+            assert err.endswith(":2: segment ranges overlap\n")
+        if defect == "entity range past the sentence":
+            assert "entity range [2, 5) outside [1, 4)" in err
 
     def test_hand_edited_mask_bits_are_ignored(self, trained, tmp_path):
         from propner import augmenter

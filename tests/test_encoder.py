@@ -116,8 +116,9 @@ class TestForward:
         model = tiny_model([aug])
         forward(model, aug)
         assert len(seen) == model.n_layers == 2
-        # the input's boolean mask itself, for every layer
-        assert seen[0] is seen[1] is aug.mask.bits and seen[0].dtype == bool
+        # one boolean mask, the input's, serves every layer of the pass
+        assert seen[0] is seen[1] and seen[0].dtype == bool
+        assert np.array_equal(seen[0], aug.mask.bits)
 
     def test_zero_classifier_zero_logits(self):
         aug = assemble(Sentence("s", ["a", "b"], ["O", "O"]), [], 16)

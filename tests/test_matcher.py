@@ -4,7 +4,7 @@ import pytest
 from propner.matcher import EntityMatch, Sentence, build_matcher, find_candidates, resolve_overlaps, retrieve
 
 from helpers import kb_from_surfaces, random_matcher_case
-from oracles import brute_force_candidates, check_selection
+from oracles import brute_force_candidates, check_selection, pairwise_resolve
 
 
 def as_keys(matches):
@@ -136,6 +136,23 @@ class TestResolveOverlaps:
                 end = start + int(rng.integers(1, 5))
                 candidates.append(match(start, end, f"Q{index + 1}"))
             check_selection(candidates, resolve_overlaps(candidates))
+
+    def test_same_selection_as_the_pairwise_rule(self):
+        """The occupancy array selects what a scan of every selected span
+        would, on candidate sets with nested, crossing and shared spans."""
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            candidates = []
+            for index in range(int(rng.integers(0, 30))):
+                if candidates and rng.random() < 0.3:  # another qid of a span already listed
+                    start, end = candidates[int(rng.integers(0, len(candidates)))][:2]
+                else:
+                    start = int(rng.integers(0, 20))
+                    end = start + int(rng.integers(1, 6))
+                candidates.append((start, end, f"Q{index + 1}"))
+            order = rng.permutation(len(candidates))
+            matches = [match(*candidates[i]) for i in order]
+            assert resolve_overlaps(matches) == pairwise_resolve(matches)
 
 
 class TestRetrieve:
