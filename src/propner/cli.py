@@ -252,14 +252,13 @@ def sidecar_row(sentence_id: str, tokens: list[str], dist: np.ndarray) -> str:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     augs = augmenter.read_jsonl(args.aug, max_len=model.max_len)
-    rows = []
-    with open(str(args.out) + ".dist.jsonl", "w", encoding="utf-8", newline="") as sidecar:
-        sidecar.write(sidecar_header(model.labels))
-        for aug in augs:
-            sentence_tokens = aug.tokens[1 : aug.n_sentence + 1]
-            rows.append((aug.sentence_id, sentence_tokens, predict_tags(model, aug)))
-            sidecar.write(sidecar_row(aug.sentence_id, sentence_tokens, predict(model, aug)))
-    _write_tagged(rows, args.out)
+    rows, sidecar = [], [sidecar_header(model.labels)]
+    for aug in augs:
+        sentence_tokens = aug.tokens[1 : aug.n_sentence + 1]
+        rows.append((aug.sentence_id, sentence_tokens, predict_tags(model, aug)))
+        sidecar.append(sidecar_row(aug.sentence_id, sentence_tokens, predict(model, aug)))
+    _write_tagged(rows, args.out)  # first: an --out that cannot be written leaves no sidecar
+    Path(str(args.out) + ".dist.jsonl").write_text("".join(sidecar), encoding="utf-8", newline="")
     return 0
 
 

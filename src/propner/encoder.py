@@ -20,8 +20,9 @@ seed and data produce bit-identical parameters.
 
 The parameters live in one float64 buffer, ``ToyEncoderModel.flat``, in
 sorted-name order, the order of the model file's body; ``params`` holds
-named views into it. A gradient is a buffer of the same layout, so one
-update step is one ``flat -= lr * grad``.
+named views into it and ``layers`` each layer's views, resolved once. A
+gradient is a buffer of the same layout, so one update step is one
+``flat -= lr * grad``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +78,14 @@ class ToyEncoderModel:
     flat: np.ndarray
     epoch_losses: list[float] = field(default_factory=list)
     params: dict[str, np.ndarray] = field(init=False, repr=False)
+    layers: list[tuple[np.ndarray, ...]] = field(init=False, repr=False)
+    _layer_keys: list[itemgetter] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._layer_keys = [itemgetter(*(f"layers.{layer}.{name}" for name in _LAYER_PARAMS))
+                            for layer in range(self.n_layers)]
         self.params = self.views(self.flat)
+        self.layers = self.layer_views(self.params)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into ``flat``, a buffer laid out like ``self.flat``:
@@ -90,6 +97,10 @@ class ToyEncoderModel:
             views[name] = flat[offset : offset + count].reshape(shapes[name])
             offset += count
         return views
+
+    def layer_views(self, views: dict[str, np.ndarray]) -> list[tuple[np.ndarray, ...]]:
+        """Each layer's arrays among ``views``, in ``_LAYER_PARAMS`` order."""
+        return [keys(views) for keys in self._layer_keys]
 
 
 def build_vocab(datasets: list[AugmentedInput]) -> dict[str, int]:
@@ -104,6 +115,8 @@ def build_vocab(datasets: list[AugmentedInput]) -> dict[str, int]:
 # The hyperparameters a model file stores, each a field of TrainConfig and
 # of ToyEncoderModel.
 _HYPERPARAMS = ("d_model", "n_heads", "n_layers", "ff_dim", "max_len", "seed")
+# The arrays of one layer, in the order the passes unpack them.
+_LAYER_PARAMS = ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2")
 
 
 def _param_shapes(n_vocab: int, n_labels: int, config: TrainConfig | ToyEncoderModel) -> dict[str, tuple[int, ...]]:
@@ -144,11 +157,11 @@ def _masked_softmax(scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """
     keep = bits.astype(bool, copy=False)
     neg = np.where(keep, scores, -np.inf)
-    empty = ~keep.any(axis=-1)
-    rowmax = np.where(empty, 0.0, np.max(neg, axis=-1, initial=-np.inf))
-    weights = np.exp(neg - rowmax[..., None])
-    denom = weights.sum(axis=-1, keepdims=True)
-    return weights / np.where(denom == 0.0, 1.0, denom)
+    live = np.logical_or.reduce(keep, -1, keepdims=True)
+    rowmax = np.maximum.reduce(neg, -1, keepdims=True, initial=-np.inf)
+    weights = np.exp(neg - np.where(live, rowmax, 0.0))
+    # A live row's sum is at least 1 (its max cell gives exp(0)) or NaN.
+    return weights / np.where(live, np.add.reduce(weights, -1, keepdims=True), 1.0)
 
 
 def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,19 +171,9 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, bits: np.ndarr
     A query whose mask row has no set bit gets zero weights and a zero
     output. Returns the output and the attention weights.
     """
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(k.shape[-1])
+    scores = q @ k.swapaxes(-1, -2) / math.sqrt(k.shape[-1])
     weights = _masked_softmax(scores, bits)
     return weights @ v, weights
-
-
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    t, d = x.shape
-    return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, t, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dk)
 
 
 def _prepare(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray]:
@@ -183,44 +186,32 @@ def _prepare(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, n
     return np.array([model.vocab.get(token, unk) for token in aug.tokens], dtype=np.int64), aug.mask.bits
 
 
-def _forward_pass(model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Logits of a ``_prepare``d input and the cache the backward pass
-    reads; ``cache["final"]`` holds the final-layer hidden states."""
+def _forward_pass(model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """Logits of a ``_prepare``d input. Given a list as ``cache``, appends
+    what the backward pass reads: one tuple per layer, then the final-layer
+    hidden states."""
     p = model.params
-    t = len(ids)
+    t, h = len(ids), model.n_heads
     x = p["embed"][ids] + p["pos"][:t]
-    cache = {"layers": []}
-    for layer in range(model.n_layers):
-        prefix = f"layers.{layer}."
-        q = x @ p[prefix + "wq"]
-        k = x @ p[prefix + "wk"]
-        v = x @ p[prefix + "wv"]
-        qh = _split_heads(q, model.n_heads)
-        kh = _split_heads(k, model.n_heads)
-        vh = _split_heads(v, model.n_heads)
+    for wq, wk, wv, wo, w1, b1, w2, b2 in model.layers:
+        qh = (x @ wq).reshape(t, h, -1).transpose(1, 0, 2)
+        kh = (x @ wk).reshape(t, h, -1).transpose(1, 0, 2)
+        vh = (x @ wv).reshape(t, h, -1).transpose(1, 0, 2)
         heads, weights = masked_attention(qh, kh, vh, keep)
-        merged = _merge_heads(heads)
-        attn_out = merged @ p[prefix + "wo"]
-        x1 = x + attn_out
-        pre = x1 @ p[prefix + "w1"] + p[prefix + "b1"]
-        hidden = np.tanh(pre)
-        x2 = x1 + hidden @ p[prefix + "w2"] + p[prefix + "b2"]
-        cache["layers"].append(
-            {"x": x, "qh": qh, "kh": kh, "vh": vh, "weights": weights, "merged": merged, "x1": x1, "hidden": hidden}
-        )
-        x = x2
-    cache["final"] = x
-    return x @ p["cls.w"] + p["cls.b"], cache
+        merged = heads.transpose(1, 0, 2).reshape(t, -1)
+        x1 = x + merged @ wo
+        hidden = np.tanh(x1 @ w1 + b1)
+        if cache is not None:
+            cache.append((x, qh, kh, vh, weights, merged, x1, hidden))
+        x = x1 + hidden @ w2 + b2
+    if cache is not None:
+        cache.append(x)
+    return x @ p["cls.w"] + p["cls.b"]
 
 
 def forward(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     """Per-position label logits, shape (len(tokens), len(labels))."""
-    return _forward_pass(model, *_prepare(model, aug))[0]
-
-
-def hidden_states(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
-    """Final-layer hidden states, shape (len(tokens), d_model)."""
-    return _forward_pass(model, *_prepare(model, aug))[1]["final"]
+    return _forward_pass(model, *_prepare(model, aug))
 
 
 def _example(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,17 +227,18 @@ def _example(model: ToyEncoderModel, aug: AugmentedInput) -> tuple[np.ndarray, n
 
 def _cross_entropy(
     model: ToyEncoderModel, ids: np.ndarray, keep: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray, dict]:
+) -> tuple[float, np.ndarray, list]:
     """Mean cross-entropy of an ``_example`` over the sentence tokens, its
     gradient with respect to the logits, and the forward cache."""
-    logits, cache = _forward_pass(model, ids, keep)
+    cache = []
+    logits = _forward_pass(model, ids, keep, cache)
     labeled = slice(1, len(targets) + 1)
     picked = logits[labeled]
-    shifted = picked - picked.max(axis=1, keepdims=True)
+    shifted = picked - np.maximum.reduce(picked, 1, keepdims=True)
     exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
+    denom = np.add.reduce(exp, 1, keepdims=True)
     rows = np.arange(len(targets))
-    loss = float(np.mean(np.log(denom[:, 0]) - shifted[rows, targets]))
+    loss = float(np.add.reduce(np.log(denom[:, 0]) - shifted[rows, targets]) / len(targets))
     d_picked = exp / denom
     d_picked[rows, targets] -= 1.0
     d_logits = np.zeros_like(logits)
@@ -258,49 +250,45 @@ def _loss_and_grads(model: ToyEncoderModel, example: tuple, grads: dict[str, np.
     """Mean cross-entropy of an ``_example`` over the sentence tokens. Adds
     its gradient into ``grads``, the ``model.views`` of a buffer laid out
     like ``model.flat``."""
-    p = model.params
     loss, d_logits, cache = _cross_entropy(model, *example)
+    ids = example[0]
+    t, h = len(ids), model.n_heads
+    scale = 1.0 / math.sqrt(model.d_model // h)
 
-    final = cache["final"]
-    grads["cls.w"] += final.T @ d_logits
-    grads["cls.b"] += d_logits.sum(axis=0)
-    dx = d_logits @ p["cls.w"].T
+    grads["cls.w"] += cache.pop().T @ d_logits
+    grads["cls.b"] += np.add.reduce(d_logits, 0)
+    dx = d_logits @ model.params["cls.w"].T
 
-    for layer in reversed(range(model.n_layers)):
-        prefix = f"layers.{layer}."
-        c = cache["layers"][layer]
+    for layer, layer_grads, saved in reversed(list(zip(model.layers, model.layer_views(grads), cache))):
+        wq, wk, wv, wo, w1, b1, w2, b2 = layer
+        gq, gk, gv, go, g1, gb1, g2, gb2 = layer_grads
+        x, qh, kh, vh, weights, merged, x1, hidden = saved
         # x2 = x1 + tanh(x1 w1 + b1) w2 + b2
-        d_hidden = dx @ p[prefix + "w2"].T
-        grads[prefix + "w2"] += c["hidden"].T @ dx
-        grads[prefix + "b2"] += dx.sum(axis=0)
-        d_pre = d_hidden * (1.0 - c["hidden"] ** 2)
-        grads[prefix + "w1"] += c["x1"].T @ d_pre
-        grads[prefix + "b1"] += d_pre.sum(axis=0)
-        dx1 = dx + d_pre @ p[prefix + "w1"].T
+        d_hidden = dx @ w2.T
+        g2 += hidden.T @ dx
+        gb2 += np.add.reduce(dx, 0)
+        d_pre = d_hidden * (1.0 - hidden ** 2)
+        g1 += x1.T @ d_pre
+        gb1 += np.add.reduce(d_pre, 0)
+        dx1 = dx + d_pre @ w1.T
         # x1 = x + merge(A vh) wo
-        grads[prefix + "wo"] += c["merged"].T @ dx1
-        d_merged = dx1 @ p[prefix + "wo"].T
-        d_heads = _split_heads(d_merged, model.n_heads)
-        weights = c["weights"]
-        d_weights = d_heads @ c["vh"].swapaxes(1, 2)
+        go += merged.T @ dx1
+        d_heads = (dx1 @ wo.T).reshape(t, h, -1).transpose(1, 0, 2)
+        d_weights = d_heads @ vh.swapaxes(1, 2)
         d_vh = weights.swapaxes(1, 2) @ d_heads
         # softmax backward; zero rows and masked cells have weights 0, so
         # their score gradient vanishes as well
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
-        d_scores *= 1.0 / np.sqrt(c["kh"].shape[-1])
-        d_qh = d_scores @ c["kh"]
-        d_kh = d_scores.swapaxes(1, 2) @ c["qh"]
-        dq = _merge_heads(d_qh)
-        dk = _merge_heads(d_kh)
-        dv = _merge_heads(d_vh)
-        x = c["x"]
-        grads[prefix + "wq"] += x.T @ dq
-        grads[prefix + "wk"] += x.T @ dk
-        grads[prefix + "wv"] += x.T @ dv
-        dx = dx1 + dq @ p[prefix + "wq"].T + dk @ p[prefix + "wk"].T + dv @ p[prefix + "wv"].T
+        d_scores = weights * (d_weights - np.add.reduce(d_weights * weights, -1, keepdims=True))
+        d_scores *= scale
+        dq = (d_scores @ kh).transpose(1, 0, 2).reshape(t, -1)
+        dk = (d_scores.swapaxes(1, 2) @ qh).transpose(1, 0, 2).reshape(t, -1)
+        dv = d_vh.transpose(1, 0, 2).reshape(t, -1)
+        gq += x.T @ dq
+        gk += x.T @ dk
+        gv += x.T @ dv
+        dx = dx1 + dq @ wq.T + dk @ wk.T + dv @ wv.T
 
-    ids = example[0]
-    grads["pos"][: len(ids)] += dx
+    grads["pos"][:t] += dx
     np.add.at(grads["embed"], ids, dx)
     return loss
 
@@ -351,9 +339,8 @@ def predict(model: ToyEncoderModel, aug: AugmentedInput) -> np.ndarray:
     positions are discarded.
     """
     logits = forward(model, aug)[1 : aug.n_sentence + 1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    exp = np.exp(logits - np.maximum.reduce(logits, 1, keepdims=True))
+    return exp / np.add.reduce(exp, 1, keepdims=True)
 
 
 def predict_tags(model: ToyEncoderModel, aug: AugmentedInput) -> list[str]:
@@ -361,39 +348,6 @@ def predict_tags(model: ToyEncoderModel, aug: AugmentedInput) -> list[str]:
     smallest label (the label list is sorted at training time)."""
     dist = predict(model, aug)
     return [model.labels[i] for i in dist.argmax(axis=1)]
-
-
-def gradient_check(model: ToyEncoderModel, aug: AugmentedInput, epsilon: float, n_coords: int = 120, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Samples at least one coordinate from every parameter group (and
-    ``n_coords`` in total) with a seeded generator. The relative error uses
-    a small absolute floor so coordinates whose true gradient is 0, e.g.
-    value rows visible to no query, compare cleanly against the
-    finite-difference noise.
-    """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    example = _example(model, aug)
-    analytic = model.views(np.zeros_like(model.flat))
-    _loss_and_grads(model, example, analytic)
-    rng = np.random.default_rng(seed)
-    per_group = max(1, -(-n_coords // len(model.params)))
-
-    worst = 0.0
-    for name, param in model.params.items():
-        for index in rng.integers(0, param.size, size=per_group):
-            original = param.flat[index]
-            param.flat[index] = original + epsilon
-            loss_plus = _cross_entropy(model, *example)[0]
-            param.flat[index] = original - epsilon
-            loss_minus = _cross_entropy(model, *example)[0]
-            param.flat[index] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            exact = analytic[name].flat[index]
-            rel = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-3)
-            worst = max(worst, rel)
-    return worst
 
 
 _MODEL_FORMAT = "toy-encoder"

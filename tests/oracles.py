@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: exhaustive span scans, cell-by-cell
 rule application, per-label counting. None of it shares code with the
-package internals it verifies.
+package internals it verifies, except the encoder probes at the end: the
+gradient check differentiates the package's own loss numerically, and the
+hidden states are read off its own forward pass.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 
 import numpy as np
 
+from propner.encoder import ToyEncoderModel, _cross_entropy, _example, _forward_pass, _loss_and_grads, _prepare
 from propner.kbstore import KnowledgeBase, normalize_surface
 from propner.matcher import EntityMatch
 
@@ -129,6 +132,18 @@ def reference_softmax_row(scores: np.ndarray, allowed: list[int]) -> np.ndarray:
     return out
 
 
+def reference_masked_softmax(scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The encoder's masked softmax as first written: the row max and the
+    row sum through ``np.max`` and ``.sum``, and a zero sum replaced by 1."""
+    keep = bits.astype(bool, copy=False)
+    neg = np.where(keep, scores, -np.inf)
+    empty = ~keep.any(axis=-1)
+    rowmax = np.where(empty, 0.0, np.max(neg, axis=-1, initial=-np.inf))
+    weights = np.exp(neg - rowmax[..., None])
+    denom = weights.sum(axis=-1, keepdims=True)
+    return weights / np.where(denom == 0.0, 1.0, denom)
+
+
 def counting_vote(labels: list[str], fold_votes: list[list[str]], weights: list[float]) -> str:
     """Weighted plurality over hard per-fold votes for one token."""
     totals = {label: 0.0 for label in labels}
@@ -136,3 +151,43 @@ def counting_vote(labels: list[str], fold_votes: list[list[str]], weights: list[
         totals[vote] += weight
     best = max(totals.values())
     return min(label for label, total in totals.items() if total == best)
+
+
+def hidden_states(model: ToyEncoderModel, aug) -> np.ndarray:
+    """Final-layer hidden states, shape (len(tokens), d_model)."""
+    cache = []
+    _forward_pass(model, *_prepare(model, aug), cache)
+    return cache[-1]
+
+
+def gradient_check(model: ToyEncoderModel, aug, epsilon: float, n_coords: int = 120, seed: int = 0) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Samples at least one coordinate from every parameter group (and
+    ``n_coords`` in total) with a seeded generator. The relative error uses
+    a small absolute floor so coordinates whose true gradient is 0, e.g.
+    value rows visible to no query, compare cleanly against the
+    finite-difference noise.
+    """
+    if not 1e-6 <= epsilon <= 1e-3:
+        raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
+    example = _example(model, aug)
+    analytic = model.views(np.zeros_like(model.flat))
+    _loss_and_grads(model, example, analytic)
+    rng = np.random.default_rng(seed)
+    per_group = max(1, -(-n_coords // len(model.params)))
+
+    worst = 0.0
+    for name, param in model.params.items():
+        for index in rng.integers(0, param.size, size=per_group):
+            original = param.flat[index]
+            param.flat[index] = original + epsilon
+            loss_plus = _cross_entropy(model, *example)[0]
+            param.flat[index] = original - epsilon
+            loss_minus = _cross_entropy(model, *example)[0]
+            param.flat[index] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+            exact = analytic[name].flat[index]
+            rel = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-3)
+            worst = max(worst, rel)
+    return worst

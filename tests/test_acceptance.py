@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from propner.cli import main
-from propner.encoder import TrainConfig, build_vocab, gradient_check, hidden_states, init_model, masked_attention
+from propner.encoder import TrainConfig, build_vocab, init_model, masked_attention
 from propner.ensemble import WeightedPredictions, repair_bio, weighted_vote
 from propner.evaluator import coverage_rate, score
 from propner.kbstore import build_knowledge_base, parse_dump, save_kb
@@ -19,7 +19,7 @@ from propner.synthetic import run_synthetic_ab
 
 from conftest import table_dump_lines
 from helpers import random_augmented, random_matcher_case
-from oracles import brute_force_candidates, check_selection, counting_vote, rule_mask
+from oracles import brute_force_candidates, check_selection, counting_vote, gradient_check, hidden_states, rule_mask
 
 
 @contextlib.contextmanager

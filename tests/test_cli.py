@@ -810,6 +810,13 @@ class TestSidecarValidation:
         labels = json.loads(cli_files["sidecar"].read_text(encoding="utf-8").splitlines()[0])["labels"]
         assert Path(f"{pred}.dist.jsonl").read_text(encoding="utf-8") == sidecar_header(labels)
 
+    def test_predict_to_a_directory_writes_no_sidecar(self, cli_files, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["predict", "--model", str(cli_files["model"]), "--aug", str(cli_files["aug"]), "--out", str(out)]
+        _assert_one_error_line(*_run(argv), f"Is a directory: '{out}'")
+        assert not Path(f"{out}.dist.jsonl").exists()
+
     def test_dist_is_predict_bit_for_bit(self, cli_files):
         model = load_model(cli_files["model"])
         augs = augmenter.read_jsonl(cli_files["aug"])

@@ -10,8 +10,6 @@ from propner.encoder import (
     TrainConfig,
     build_vocab,
     forward,
-    gradient_check,
-    hidden_states,
     init_model,
     load_model,
     masked_attention,
@@ -24,7 +22,7 @@ from propner.inputs import InputError
 from propner.matcher import EntityMatch, Sentence
 
 from helpers import random_augmented
-from oracles import reference_softmax_row
+from oracles import gradient_check, hidden_states, reference_masked_softmax, reference_softmax_row
 
 TINY = TrainConfig(d_model=8, n_heads=2, n_layers=2, ff_dim=16, max_len=64, seed=11)
 
@@ -81,6 +79,27 @@ class TestMaskedAttention:
             weights = _masked_softmax(rng.normal(size=(t, t)), bits)
             assert (weights[bits == 0] == 0.0).all()
             assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("heads", [(), (3,)])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_softmax_is_the_reference_bit_for_bit(self, dtype, heads):
+        # rows with no set bit, and +-inf and NaN scores in kept and masked
+        # cells, must come out exactly as the reference formula gives them
+        from propner.encoder import _masked_softmax
+
+        rng = np.random.default_rng(5 + len(heads) + 2 * (dtype is bool))
+        specials = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                t = int(rng.integers(1, 9))
+                bits = (rng.random((t, t)) < rng.random()).astype(dtype)
+                bits[rng.integers(0, t)] = 0
+                scores = rng.normal(scale=rng.choice([1.0, 30.0, 800.0]), size=(*heads, t, t))
+                cells = rng.random(scores.shape) < rng.random() * 0.4
+                scores[cells] = rng.choice(specials, size=int(cells.sum()))
+                got, want = _masked_softmax(scores, bits), reference_masked_softmax(scores, bits)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_empty_row_allowed_gives_zero_output(self):
         bits = np.zeros((2, 2), np.uint8)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,15 @@ def test_line_coverage_names_the_lines_that_never_ran(tmp_path):
     run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
     assert [line for line in run.stdout.splitlines() if line.startswith("src/")] == ["src/mod.py:11", "src/mod.py:12"]
+
+
+def test_artifact_digest_prints_one_sha256_per_artifact():
+    run = subprocess.run([sys.executable, str(TOOLS / "artifact_digest.py")], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
+    expected = ["kb/contexts.tsv", "kb/meta.json", "kb/surfaces.tsv", "pairs.jsonl", "plan.json"]
+    for mode in ("default", "strict-paper"):
+        expected += [f"test.{mode}.aug.jsonl", f"train.{mode}.aug.jsonl", f"ab.{mode}.json", f"{mode}.voted.tsv"]
+        expected += [f"{mode}.seed{seed}{suffix}" for seed in (1, 2) for suffix in (".bin", ".tsv", ".tsv.dist.jsonl")]
+    assert [line.split()[0] for line in lines] == sorted(expected)

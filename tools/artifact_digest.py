@@ -1,0 +1,99 @@
+"""Print the sha256 of every artifact a fixed list of seeded commands writes.
+
+    python3 tools/artifact_digest.py [--seed N]
+
+The inputs are the benchmark's smoke-size workload (``bench/workloads.py``,
+``SMOKE``) at the seed: a dump, a training and a test CoNLL file. In a
+temporary directory the tool runs, through ``propner.cli.main``:
+``build-kb``; ``retrieve``; ``split``; then in each mask mode ``augment``
+of both CoNLL files, ``train`` of two models (seeds 1 and 2), ``predict``
+with each (its ``.tsv`` and its sidecar), ``vote`` over the two sidecars
+and ``synthetic-ab --out``. It prints one ``name sha256`` line per file
+written, sorted by name. Two checkouts that print the same lines wrote the
+same bytes. The package is imported from ``src/`` beside ``tools/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from propner import cli  # noqa: E402
+from workloads import AB_EPOCHS, QID_CAP, SMOKE, TAG_MAX_LEN, generate  # noqa: E402
+
+MASK_MODES = ("default", "strict-paper")
+MODEL_SEEDS = (1, 2)
+
+
+def _write_conll(rows, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for sid, tokens, tags in rows:
+            handle.write(f"# id {sid}\n")
+            handle.writelines(f"{token} _ _ {tag}\n" for token, tag in zip(tokens, tags))
+            handle.write("\n")
+
+
+def _propner(*argv) -> None:
+    """Run one command; its output and warnings are shown only if it fails."""
+    log = io.StringIO()
+    with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+        code = cli.main([str(arg) for arg in argv])
+    if code != 0:
+        raise SystemExit(f"propner {argv[0]} exited with {code}:\n{log.getvalue()}")
+
+
+def run_commands(seed: int, work: Path) -> Path:
+    """Run every command in ``work``; return the directory of what they wrote."""
+    inputs = generate(SMOKE, seed)
+    dump, train, test = work / "in" / "dump.jsonl", work / "in" / "train.conll", work / "in" / "test.conll"
+    dump.parent.mkdir()
+    dump.write_text("\n".join(inputs.dump_lines) + "\n", encoding="utf-8")
+    _write_conll(inputs.tag_train, train)
+    _write_conll(inputs.tag_test, test)
+
+    out = work / "out"
+    kb = out / "kb"
+    _propner("build-kb", "--dump", dump, "--lang", "en", "--out", kb, "--qid-cap", QID_CAP)
+    _propner("retrieve", "--kb", kb, "--data", train, "--out", out / "pairs.jsonl")
+    _propner("split", "--data", train, "--k", SMOKE.folds, "--seed", seed, "--out", out / "plan.json")
+    for mode in MASK_MODES:
+        augs = {}
+        for name, data in (("train", train), ("test", test)):
+            augs[name] = out / f"{name}.{mode}.aug.jsonl"
+            _propner("augment", "--kb", kb, "--data", data, "--out", augs[name], "--max-len", TAG_MAX_LEN,
+                     "--mask-mode", mode)
+        sidecars = []
+        for model_seed in MODEL_SEEDS:
+            model, pred = out / f"{mode}.seed{model_seed}.bin", out / f"{mode}.seed{model_seed}.tsv"
+            _propner("train", "--aug", augs["train"], "--out", model, "--seed", model_seed,
+                     "--epochs", SMOKE.fold_epochs, "--max-len", TAG_MAX_LEN)
+            _propner("predict", "--model", model, "--aug", augs["test"], "--out", pred)
+            sidecars.append(f"{pred}.dist.jsonl")
+        _propner("vote", "--preds", *sidecars, "--weights", "0.75,0.25", "--out", out / f"{mode}.voted.tsv")
+        _propner("synthetic-ab", "--seed", seed, "--epochs", AB_EPOCHS, "--mask-mode", mode,
+                 "--out", out / f"ab.{mode}.json")
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="seed of the inputs, the split and the A/B")
+    seed = parser.parse_args().seed
+    with tempfile.TemporaryDirectory() as work:
+        out = run_commands(seed, Path(work))
+        digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.rglob("*") if path.is_file()}
+    for name in sorted(digests):
+        print(name, digests[name])
+
+
+if __name__ == "__main__":
+    main()
