@@ -25,7 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from propner.ensemble import check_tag
-from propner.inputs import check_utf8, parse_lines
+from propner.inputs import check_utf8, parse_lines, write_text
 from propner.kbstore import CONTEXT_SEPARATOR
 from propner.matcher import EntityMatch, Sentence
 
@@ -302,9 +302,7 @@ def _decode(line: str) -> AugmentedInput:
 
 
 def write_jsonl(augs: list[AugmentedInput], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for aug in augs:
-            handle.write(to_json_line(aug) + "\n")
+    write_text(path, (to_json_line(aug) + "\n" for aug in augs))
 
 
 def read_jsonl(path, max_len: int | None = None, labeled: bool = False) -> list[AugmentedInput]:

@@ -20,7 +20,7 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from propner.encoder import (
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import coverage_rate, score
-from propner.inputs import InputError, parse_lines, read_lines, refuse_bom
+from propner.inputs import InputError, parse_lines, read_lines, refuse_bom, write_text
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
@@ -116,25 +116,21 @@ def read_conll(path, labeled: bool = False) -> list[Sentence]:
 
 
 def write_conll(sentences: list[Sentence], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for sentence in sentences:
-            handle.write(f"# id {sentence.id}\n")
-            for i, token in enumerate(sentence.tokens):
-                if sentence.gold_tags is not None:
-                    handle.write(f"{token} _ _ {sentence.gold_tags[i]}\n")
-                else:
-                    handle.write(f"{token} _ _\n")
-            handle.write("\n")
+    """Dataset output: '# id' headers and token _ _ tag lines, or token _ _
+    lines for a sentence without gold tags."""
+
+    def rows(sentence: Sentence) -> Iterator[str]:
+        if sentence.gold_tags is None:
+            return (f"{token} _ _\n" for token in sentence.tokens)
+        return (f"{token} _ _ {tag}\n" for token, tag in zip(sentence.tokens, sentence.gold_tags))
+
+    write_text(path, (f"# id {sentence.id}\n" + "".join(rows(sentence)) + "\n" for sentence in sentences))
 
 
 def _write_tagged(rows: list[tuple[str, list[str], list[str]]], path) -> None:
     """Prediction output: '# id' headers and token<TAB>tag lines."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for sid, tokens, tags in rows:
-            handle.write(f"# id {sid}\n")
-            for token, tag in zip(tokens, tags):
-                handle.write(f"{token}\t{tag}\n")
-            handle.write("\n")
+    write_text(path, (f"# id {sid}\n" + "".join(f"{token}\t{tag}\n" for token, tag in zip(tokens, tags)) + "\n"
+                      for sid, tokens, tags in rows))
 
 
 def _parse_properties(text: str) -> frozenset[str]:
@@ -157,7 +153,7 @@ def _parse_weights(text: str) -> list[float]:
 def _dump_json(data, path: str | None) -> None:
     text = json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        write_text(path, [text])
     else:
         sys.stdout.write(text)
 
@@ -184,7 +180,8 @@ def cmd_coverage(args) -> int:
 def cmd_retrieve(args) -> int:
     kb = load_kb(args.kb)
     matcher = build_matcher(kb)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+
+    def lines() -> Iterator[str]:
         for sentence in read_conll(args.data):
             pairs = retrieve(kb, matcher, sentence)
             row = {
@@ -193,7 +190,9 @@ def cmd_retrieve(args) -> int:
                     {"start": m.start, "end": m.end, "qid": m.qid, "context": m.context} for m in pairs
                 ],
             }
-            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            yield json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
+
+    write_text(args.out, lines())
     return 0
 
 
@@ -258,7 +257,7 @@ def cmd_predict(args) -> int:
         rows.append((aug.sentence_id, sentence_tokens, predict_tags(model, aug)))
         sidecar.append(sidecar_row(aug.sentence_id, sentence_tokens, predict(model, aug)))
     _write_tagged(rows, args.out)  # first: an --out that cannot be written leaves no sidecar
-    Path(str(args.out) + ".dist.jsonl").write_text("".join(sidecar), encoding="utf-8", newline="")
+    write_text(str(args.out) + ".dist.jsonl", sidecar)
     return 0
 
 
@@ -520,8 +519,21 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help; a usage error raises ValueError
             return 0 if exc.code in (0, None) else 1
-        logging.basicConfig(level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
-        return int(args.func(args) or 0)
+        # For this call only, the package logs each message once, to this
+        # call's stderr, at this call's level.
+        package = logging.getLogger("propner")
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+        saved = package.level, package.propagate
+        package.addHandler(handler)
+        package.setLevel(logging.INFO if args.verbose else logging.WARNING)
+        package.propagate = False
+        try:
+            return int(args.func(args) or 0)
+        finally:
+            package.removeHandler(handler)
+            package.setLevel(saved[0])
+            package.propagate = saved[1]
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

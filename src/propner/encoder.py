@@ -37,7 +37,7 @@ import numpy as np
 
 from propner.augmenter import AugmentedInput
 from propner.ensemble import check_labels
-from propner.inputs import InputError, check_utf8, located
+from propner.inputs import InputError, check_utf8, located, naming
 
 UNK_TOKEN = "[UNK]"
 
@@ -104,12 +104,8 @@ class ToyEncoderModel:
 
 
 def build_vocab(datasets: list[AugmentedInput]) -> dict[str, int]:
-    tokens = sorted({token for aug in datasets for token in aug.tokens})
-    vocab = {UNK_TOKEN: 0}
-    for token in tokens:
-        if token != UNK_TOKEN:
-            vocab[token] = len(vocab)
-    return vocab
+    tokens = sorted({token for aug in datasets for token in aug.tokens} - {UNK_TOKEN})
+    return {token: index for index, token in enumerate([UNK_TOKEN, *tokens])}
 
 
 # The hyperparameters a model file stores, each a field of TrainConfig and
@@ -381,7 +377,7 @@ def save_model(model: ToyEncoderModel, path: str | Path) -> None:
         "arrays": [{"name": name, "shape": list(view.shape)} for name, view in model.params.items()],
     }
     header["digest"] = _digest(header, body)
-    with open(path, "wb") as handle:
+    with naming(path), open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n")
         handle.write(body)
 

@@ -1,4 +1,4 @@
-"""Located errors for the files the program reads.
+"""The files the program reads and writes, and errors that name them.
 
 A defect of an input file is reported as one ``InputError`` that names the
 file and, where the file has lines, the line: ``path:line: message``.
@@ -7,12 +7,16 @@ dump's, which streams; ``parse_lines`` parses them one by one, and
 ``located`` serves readers that parse a file, or a header, as a whole.
 A text file is UTF-8 without a byte order mark, and a string read from
 JSON must be one that UTF-8 can encode (``check_utf8``).
+
+Every text file the program writes goes through ``write_text``, and a
+write that fails names its file (``naming``), as ``open`` does.
 """
 
 from __future__ import annotations
 
 import codecs
-from typing import Callable, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -95,3 +99,23 @@ def parse_lines(path, parse: Callable[[str], T | None]) -> list[T]:
             results.append(parse(line))
         results.append(parse(""))
     return [result for result in results if result is not None]
+
+
+@contextmanager
+def naming(path):
+    """Context that gives an OSError raised in it that names no file, as a
+    failed write or close does, the name ``path``: its message then reads
+    like ``open``'s own, ``[Errno 28] No space left on device: 'path'``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
+
+
+def write_text(path, parts: Iterable[str]) -> None:
+    """Write the strings ``parts`` to the text file at ``path`` as they are:
+    UTF-8, with no newline translation. Each part ends its own lines."""
+    with naming(path), open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(parts)

@@ -24,7 +24,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from propner.inputs import InputError, check_utf8, located, read_lines
+from propner.inputs import InputError, check_utf8, located, read_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -218,17 +218,8 @@ def parse_dump(stream: Iterable[bytes | str], report: DumpErrorReport | None = N
 
 def entity_names(record: EntityRecord, language: str) -> set[str]:
     """Label, sitelink title and aliases for one language, deduplicated."""
-    names = set()
-    label = record.labels.get(language, "")
-    if label:
-        names.add(label)
-    title = record.sitelink_titles.get(language, "")
-    if title:
-        names.add(title)
-    for alias in record.aliases.get(language, []):
-        if alias:
-            names.add(alias)
-    return names
+    names = {record.labels.get(language, ""), record.sitelink_titles.get(language, ""), *record.aliases.get(language, [])}
+    return names - {""}  # a missing name, or an empty one
 
 
 def _check_mask(property_mask: Iterable[str]) -> frozenset[str]:
@@ -327,22 +318,15 @@ def save_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
 
-    with open(path / SURFACES_FILE, "w", encoding="utf-8", newline="") as handle:
-        for surface, qids in kb.surface_index.items():
-            for qid in qids:
-                handle.write(f"{surface}\t{qid}\n")
-
-    with open(path / CONTEXTS_FILE, "w", encoding="utf-8", newline="") as handle:
-        for qid, context in kb.contexts.items():
-            handle.write(f"{qid}\t{context}\n")
-
+    write_text(path / SURFACES_FILE, (f"{surface}\t{qid}\n" for surface, qids in kb.surface_index.items()
+                                      for qid in qids))
+    write_text(path / CONTEXTS_FILE, (f"{qid}\t{context}\n" for qid, context in kb.contexts.items()))
     meta = {
         "format_version": FORMAT_VERSION,
         "language": kb.language,
         "property_mask": [kind for kind in PROPERTY_KINDS if kind in kb.property_mask],
     }
-    with open(path / META_FILE, "w", encoding="utf-8", newline="") as handle:
-        handle.write(json.dumps(meta, sort_keys=True) + "\n")
+    write_text(path / META_FILE, [json.dumps(meta, sort_keys=True) + "\n"])
 
 
 def load_kb(kb_dir: str | Path) -> KnowledgeBase:

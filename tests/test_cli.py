@@ -1348,3 +1348,52 @@ class TestRobustness:
             assert err == ""
         else:
             _assert_one_error_line(code, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device on which every write fails")
+class TestFailedWriteNamesItsFile:
+    """A write that fails after its file opened, as on a full disk, exits 1
+    with one ``error:`` line that ends in the file's name, as a file that
+    cannot be opened does."""
+
+    @pytest.mark.parametrize("command", ["retrieve", "augment", "split", "train", "predict", "vote", "synthetic-ab"])
+    def test_out_on_a_full_device(self, cli_files, command):
+        kb, gold, aug, sidecar = (str(cli_files[key]) for key in ("kb", "gold", "aug", "sidecar"))
+        argv = {
+            "retrieve": ["retrieve", "--kb", kb, "--data", gold],
+            "augment": ["augment", "--kb", kb, "--data", gold, "--max-len", "64"],
+            "split": ["split", "--data", gold, "--k", "2", "--seed", "1"],
+            "train": ["train", "--aug", aug, "--seed", "1", "--epochs", "1", "--max-len", "64"],
+            "predict": ["predict", "--model", str(cli_files["model"]), "--aug", aug],
+            "vote": ["vote", "--preds", sidecar, sidecar, "--weights", "1,1"],
+            "synthetic-ab": ["synthetic-ab", "--seed", "1", "--epochs", "1"],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = _run([*argv, "--out", "/dev/full"])
+        _assert_one_error_line(code, err)
+        assert err.endswith("No space left on device: '/dev/full'\n"), err
+        assert not os.path.exists("/dev/full.dist.jsonl")  # predict writes its sidecar only after its .tsv
+
+    def test_kb_file_on_a_full_device(self, dump_file, tmp_path):
+        kb = tmp_path / "kb"
+        kb.mkdir()
+        (kb / SURFACES_FILE).symlink_to("/dev/full")
+        code, err = _run(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(kb)])
+        _assert_one_error_line(code, err)
+        assert err.endswith(f"No space left on device: '{kb / SURFACES_FILE}'\n"), err
+
+
+def test_each_call_logs_to_its_own_stderr(tmp_path):
+    """Two runs in one process, each with its own stderr: each run's
+    warnings reach its own stderr once, and ``--verbose`` adds the INFO
+    lines of its run only."""
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(f"{record_line('Q1', 'Paris')}\nnot json\n{record_line('Q1', 'Paris')}\n", encoding="utf-8")
+    lines = []
+    for run, flags in enumerate([[], ["--verbose"]]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = _run(["build-kb", "--dump", str(dump), "--lang", "en", "--out", str(tmp_path / f"kb{run}"), *flags])
+        assert code == 0
+        lines.append(err.splitlines())
+    warning = "WARNING:propner.cli:dump line 2 skipped: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    assert lines == [[warning], ["INFO:propner.kbstore:duplicate qid Q1 in dump, later record wins", warning]]

@@ -27,18 +27,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from propner import cli  # noqa: E402
+from propner.matcher import Sentence  # noqa: E402
 from workloads import AB_EPOCHS, QID_CAP, SMOKE, TAG_MAX_LEN, generate  # noqa: E402
 
 MASK_MODES = ("default", "strict-paper")
 MODEL_SEEDS = (1, 2)
-
-
-def _write_conll(rows, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sid, tokens, tags in rows:
-            handle.write(f"# id {sid}\n")
-            handle.writelines(f"{token} _ _ {tag}\n" for token, tag in zip(tokens, tags))
-            handle.write("\n")
 
 
 def _propner(*argv) -> None:
@@ -56,8 +49,8 @@ def run_commands(seed: int, work: Path) -> Path:
     dump, train, test = work / "in" / "dump.jsonl", work / "in" / "train.conll", work / "in" / "test.conll"
     dump.parent.mkdir()
     dump.write_text("\n".join(inputs.dump_lines) + "\n", encoding="utf-8")
-    _write_conll(inputs.tag_train, train)
-    _write_conll(inputs.tag_test, test)
+    for rows, path in ((inputs.tag_train, train), (inputs.tag_test, test)):
+        cli.write_conll([Sentence(sid, tokens, tags) for sid, tokens, tags in rows], path)
 
     out = work / "out"
     kb = out / "kb"
