@@ -56,24 +56,28 @@ class AttentionMask:
 @dataclass(frozen=True)
 class AugmentedInput:
     """An assembled input. ``gold_tags`` holds one tag per sentence token, or
-    None when unlabeled. The layout and ``mask_mode`` are checked at
-    construction; the input stores no mask. ``mask`` derives a fresh one
-    from them on each read, where the encoder reads it, so it cannot
-    disagree with them and no input holds a (size, size) array."""
+    None when unlabeled. Its tokens, segments and tags are held as tuples,
+    so the layout and ``mask_mode``, checked at construction, hold for the
+    input's life. The input stores no mask: ``mask`` derives a fresh one
+    from the layout on each read, where the encoder reads it, so it cannot
+    disagree with it and no input holds a (size, size) array."""
 
-    tokens: list[str]
+    tokens: tuple[str, ...]
     n_sentence: int
-    segments: list[Segment]
-    gold_tags: list[str] | None
+    segments: tuple[Segment, ...]
+    gold_tags: tuple[str, ...] | None
     sentence_id: str = ""
     mask_mode: str = "default"
 
     def __post_init__(self) -> None:
-        gold = self.gold_tags
+        gold = self.gold_tags  # checked before it is copied, which would make a string one tag a character
         if gold is not None and (
-            not isinstance(gold, list) or len(gold) != self.n_sentence or not all(isinstance(tag, str) for tag in gold)
+            not isinstance(gold, (list, tuple)) or len(gold) != self.n_sentence or not all(isinstance(t, str) for t in gold)
         ):
             raise ValueError(f"'gold_tags' must be null or {self.n_sentence} strings, one per sentence token")
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "gold_tags", None if gold is None else tuple(gold))
         _check_layout(len(self.tokens), self.n_sentence, self.segments, self.mask_mode)
 
     @property
@@ -130,7 +134,7 @@ def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mo
     for (start, end), group in groupby(pairs, key=lambda m: (m.start, m.end)):
         if spans and start < spans[-1][1]:
             raise ValueError("pairs must be start-sorted, and distinct spans must not overlap")
-        spans.append((start, end, sentence.tokens[start:end] + _span_context(list(group)).split()))
+        spans.append((start, end, [*sentence.tokens[start:end], *_span_context(list(group)).split()]))
 
     kept = []
     total = n + 2
@@ -153,7 +157,7 @@ def assemble(sentence: Sentence, pairs: list[EntityMatch], max_len: int, mask_mo
         tokens=tokens,
         n_sentence=n,
         segments=segments,
-        gold_tags=None if sentence.gold_tags is None else list(sentence.gold_tags),
+        gold_tags=sentence.gold_tags,
         sentence_id=sentence.id,
         mask_mode=mask_mode,
     )
@@ -167,7 +171,7 @@ def _check_range(positions: range, name: str, low: int, high: int) -> None:
         raise ValueError(f"{name} range [{positions.start}, {positions.stop}) outside [{low}, {high})")
 
 
-def _check_layout(size: int, n_sentence: int, segments: list[Segment], mode: str) -> None:
+def _check_layout(size: int, n_sentence: int, segments: tuple[Segment, ...], mode: str) -> None:
     """Check a layout that ``AugmentedInput.mask`` can fill: a known mask
     mode, tokens that hold the sentence block, entity ranges in the
     sentence, context ranges after [SEP], and no two ranges overlapping."""

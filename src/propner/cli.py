@@ -181,8 +181,8 @@ def cmd_retrieve(args) -> int:
     kb = load_kb(args.kb)
     matcher = build_matcher(kb)
 
-    def lines() -> Iterator[str]:
-        for sentence in read_conll(args.data):
+    def lines(sentences: list[Sentence]) -> Iterator[str]:
+        for sentence in sentences:
             pairs = retrieve(kb, matcher, sentence)
             row = {
                 "id": sentence.id,
@@ -192,7 +192,8 @@ def cmd_retrieve(args) -> int:
             }
             yield json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
 
-    write_text(args.out, lines())
+    # --data is read whole before --out is opened, so a bad one leaves --out as it was.
+    write_text(args.out, lines(read_conll(args.data)))
     return 0
 
 

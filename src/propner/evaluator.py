@@ -9,6 +9,7 @@ that appear in gold.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -54,41 +55,36 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 
 def score(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
-    """Score aligned tag sequences (one list per sentence).
+    """Score aligned tag sequences (one per sentence).
 
     Spans are read leniently on both sides: an orphan ``I-X`` starts a span,
     the conventional treatment of malformed BIO.
     """
     if len(gold) != len(pred):
         raise ValueError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    gold_classes = set()
+    tp: Counter[str] = Counter()
+    fp: Counter[str] = Counter()
+    fn: Counter[str] = Counter()
     for i, (gold_tags, pred_tags) in enumerate(zip(gold, pred)):
         if len(gold_tags) != len(pred_tags):
             raise ValueError(f"sentence {i}: {len(gold_tags)} gold tags vs {len(pred_tags)} predicted")
         gold_spans = extract_spans(gold_tags)
         pred_spans = extract_spans(pred_tags)
-        for span in gold_spans:
-            gold_classes.add(span[2])
         for span in pred_spans & gold_spans:
-            tp[span[2]] = tp.get(span[2], 0) + 1
+            tp[span[2]] += 1
         for span in pred_spans - gold_spans:
-            fp[span[2]] = fp.get(span[2], 0) + 1
+            fp[span[2]] += 1
         for span in gold_spans - pred_spans:
-            fn[span[2]] = fn.get(span[2], 0) + 1
+            fn[span[2]] += 1
 
-    classes = sorted(set(tp) | set(fp) | set(fn) | gold_classes)
     per_class = {}
-    for name in classes:
-        counts = (tp.get(name, 0), fp.get(name, 0), fn.get(name, 0))
+    for name in sorted(tp.keys() | fp.keys() | fn.keys()):
+        counts = (tp[name], fp[name], fn[name])
         per_class[name] = ClassScore(*counts, *_prf(*counts))
 
-    micro = _prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    macro = (
-        sum(per_class[name].f1 for name in sorted(gold_classes)) / len(gold_classes) if gold_classes else 0.0
-    )
+    micro = _prf(tp.total(), fp.total(), fn.total())
+    gold_classes = sorted(tp.keys() | fn.keys())  # a gold span is either matched or missed
+    macro = sum(per_class[name].f1 for name in gold_classes) / len(gold_classes) if gold_classes else 0.0
     return EvalReport(per_class=per_class, micro_precision=micro[0], micro_recall=micro[1], micro_f1=micro[2], macro_f1=macro)
 
 
@@ -104,7 +100,7 @@ def coverage_rate(kb: KnowledgeBase, dataset: Iterable[Sentence]) -> float:
         if sentence.gold_tags is None:
             raise ValueError(f"sentence {sentence.id!r} has no gold tags")
         tags = repair_bio(sentence.gold_tags)
-        if tags != sentence.gold_tags:
+        if tags != list(sentence.gold_tags):
             logger.warning("sentence %s: malformed BIO tags repaired before span extraction", sentence.id)
         for start, end, _ in sorted(extract_spans(tags)):
             total += 1

@@ -99,7 +99,9 @@ class EntityRecord:
 @dataclass
 class KnowledgeBase:
     """Compiled dictionary. Treated as immutable once built or loaded, so it
-    can be shared freely across concurrent readers.
+    can be shared freely across concurrent readers. Its surface index still
+    holds lists, not tuples, because the benchmark's KB check
+    (``bench/checks.py``) compares them with lists.
 
     Its order is set when it is built: surfaces sorted, each surface's qids
     and the contexts' qids in increasing number. ``save_kb`` writes it as it
@@ -230,16 +232,6 @@ def _check_mask(property_mask: Iterable[str]) -> frozenset[str]:
     return mask
 
 
-def build_context(record: EntityRecord, label_lookup: dict[str, str], property_mask: Iterable[str]) -> str:
-    """Join the labels of the enabled property values with " | ".
-
-    Field order is instance-of, subclass-of, occupation; list order within a
-    field is preserved. Qids without a resolvable label are silently
-    omitted. Labels are whitespace-collapsed so contexts stay TSV-safe.
-    """
-    return _context(_values(record, _check_mask(property_mask)), label_lookup)
-
-
 def _values(record: EntityRecord, mask: frozenset[str]) -> str:
     """The record's property values of the kinds in ``mask``, in context
     order, joined by spaces."""
@@ -247,7 +239,10 @@ def _values(record: EntityRecord, mask: frozenset[str]) -> str:
 
 
 def _context(values: str, label_lookup: dict[str, str]) -> str:
-    """``build_context`` of the property values that ``_values`` joined."""
+    """The context of the property values that ``_values`` joined: their
+    labels in ``label_lookup``, in the order given, joined with " | ". A
+    value without a label is omitted, and each label's whitespace runs are
+    collapsed to single spaces so contexts stay TSV-safe."""
     parts = []
     for qid in values.split():
         label = label_lookup.get(qid)

@@ -15,13 +15,19 @@ from dataclasses import dataclass, field
 from propner.kbstore import KnowledgeBase, _qid_num, normalize_surface
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sentence:
+    """A sentence and, if labeled, one gold tag per token. Its tokens and
+    tags are held as tuples, so the check at construction holds for the
+    sentence's life."""
+
     id: str
-    tokens: list[str]
-    gold_tags: list[str] | None = None
+    tokens: tuple[str, ...]
+    gold_tags: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "gold_tags", None if self.gold_tags is None else tuple(self.gold_tags))
         if any(not token for token in self.tokens):
             raise ValueError(f"sentence {self.id!r} contains an empty token")
         if self.gold_tags is not None and len(self.gold_tags) != len(self.tokens):

@@ -212,7 +212,7 @@ def run_synthetic_ab(
         (without_knowledge(train_sents), without_knowledge(test_sents), train_config),
     )
 
-    gold = [list(s.gold_tags) for s in test_sents]
+    gold = [s.gold_tags for s in test_sents]
     augmented_f1 = score(gold, augmented_pred).micro_f1
     baseline_f1 = score(gold, baseline_pred).micro_f1
 

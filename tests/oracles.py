@@ -153,6 +153,39 @@ def counting_vote(labels: list[str], fold_votes: list[list[str]], weights: list[
     return min(label for label, total in totals.items() if total == best)
 
 
+def reference_spans(tags: list[str]) -> set[tuple[int, int, str]]:
+    """Lenient BIO spans as (start, end, type), each found from its start: a
+    tag of type X starts a span unless it is ``I-X`` right after a tag of
+    type X, and the span runs on over the ``I-X`` tags that follow."""
+    spans = set()
+    for start, tag in enumerate(tags):
+        kind = tag[2:]
+        if tag == "O" or (tag.startswith("I-") and start > 0 and tags[start - 1][2:] == kind):
+            continue
+        end = start + 1
+        while end < len(tags) and tags[end] == f"I-{kind}":
+            end += 1
+        spans.add((start, end, kind))
+    return spans
+
+
+def brute_force_counts(gold: list[list[str]], pred: list[list[str]]) -> dict[str, tuple[int, int, int]]:
+    """(tp, fp, fn) of each type that some gold or predicted span has,
+    counted one type and one sentence at a time."""
+    kinds = {span[2] for tags in [*gold, *pred] for span in reference_spans(tags)}
+    counts = {}
+    for kind in sorted(kinds):
+        tp = fp = fn = 0
+        for gold_tags, pred_tags in zip(gold, pred):
+            wanted = {span for span in reference_spans(gold_tags) if span[2] == kind}
+            found = {span for span in reference_spans(pred_tags) if span[2] == kind}
+            tp += len(wanted & found)
+            fp += len(found - wanted)
+            fn += len(wanted - found)
+        counts[kind] = (tp, fp, fn)
+    return counts
+
+
 def hidden_states(model: ToyEncoderModel, aug) -> np.ndarray:
     """Final-layer hidden states, shape (len(tokens), d_model)."""
     cache = []

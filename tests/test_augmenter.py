@@ -29,20 +29,20 @@ VICTOR_SENTENCE = Sentence("s", ["Victor", "Cousin", "was", "a", "philosopher"],
 class TestAssemble:
     def test_reference_layout(self):
         aug = assemble(VICTOR_SENTENCE, [VICTOR_PAIR], 64)
-        assert aug.tokens == [
+        assert aug.tokens == (
             "[CLS]", "Victor", "Cousin", "was", "a", "philosopher", "[SEP]",
             "Victor", "Cousin", "human", "|", "philosopher", "|", "politician",
-        ]
+        )
         assert len(aug.segments) == 1
         assert aug.segments[0].entity_positions == range(1, 3)
         assert aug.segments[0].context_positions == range(7, 14)
-        assert aug.gold_tags == ["B-PER", "I-PER", "O", "O", "O"]
+        assert aug.gold_tags == ("B-PER", "I-PER", "O", "O", "O")
         assert len(aug.gold_tags) == aug.n_sentence
 
     def test_no_pairs(self):
         aug = assemble(VICTOR_SENTENCE, [], 64)
-        assert aug.tokens == ["[CLS]", "Victor", "Cousin", "was", "a", "philosopher", "[SEP]"]
-        assert aug.segments == [] and "$" not in aug.tokens
+        assert aug.tokens == ("[CLS]", "Victor", "Cousin", "was", "a", "philosopher", "[SEP]")
+        assert aug.segments == () and "$" not in aug.tokens
 
     def test_budget_keeps_longer_entity(self):
         sentence = Sentence("s", ["a", "b", "c", "d", "e", "f"])
@@ -52,13 +52,13 @@ class TestAssemble:
         aug = assemble(sentence, [long_pair, short_pair], 13)
         assert len(aug.segments) == 1
         assert aug.segments[0].entity_positions == range(1, 4)
-        assert aug.tokens[8:] == ["a", "b", "c", "alpha", "beta"]
+        assert aug.tokens[8:] == ("a", "b", "c", "alpha", "beta")
 
     def test_separator_between_segments_only(self):
         sentence = Sentence("s", ["a", "b", "c", "d"])
         pairs = [EntityMatch(0, 1, "a", "Q1", "x"), EntityMatch(2, 3, "c", "Q2", "y")]
         aug = assemble(sentence, pairs, 64)
-        assert aug.tokens[6:] == ["a", "x", "$", "c", "y"]
+        assert aug.tokens[6:] == ("a", "x", "$", "c", "y")
         assert aug.tokens.count("$") == 1
 
     def test_sentence_never_truncated(self):
@@ -73,7 +73,7 @@ class TestAssemble:
 
     def test_empty_context_segment_is_echo_only(self):
         aug = assemble(Sentence("s", ["a", "b"]), [EntityMatch(0, 1, "a", "Q1", "")], 64)
-        assert aug.tokens == ["[CLS]", "a", "b", "[SEP]", "a"]
+        assert aug.tokens == ("[CLS]", "a", "b", "[SEP]", "a")
         assert aug.segments[0].context_positions == range(4, 5)
 
 
@@ -88,17 +88,17 @@ class TestAmbiguousSpan:
 
     def test_one_segment_with_merged_context(self):
         aug = assemble(VICTOR_SENTENCE, self.PAIRS, 64)
-        assert aug.segments == [Segment(range(1, 3), range(7, 14))]
-        assert aug.tokens[7:] == ["Victor", "Cousin", "human", "|", "philosopher", "|", "politician"]
+        assert aug.segments == (Segment(range(1, 3), range(7, 14)),)
+        assert aug.tokens[7:] == ("Victor", "Cousin", "human", "|", "philosopher", "|", "politician")
         assert "$" not in aug.tokens
 
     def test_contexts_merge_in_the_order_given(self):
         aug = assemble(VICTOR_SENTENCE, self.PAIRS[::-1], 64)
-        assert aug.tokens[9:] == ["human", "|", "politician", "|", "philosopher"]
+        assert aug.tokens[9:] == ("human", "|", "politician", "|", "philosopher")
 
     def test_lone_context_kept_as_it_is(self):
         aug = assemble(Sentence("s", ["a", "b"]), [EntityMatch(0, 1, "a", "Q1", "x | x")], 64)
-        assert aug.tokens[4:] == ["a", "x", "|", "x"]
+        assert aug.tokens[4:] == ("a", "x", "|", "x")
 
     def test_budget_keeps_or_drops_the_whole_span(self):
         # 7 sentence positions plus a merged segment of 7 tokens
@@ -109,7 +109,7 @@ class TestAmbiguousSpan:
         pairs = [*self.PAIRS, EntityMatch(4, 5, "philosopher", "Q3", "occupation")]
         aug = assemble(VICTOR_SENTENCE, pairs, 64)
         assert [seg.entity_positions for seg in aug.segments] == [range(1, 3), range(5, 6)]
-        assert aug.tokens[14:] == ["$", "philosopher", "occupation"]
+        assert aug.tokens[14:] == ("$", "philosopher", "occupation")
 
 
 class TestMask:
@@ -210,13 +210,15 @@ class TestMask:
 
     def test_inputs_hold_no_array(self, tmp_path):
         """An input stores its layout only: nothing reachable from one that
-        ``assemble`` or ``read_jsonl`` returns is a numpy array, and its
-        fields cannot be reassigned past the layout check."""
+        ``assemble``, ``read_jsonl``, ``from_json_dict`` or ``replace``
+        returns is a numpy array, and its fields can be neither reassigned
+        nor changed in place past the layout check."""
         rng = np.random.default_rng(8)
-        augs = [replace(random_augmented(rng, mode), sentence_id=f"{mode}-{i}")
+        augs = [replace(random_augmented(rng, mode, labeled=i % 2 == 0), sentence_id=f"{mode}-{i}")
                 for mode in augmenter.MASK_MODES for i in range(20)]
         write_jsonl(augs, tmp_path / "aug.jsonl")
-        for aug in [*augs, *read_jsonl(tmp_path / "aug.jsonl")]:
+        built = [assemble(VICTOR_SENTENCE, [VICTOR_PAIR], 64), from_json_dict(json.loads(to_json_line(augs[0])))]
+        for aug in [*augs, *built, *read_jsonl(tmp_path / "aug.jsonl")]:
             seen, stack = set(), [aug]
             while stack:
                 held = stack.pop()
@@ -224,6 +226,11 @@ class TestMask:
                     assert not isinstance(held, np.ndarray), aug
                     seen.add(id(held))
                     stack += gc.get_referents(held)
+            for field in (held for held in (aug.tokens, aug.segments, aug.gold_tags) if held is not None):
+                with pytest.raises(AttributeError):
+                    field.append(None)
+                with pytest.raises(TypeError):
+                    field[0] = None
         with pytest.raises(FrozenInstanceError):
             augs[0].segments = [Segment(range(0, 9), range(0, 9))]
 

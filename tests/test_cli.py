@@ -10,7 +10,7 @@ import string
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +76,22 @@ class TestReadConll:
         path.write_text("# id 1\nVictor _ _ B-PER\nCousin _ _ I-PER\n", encoding="utf-8")
         [sentence] = read_conll(path)
         assert sentence.id == "1"
-        assert sentence.tokens == ["Victor", "Cousin"]
-        assert sentence.gold_tags == ["B-PER", "I-PER"]
+        assert sentence.tokens == ("Victor", "Cousin")
+        assert sentence.gold_tags == ("B-PER", "I-PER")
+
+    def test_sentences_refuse_change(self, tmp_path):
+        """A sentence is checked once, when it is built, so neither it nor
+        its tokens and tags can change after."""
+        path = tmp_path / "x.conll"
+        path.write_text("# id 1\nVictor _ _ B-PER\nCousin _ _ I-PER\n", encoding="utf-8")
+        [sentence] = read_conll(path)
+        for field in (sentence.tokens, sentence.gold_tags):
+            with pytest.raises(AttributeError):
+                field.append("")
+            with pytest.raises(TypeError):
+                field[0] = ""
+        with pytest.raises(FrozenInstanceError):
+            sentence.tokens = ["Victor"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.conll"
@@ -193,7 +207,7 @@ class TestPipeline:
         main(["augment", "--kb", str(kb_dir), "--data", str(data_file), "--out", str(aug_file)])
         augs = augmenter.read_jsonl(aug_file)
         assert [aug.sentence_id for aug in augs] == ["s1", "s2", "s3", "s4"]
-        assert augs[0].tokens[:7] == ["[CLS]", "Victor", "Cousin", "met", "a", "stranger", "[SEP]"]
+        assert augs[0].tokens[:7] == ("[CLS]", "Victor", "Cousin", "met", "a", "stranger", "[SEP]")
 
     def test_strict_paper_mode_trains_and_predicts(self, tmp_path, dump_file, data_file):
         kb_dir = tmp_path / "kb"
@@ -232,6 +246,22 @@ class TestCliBehavior:
                               "--max-len", "4"])
             _assert_one_error_line(code, err, f"error: {data}:{line}: sentence '{name}' needs 5 positions but max_len is 4")
             assert not (tmp_path / "a.jsonl").exists()
+
+    def test_retrieve_reads_its_data_before_it_writes(self, dump_file, tmp_path):
+        """A ``--data`` that is missing or malformed leaves ``--out`` as it
+        was: an existing file keeps its bytes, and no new file appears."""
+        kb = tmp_path / "kb"
+        assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(kb)]) == 0
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"id": "old", "pairs": []}\n', encoding="utf-8")
+        code, err = _run(["retrieve", "--kb", str(kb), "--data", str(tmp_path / "missing.conll"), "--out", str(pairs)])
+        _assert_one_error_line(code, err, "missing.conll")
+        assert pairs.read_text(encoding="utf-8") == '{"id": "old", "pairs": []}\n'
+        data = tmp_path / "bad.conll"
+        data.write_text("Paris _ _ XX\n", encoding="utf-8")
+        code, err = _run(["retrieve", "--kb", str(kb), "--data", str(data), "--out", str(tmp_path / "new.jsonl")])
+        _assert_one_error_line(code, err, f"error: {data}:1: ")
+        assert not (tmp_path / "new.jsonl").exists()
 
     def test_unknown_flag_is_error(self, dump_file, tmp_path):
         assert main(["build-kb", "--dump", str(dump_file), "--lang", "en", "--out", str(tmp_path / "kb"), "--bogus"]) == 1
@@ -342,6 +372,7 @@ AUG_DEFECTS = [
     "context range past the end",
     "empty entity range",
     "gold tags longer than the sentence",
+    "gold tags a string",
     "unknown mask mode",
     "missing key",
     "tokens not a list",
@@ -380,6 +411,8 @@ def _break_line_2(path, defect: str) -> None:
         segment["entity"] = [2, 2]
     elif defect == "gold tags longer than the sentence":
         record["gold_tags"].append("O")
+    elif defect == "gold tags a string":  # one character a token, which a copy to a tuple would take as tags
+        record["gold_tags"] = "O" * record["n_sentence"]
     elif defect == "unknown mask mode":
         record["mask_mode"] = "loose"
     elif defect == "missing key":
@@ -494,8 +527,8 @@ class TestHashTokens:
         path = tmp_path / "x.conll"
         path.write_text("# id t1\n#love _ _ O\nit _ _ O\n\n#tag _ _\n", encoding="utf-8")
         first, second = read_conll(path)
-        assert (first.id, first.tokens, first.gold_tags) == ("t1", ["#love", "it"], ["O", "O"])
-        assert (second.id, second.tokens, second.gold_tags) == ("1", ["#tag"], None)
+        assert (first.id, first.tokens, first.gold_tags) == ("t1", ("#love", "it"), ("O", "O"))
+        assert (second.id, second.tokens, second.gold_tags) == ("1", ("#tag",), None)
 
     @pytest.mark.parametrize("header", ["# id two words", "# id"])
     def test_malformed_id_header_is_not_a_token(self, tmp_path, header):
@@ -553,8 +586,8 @@ class TestAmbiguousSurface:
         assert main(["augment", "--kb", str(tmp_path / "kb"), "--data", str(data), "--out", str(aug_file)]) == 0
 
         [aug] = augmenter.read_jsonl(aug_file)
-        assert aug.tokens == ["[CLS]", "Paris", "is", "[SEP]", "Paris", "city", "|", "capital", "|", "commune"]
-        assert aug.segments == [Segment(range(1, 2), range(4, 10))]
+        assert aug.tokens == ("[CLS]", "Paris", "is", "[SEP]", "Paris", "city", "|", "capital", "|", "commune")
+        assert aug.segments == (Segment(range(1, 2), range(4, 10)),)
         assert np.array_equal(aug.mask.bits, rule_mask(aug.n_sentence, len(aug.tokens), aug.segments, aug.mask_mode))
         rewritten = tmp_path / "again.jsonl"
         augmenter.write_jsonl([aug], rewritten)

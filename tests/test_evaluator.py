@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propner.ensemble import extract_spans
 from propner.evaluator import score
+
+from oracles import brute_force_counts
+
+TAG = st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B", "I-C"])
+ALIGNED = st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(TAG, min_size=n, max_size=n)] * 2))
 
 
 class TestExtractSpans:
@@ -117,6 +123,20 @@ class TestScore:
         for name, cs in report.per_class.items():
             gold_count = sum(1 for tags in gold for span in extract_spans(tags) if span[2] == name)
             assert cs.tp + cs.fn == gold_count
+
+    @settings(max_examples=60)
+    @given(st.lists(ALIGNED, max_size=4))
+    def test_counts_match_brute_force(self, sentences):
+        """Per-class counts equal a count made one class at a time; macro F1
+        averages the classes that have a gold span, micro F1 pools counts."""
+        gold, pred = [g for g, _ in sentences], [p for _, p in sentences]
+        report = score(gold, pred)
+        counts = brute_force_counts(gold, pred)
+        assert {name: (cs.tp, cs.fp, cs.fn) for name, cs in report.per_class.items()} == counts
+        f1 = [2 * tp / (2 * tp + fp + fn) for tp, fp, fn in counts.values() if tp + fn]
+        assert report.macro_f1 == pytest.approx(sum(f1) / len(f1) if f1 else 0.0, abs=1e-12)
+        tp, fp, fn = map(sum, zip((0, 0, 0), *counts.values()))
+        assert report.micro_f1 == pytest.approx(2 * tp / (2 * tp + fp + fn) if tp else 0.0, abs=1e-12)
 
     def test_report_dict_schema(self):
         report = score([["B-PER", "O"]], [["B-PER", "O"]])

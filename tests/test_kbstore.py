@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import re
 
 import pytest
@@ -14,7 +15,6 @@ from propner.kbstore import (
     DumpErrorReport,
     EntityRecord,
     KnowledgeBase,
-    build_context,
     build_knowledge_base,
     entity_names,
     load_kb,
@@ -29,6 +29,13 @@ from helpers import record_line
 
 
 VICTOR_LOOKUP = {"Q5": "human", "Q4964182": "philosopher", "Q82955": "politician"}
+VICTOR_LABELS = [EntityRecord(qid=qid, labels={"en": label}) for qid, label in VICTOR_LOOKUP.items()]
+
+
+def context_of(record, property_mask=FULL_PROPERTY_MASK, labels=VICTOR_LABELS) -> str:
+    """The context of ``record`` in a KB compiled from the records
+    ``labels`` and it, as ``build-kb`` compiles one."""
+    return build_knowledge_base([*labels, record], "en", property_mask).contexts[record.qid]
 
 
 def victor_record():
@@ -191,28 +198,27 @@ class TestEntityNames:
 
 
 class TestBuildContext:
+    """The context rule, through the compile that ``build-kb`` runs."""
+
     def test_full_mask_victor(self):
-        ctx = build_context(victor_record(), VICTOR_LOOKUP, FULL_PROPERTY_MASK)
-        assert ctx == "human | philosopher | politician"
+        assert context_of(victor_record()) == "human | philosopher | politician"
 
     def test_empty_properties(self):
-        record = EntityRecord(qid="Q1", labels={"en": "x"})
-        assert build_context(record, VICTOR_LOOKUP, FULL_PROPERTY_MASK) == ""
+        assert context_of(EntityRecord(qid="Q1", labels={"en": "x"})) == ""
 
     def test_instanceof_only_mask(self):
         # independently derived: filtering the field lists by hand leaves
         # only instanceof [Q5] -> "human"
-        ctx = build_context(victor_record(), VICTOR_LOOKUP, {"instanceof"})
-        assert ctx == "human"
+        assert context_of(victor_record(), {"instanceof"}) == "human"
 
     def test_unknown_mask_kind_rejected(self):
         with pytest.raises(ValueError):
-            build_context(victor_record(), VICTOR_LOOKUP, {"instanceof", "color"})
+            context_of(victor_record(), {"instanceof", "color"})
 
     def test_label_whitespace_sanitized(self):
         record = EntityRecord(qid="Q1", instanceof=["Q2"])
-        ctx = build_context(record, {"Q2": "two\twords\nhere"}, FULL_PROPERTY_MASK)
-        assert ctx == "two words here"
+        labels = [EntityRecord(qid="Q2", labels={"en": "two\twords\nhere"})]
+        assert context_of(record, labels=labels) == "two words here"
 
 
 class TestBuildKnowledgeBase:
@@ -269,8 +275,8 @@ class TestBuildKnowledgeBase:
 
     @given(st.sets(st.sampled_from(["instanceof", "subclassof", "occupation"])))
     def test_submask_context_is_subsequence(self, mask):
-        full = build_context(victor_record(), VICTOR_LOOKUP, FULL_PROPERTY_MASK).split(" | ")
-        sub = build_context(victor_record(), VICTOR_LOOKUP, mask)
+        full = context_of(victor_record()).split(" | ")
+        sub = context_of(victor_record(), mask)
         parts = sub.split(" | ") if sub else []
         it = iter(full)
         assert all(part in it for part in parts)
@@ -278,7 +284,7 @@ class TestBuildKnowledgeBase:
     @given(st.lists(st.sampled_from(["Q5", "Q4964182", "Q82955", "Q333634"]), max_size=6))
     def test_separator_count(self, occupation):
         record = EntityRecord(qid="Q1", occupation=list(occupation))
-        context = build_context(record, VICTOR_LOOKUP, FULL_PROPERTY_MASK)
+        context = context_of(record)
         resolved = sum(1 for q in occupation if q in VICTOR_LOOKUP)
         if resolved:
             assert context.count(" | ") == resolved - 1
@@ -335,6 +341,17 @@ class TestCoverage:
     def test_malformed_tags_repaired(self, table_kb):
         dataset = [Sentence("a", ["Victor", "Cousin"], ["O", "I-PER"])]  # orphan I- becomes its own mention
         assert coverage_rate(table_kb, dataset) == 0.0
+
+    def test_warns_once_per_repaired_sentence(self, table_kb, caplog):
+        """Valid gold tags log nothing; a sentence whose tags are repaired
+        logs one warning."""
+        with caplog.at_level(logging.WARNING, logger="propner.evaluator"):
+            coverage_rate(table_kb, self.sentences())
+            assert caplog.records == []
+            coverage_rate(table_kb, [*self.sentences(), Sentence("d", ["Victor", "Cousin"], ["O", "I-PER"])])
+        assert [record.getMessage() for record in caplog.records] == [
+            "sentence d: malformed BIO tags repaired before span extraction"
+        ]
 
     def test_requires_gold_tags(self, table_kb):
         with pytest.raises(ValueError):
