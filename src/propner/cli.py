@@ -35,7 +35,7 @@ from propner.encoder import (
 )
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import coverage_rate, score
-from propner.inputs import InputError, parse_lines, read_lines, refuse_bom, write_text
+from propner.inputs import InputError, parse_lines, refuse_bom, write_text
 from propner.kbstore import (
     DEFAULT_QID_CAP,
     FULL_PROPERTY_MASK,
@@ -48,35 +48,39 @@ from propner.kbstore import (
 from propner.matcher import Sentence, build_matcher, retrieve
 from propner.synthetic import SyntheticConfig, run_synthetic_ab
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("propner.cli")  # also when run as __main__
 
 
-def _read_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str]]]]:
+def _read_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str]], int]]:
     """Blank-line separated blocks as (id, rows of whitespace-separated
-    fields). The id comes from a ``# id <string>`` header, or is the block
-    index; a repeated id is an error at its second header or, for a block
-    without one, at its first row. Any other line, ``#love _ _ O``
-    included, is a row of one of ``widths`` fields, as many as the first
-    row of its block. A row of 2 (token, tag) or 4 (token _ _ tag) fields
-    ends in a BIO tag; each distinct tag is checked once."""
-    blocks: list[tuple[str, list[list[str]]]] = []
-    ids: set[str] = set()
+    fields, the number of the block's first line). The id comes from a
+    ``# id <string>`` header, or is the block index; a block's first line is
+    its header, or its first row if it has none. A repeated id is an error
+    at its second header or, for a block without one, at its first row. Any
+    other line, ``#love _ _ O`` included, is a row of one of ``widths``
+    fields, as many as the first row of its block. A row of 2 (token, tag)
+    or 4 (token _ _ tag) fields ends in a BIO tag; each distinct tag is
+    checked once."""
+    blocks: list[tuple[str, list[list[str]], int]] = []
+    starts: dict[str, int] = {}  # the first line of each id's block
     sentence_id: str | None = None
     rows: list[list[str]] = []
     tags: set[str] = set()
+    number = 0  # of the line being parsed
 
     def claim(sid: str) -> str:
-        if sid in ids:
+        if sid in starts:
             raise ValueError(f"duplicate id {sid!r}")
-        ids.add(sid)
+        starts[sid] = number
         return sid
 
     def parse(line: str) -> None:
-        nonlocal sentence_id, rows
+        nonlocal sentence_id, rows, number
+        number += 1
         fields = line.split()
         if not fields:
             if rows:
-                blocks.append((sentence_id, rows))
+                blocks.append((sentence_id, rows, starts[sentence_id]))
                 sentence_id, rows = None, []
             elif sentence_id is not None:
                 raise ValueError(f"header for id {sentence_id!r} has no token lines")
@@ -109,7 +113,7 @@ def read_conll(path, labeled: bool = False) -> list[Sentence]:
     no ``# id`` header is present. If ``labeled``, every row must carry a
     tag."""
     sentences = []
-    for sid, rows in _read_blocks(path, (4,) if labeled else (3, 4)):
+    for sid, rows, _ in _read_blocks(path, (4,) if labeled else (3, 4)):
         tags = [fields[3] for fields in rows] if len(rows[0]) == 4 else None
         sentences.append(Sentence(sid, [fields[0] for fields in rows], tags))
     return sentences
@@ -158,7 +162,7 @@ def _dump_json(data, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_build_kb(args) -> int:
+def cmd_build_kb(args) -> None:
     report = DumpErrorReport()
     with open(args.dump, "rb") as handle:
         refuse_bom(args.dump, handle.peek(3))
@@ -167,17 +171,15 @@ def cmd_build_kb(args) -> int:
     for error in report:
         logger.warning("dump line %d skipped: %s", error.line_number, error.message)
     print(f"built kb: {len(kb.surface_index)} surfaces, {len(kb.contexts)} entities, {len(report)} bad lines")
-    return 0
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> None:
     kb = load_kb(args.kb)
     rate = coverage_rate(kb, read_conll(args.data, labeled=True))
     print(json.dumps({"coverage_rate": rate}, sort_keys=True))
-    return 0
 
 
-def cmd_retrieve(args) -> int:
+def cmd_retrieve(args) -> None:
     kb = load_kb(args.kb)
     matcher = build_matcher(kb)
 
@@ -194,20 +196,9 @@ def cmd_retrieve(args) -> int:
 
     # --data is read whole before --out is opened, so a bad one leaves --out as it was.
     write_text(args.out, lines(read_conll(args.data)))
-    return 0
 
 
-def _block_line(path, index: int) -> int:
-    """The line at which block ``index`` of a dataset file that
-    ``read_conll`` has read starts: its ``# id`` header, or its first row.
-    Such a file's blocks are its runs of non-blank lines."""
-    lines = read_lines(path)
-    starts = [number for number, (before, line) in enumerate(zip(["", *lines], lines), start=1)
-              if line.split() and not before.split()]
-    return starts[index]
-
-
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> None:
     kb = load_kb(args.kb)
     matcher = build_matcher(kb)
     augs = []
@@ -216,12 +207,11 @@ def cmd_augment(args) -> int:
         try:
             augs.append(augmenter.assemble(sentence, pairs, args.max_len, args.mask_mode))
         except ValueError as exc:  # the sentence does not fit --max-len
-            raise InputError(args.data, _block_line(args.data, index), str(exc)) from None
+            raise InputError(args.data, _read_blocks(args.data, (3, 4))[index][2], str(exc)) from None
     augmenter.write_jsonl(augs, args.out)
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     dataset = augmenter.read_jsonl(args.aug, max_len=config.max_len, labeled=True)
     if not dataset:
@@ -229,7 +219,6 @@ def cmd_train(args) -> int:
     model = train(dataset, config)
     save_model(model, args.out)
     print(f"trained {config.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
-    return 0
 
 
 SIDECAR_FORMAT = {"format": "propner-dist", "version": 2}
@@ -249,7 +238,7 @@ def sidecar_row(sentence_id: str, tokens: list[str], dist: np.ndarray) -> str:
     return json.dumps({"dist": encoded, "id": sentence_id, "tokens": tokens}, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     model = load_model(args.model)
     augs = augmenter.read_jsonl(args.aug, max_len=model.max_len)
     rows, sidecar = [], [sidecar_header(model.labels)]
@@ -259,13 +248,11 @@ def cmd_predict(args) -> int:
         sidecar.append(sidecar_row(aug.sentence_id, sentence_tokens, predict(model, aug)))
     _write_tagged(rows, args.out)  # first: an --out that cannot be written leaves no sidecar
     write_text(str(args.out) + ".dist.jsonl", sidecar)
-    return 0
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> None:
     plan = kfold_split(read_conll(args.data), args.k, args.seed)
     _dump_json({"k": plan.k, "seed": plan.seed, "assignments": plan.assignments}, args.out)
-    return 0
 
 
 def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tuple[list[str], list[dict]]:
@@ -329,7 +316,7 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
     return labels, rows
 
 
-def cmd_vote(args) -> int:
+def cmd_vote(args) -> None:
     labels, rows = first = _read_sidecar(args.preds[0])
     folds = [rows] + [_read_sidecar(path, first)[1] for path in args.preds[1:]]
     preds = WeightedPredictions(
@@ -339,12 +326,11 @@ def cmd_vote(args) -> int:
     )
     voted = weighted_vote(preds, hard=args.hard)
     _write_tagged([(row["id"], row["tokens"], tags) for row, tags in zip(rows, voted)], args.out)
-    return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     gold = {s.id: s.gold_tags for s in read_conll(args.gold, labeled=True)}
-    pred = {sid: [fields[-1] for fields in rows] for sid, rows in _read_blocks(args.pred, (2, 4))}
+    pred = {sid: [fields[-1] for fields in rows] for sid, rows, _ in _read_blocks(args.pred, (2, 4))}
     for sid, tags in gold.items():
         if sid not in pred:
             raise InputError(args.pred, None, f"no prediction for id {sid!r}")
@@ -361,14 +347,12 @@ def cmd_score(args) -> int:
             print(f"{name}: P={cs.precision:.4f} R={cs.recall:.4f} F1={cs.f1:.4f} (tp={cs.tp} fp={cs.fp} fn={cs.fn})")
         print(f"micro: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")
         print(f"macro F1: {report.macro_f1:.4f}")
-    return 0
 
 
-def cmd_synthetic_ab(args) -> int:
+def cmd_synthetic_ab(args) -> None:
     config = SyntheticConfig(epochs=args.epochs)
     report = run_synthetic_ab(args.seed, properties=args.properties, mask_mode=args.mask_mode, config=config)
     _dump_json(report, args.out)
-    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -507,6 +491,11 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, path: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run the command that ``argv`` (``sys.argv[1:]`` when None) names and
+    return the exit code. A command returns nothing, and every failure is
+    an exception: 0 once the command returns (or after ``--help``), 1 with
+    one ``error:`` line on stderr when it raises a ValueError, an OSError
+    or a KeyError."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = _build_parser()
     try:
@@ -530,11 +519,12 @@ def main(argv=None) -> int:
         package.setLevel(logging.INFO if args.verbose else logging.WARNING)
         package.propagate = False
         try:
-            return int(args.func(args) or 0)
+            args.func(args)
         finally:
             package.removeHandler(handler)
             package.setLevel(saved[0])
             package.propagate = saved[1]
+        return 0
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

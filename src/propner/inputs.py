@@ -31,8 +31,9 @@ class InputError(ValueError):
 
 class located:
     """Context that turns a KeyError, TypeError or ValueError raised in it
-    into an InputError at ``path`` and ``line``. A reader moves ``line`` on
-    as it advances."""
+    into an InputError at ``path`` and ``line``, and a RecursionError too,
+    which ``json.loads`` raises on JSON nested deeper than the recursion
+    limit. A reader moves ``line`` on as it advances."""
 
     def __init__(self, path, line: int | None = None) -> None:
         self.path, self.line = path, line
@@ -41,7 +42,7 @@ class located:
         return self
 
     def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, (KeyError, TypeError, ValueError)) and not isinstance(exc, InputError):
+        if isinstance(exc, (KeyError, TypeError, ValueError, RecursionError)) and not isinstance(exc, InputError):
             message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise InputError(self.path, self.line, message) from None
 

@@ -123,10 +123,6 @@ class DumpError:
 DumpErrorReport = list[DumpError]
 
 
-class _BadLine(ValueError):
-    pass
-
-
 def _language_map(obj: dict, key: str, valid: Callable[[object], bool], message: str) -> dict:
     """The per-language object ``obj[key]``, empty when missing or null.
     Each value must pass ``valid``; ``message``, formatted with ``key`` and
@@ -135,10 +131,10 @@ def _language_map(obj: dict, key: str, valid: Callable[[object], bool], message:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise _BadLine(f"field {key!r} must be an object")
+        raise ValueError(f"field {key!r} must be an object")
     for lang, item in value.items():
         if not valid(item):
-            raise _BadLine(message.format(key=key, lang=lang))
+            raise ValueError(message.format(key=key, lang=lang))
     return value
 
 
@@ -152,41 +148,39 @@ def _claim_list(claims: dict, pid: str) -> list[str]:
     if value is None:
         return []
     if not isinstance(value, list):
-        raise _BadLine(f"claim {pid} must be a list")
+        raise ValueError(f"claim {pid} must be a list")
     for qid in value:
         if not isinstance(qid, str) or not QID_PATTERN.fullmatch(qid):
-            raise _BadLine(f"claim {pid} contains malformed qid {qid!r}")
+            raise ValueError(f"claim {pid} contains malformed qid {qid!r}")
     return list(value)
 
 
 def _record_from_line(raw: bytes | str) -> EntityRecord | None:
-    """The record of one dump line, or None for a blank line. A line with a
-    string that UTF-8 cannot encode is a bad line (``check_utf8``)."""
+    """The record of one dump line, or None for a blank line. A bad line
+    raises a ValueError that says what is wrong with it; a line with a
+    string that UTF-8 cannot encode is one (``check_utf8``)."""
     try:
         line = (raw.decode("utf-8") if isinstance(raw, bytes) else check_utf8(raw)).strip()
     except ValueError as exc:  # a UnicodeDecodeError is one
-        raise _BadLine(f"invalid UTF-8: {exc}")
+        raise ValueError(f"invalid UTF-8: {exc}")
     if not line:
         return None
     try:
         obj = json.loads(line)
-    except ValueError as exc:
-        raise _BadLine(f"invalid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # too deep a nesting raises RecursionError
+        raise ValueError(f"invalid JSON: {exc}")
     if "\\ud" in line or "\\uD" in line:  # only an escape of a surrogate decodes to one
-        try:
-            check_utf8(json.dumps(obj, ensure_ascii=False))
-        except ValueError as exc:
-            raise _BadLine(str(exc))
+        check_utf8(json.dumps(obj, ensure_ascii=False))
     if not isinstance(obj, dict):
-        raise _BadLine("line is not a JSON object")
+        raise ValueError("line is not a JSON object")
     qid = obj.get("id")
     if qid is None:
-        raise _BadLine("missing 'id' field")
+        raise ValueError("missing 'id' field")
     if not isinstance(qid, str) or not QID_PATTERN.fullmatch(qid):
-        raise _BadLine(f"malformed qid {qid!r}")
+        raise ValueError(f"malformed qid {qid!r}")
     claims = {} if obj.get("claims") is None else obj["claims"]
     if not isinstance(claims, dict):
-        raise _BadLine("field 'claims' must be an object")
+        raise ValueError("field 'claims' must be an object")
     sitelinks = _language_map(obj, "sitelinks", *_STRING)
     # Convention: sitelink key "<lang>wiki" carries the title for <lang>.
     titles = {key[: -len("wiki")]: title for key, title in sitelinks.items() if key.endswith("wiki") and key != "wiki"}
@@ -204,13 +198,14 @@ def _record_from_line(raw: bytes | str) -> EntityRecord | None:
 def parse_dump(stream: Iterable[bytes | str], report: DumpErrorReport | None = None) -> Iterator[EntityRecord]:
     """Stream EntityRecords out of a line-oriented dump.
 
-    Malformed lines are recorded in ``report`` with their line number and
-    skipped; memory use is constant in the number of entities.
+    A line that ``_record_from_line`` refuses with a ValueError is recorded
+    in ``report`` with its line number and message, and skipped; memory use
+    is constant in the number of entities.
     """
     for line_number, raw in enumerate(stream, start=1):
         try:
             record = _record_from_line(raw)
-        except _BadLine as exc:
+        except ValueError as exc:
             if report is not None:
                 report.append(DumpError(line_number, str(exc)))
             continue

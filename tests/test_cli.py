@@ -22,6 +22,7 @@ import propner
 from propner import augmenter
 from propner.augmenter import Segment
 from propner.cli import _read_blocks, _read_sidecar, main, read_conll, sidecar_header, sidecar_row, write_conll
+from propner.cli import _write_tagged
 from propner.encoder import TrainConfig, load_model, predict, save_model, train
 from propner.ensemble import WeightedPredictions, weighted_vote
 from propner.inputs import InputError, read_lines
@@ -638,7 +639,7 @@ class TestScoreById:
     def test_blocks_without_header_take_their_index(self, tmp_path):
         pred = tmp_path / "pred.tsv"
         pred.write_text("a\tO\n\n# id x\nb\tO\n\nc\tO\n", encoding="utf-8")
-        assert [sid for sid, _ in _read_blocks(pred, (2, 4))] == ["0", "x", "2"]
+        assert [sid for sid, _, _ in _read_blocks(pred, (2, 4))] == ["0", "x", "2"]
 
     def test_invalid_utf8_in_predictions(self, tmp_path):
         gold = tmp_path / "gold.conll"
@@ -892,7 +893,7 @@ def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights)
     argv = ["vote", "--preds", *paths, "--weights", ",".join(map(str, weights)), "--out", str(out)]
     assert main(argv + ["--hard"] * hard) == 0
     expected = weighted_vote(WeightedPredictions(model.labels, list(weights), folds), hard=hard)
-    voted = [(sid, [tag for _, tag in rows]) for sid, rows in _read_blocks(out, (2, 4))]
+    voted = [(sid, [tag for _, tag in rows]) for sid, rows, _ in _read_blocks(out, (2, 4))]
     assert voted == [(aug.sentence_id, tags) for aug, tags in zip(augs, expected)]
     config, from_config = tmp_path / "vote.cfg", tmp_path / "voted-by-config.tsv"
     config.write_text(f"hard = {'yes' if hard else 'no'}\n", encoding="utf-8")
@@ -1382,6 +1383,57 @@ class TestRobustness:
         else:
             _assert_one_error_line(code, err)
 
+    @settings(max_examples=50, deadline=None)
+    @given(edit=st.one_of(EDITS.map(lambda edits: ("header", edits)), EDITS.map(lambda edits: ("file", edits))))
+    @example(edit=("header", [("overwrite", 0, b"{")]))  # the file as it was
+    @example(edit=("header", [("insert", 1, b" ")]))  # the same header values, in another layout
+    def test_model_reads_what_its_writer_writes_back(self, cli_files, edit):
+        """As above for a model file, edited in its header line or anywhere:
+        ``save_model`` writes back the same bytes. The digest covers the
+        header's values, not its JSON layout, so a header that loads is
+        written back in ``save_model``'s layout."""
+        root = cli_files["root"]
+        mutated, written = root / "round-trip-model.bin", root / "written-model.bin"
+        data = cli_files["model"].read_bytes()
+        kind, edits = edit
+        if kind == "header":
+            header, body = data.split(b"\n", 1)
+            data = _mutate(header, edits) + b"\n" + body
+        else:
+            data = _mutate(data, edits)
+        mutated.write_bytes(data)
+        try:
+            model = load_model(mutated)
+        except InputError as exc:
+            assert str(exc).startswith(f"{mutated}:")
+            return
+        save_model(model, written)
+        header, body = data.split(b"\n", 1)
+        layout = json.dumps(json.loads(header), sort_keys=True, ensure_ascii=False).encode("utf-8")
+        assert written.read_bytes() == layout + b"\n" + body
+
+    @settings(max_examples=50, deadline=None)
+    @given(edits=EDITS)
+    def test_predictions_read_what_their_writer_writes_back(self, cli_files, edits):
+        """As above for a prediction ``.tsv`` as ``score`` reads it: the
+        writer writes back blocks that read as the same ids, tokens and
+        tags."""
+        root = cli_files["root"]
+        mutated, written = root / "round-trip.tsv", root / "written.tsv"
+        mutated.write_bytes(_mutate(cli_files["pred"].read_bytes(), edits))
+
+        def values(path):
+            return [(sid, [fields[0] for fields in rows], [fields[-1] for fields in rows])
+                    for sid, rows, _ in _read_blocks(path, (2, 4))]
+
+        try:
+            blocks = values(mutated)
+        except InputError as exc:
+            assert str(exc).startswith(f"{mutated}:")
+            return
+        _write_tagged(blocks, written)
+        assert values(written) == blocks
+
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device on which every write fails")
 class TestFailedWriteNamesItsFile:
@@ -1430,3 +1482,130 @@ def test_each_call_logs_to_its_own_stderr(tmp_path):
         lines.append(err.splitlines())
     warning = "WARNING:propner.cli:dump line 2 skipped: invalid JSON: Expecting value: line 1 column 1 (char 0)"
     assert lines == [[warning], ["INFO:propner.kbstore:duplicate qid Q1 in dump, later record wins", warning]]
+
+
+# JSON nested deeper than the recursion limit, on which json.loads raises RecursionError.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def _deep_aug_line(cli_files, tmp_path):
+    aug = tmp_path / "aug.jsonl"
+    aug.write_text(cli_files["aug"].read_text(encoding="utf-8") + DEEP_JSON + "\n", encoding="utf-8")
+    argv = ["train", "--aug", aug, "--out", tmp_path / "model.bin", "--seed", "1", "--epochs", "1", "--max-len", "64"]
+    return argv, f"{aug}:{len(read_lines(aug))}:"
+
+
+def _deep_sidecar_header(cli_files, tmp_path):
+    sidecar = tmp_path / "deep.dist.jsonl"
+    rows = cli_files["sidecar"].read_text(encoding="utf-8").split("\n", 1)[1]
+    sidecar.write_text(DEEP_JSON + "\n" + rows, encoding="utf-8")
+    return ["vote", "--preds", sidecar, sidecar, "--weights", "1,1", "--out", tmp_path / "voted.tsv"], f"{sidecar}:1:"
+
+
+def _deep_sidecar_dist(cli_files, tmp_path):
+    sidecar = _write_sidecar(tmp_path / "deep.dist.jsonl", '{"dist": ' + DEEP_JSON + ', "id": "s1", "tokens": ["a"]}\n')
+    return ["vote", "--preds", sidecar, sidecar, "--weights", "1,1", "--out", tmp_path / "voted.tsv"], f"{sidecar}:2:"
+
+
+def _deep_kb_meta(cli_files, tmp_path):
+    kb = tmp_path / "kb"
+    shutil.copytree(cli_files["kb"], kb)
+    (kb / "meta.json").write_text(DEEP_JSON + "\n", encoding="utf-8")
+    return ["coverage", "--kb", kb, "--data", cli_files["gold"]], f"{kb / 'meta.json'}:"
+
+
+def _deep_model_header(cli_files, tmp_path):
+    model = tmp_path / "model.bin"
+    model.write_bytes(DEEP_JSON.encode("ascii") + b"\n" + cli_files["model"].read_bytes().split(b"\n", 1)[1])
+    return ["predict", "--model", model, "--aug", cli_files["aug"], "--out", tmp_path / "pred.tsv"], f"{model}:1:"
+
+
+@pytest.mark.parametrize("reader", [_deep_aug_line, _deep_sidecar_header, _deep_sidecar_dist, _deep_kb_meta,
+                                    _deep_model_header], ids=["aug line", "sidecar header", "sidecar dist",
+                                                              "kb meta.json", "model header"])
+def test_too_deep_json_is_one_error_line(cli_files, tmp_path, reader):
+    argv, where = reader(cli_files, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, err = _run([str(arg) for arg in argv])
+    _assert_one_error_line(code, err, f"{where} maximum recursion depth exceeded")
+
+
+def test_too_deep_dump_line_is_a_bad_line(dump_file, tmp_path):
+    """``build-kb`` skips the line and counts it as bad, as any line that is
+    not JSON."""
+    dump = tmp_path / "deep.jsonl"
+    dump.write_text(dump_file.read_text(encoding="utf-8") + DEEP_JSON + "\n", encoding="utf-8")
+    outputs = []
+    for path in (dump_file, dump):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code, err = _run(["build-kb", "--dump", str(path), "--lang", "en", "--out", str(tmp_path / f"kb-of-{path.stem}")])
+        assert code == 0
+        outputs.append((out.getvalue(), err))
+    (plain, plain_err), (deep, deep_err) = outputs
+    assert plain_err == ""
+    assert deep_err.startswith(f"WARNING:propner.cli:dump line {len(read_lines(dump))} skipped: invalid JSON: "
+                               "maximum recursion depth exceeded"), deep_err
+    assert len(deep_err.splitlines()) == 1
+    assert plain.endswith(", 0 bad lines\n") and deep == plain.replace(", 0 bad lines", ", 1 bad lines")
+
+
+def _writing_argv(cli_files, command: str) -> list[str]:
+    """A run of ``command`` that writes one output, given by ``--out``."""
+    kb, gold, aug, sidecar = (str(cli_files[key]) for key in ("kb", "gold", "aug", "sidecar"))
+    return {
+        "retrieve": ["retrieve", "--kb", kb, "--data", gold],
+        "augment": ["augment", "--kb", kb, "--data", gold, "--max-len", "64"],
+        "split": ["split", "--data", gold, "--k", "2", "--seed", "1"],
+        "train": ["train", "--aug", aug, "--seed", "1", "--epochs", "1", "--max-len", "64"],
+        "predict": ["predict", "--model", str(cli_files["model"]), "--aug", aug],
+        "vote": ["vote", "--preds", sidecar, sidecar, "--weights", "1,1"],
+        "synthetic-ab": ["synthetic-ab", "--seed", "1", "--epochs", "1"],
+        "build-kb": ["build-kb", "--dump", str(cli_files["dump"]), "--lang", "en"],
+    }[command]
+
+
+class TestOutThatCannotBeWritten:
+    """An ``--out`` that is a directory, or whose directory is missing, or
+    for ``build-kb``, which makes missing directories, one that is a file:
+    the run exits 1 with one ``error:`` line that names the path, and
+    leaves no file behind."""
+
+    @pytest.mark.parametrize("out", ["a directory", "in a missing directory"])
+    @pytest.mark.parametrize("command", ["retrieve", "augment", "split", "train", "predict", "vote", "synthetic-ab"])
+    def test_out(self, cli_files, tmp_path, command, out):
+        path = tmp_path / "taken" if out == "a directory" else tmp_path / "missing" / "out"
+        if out == "a directory":
+            path.mkdir()
+        self._check(_writing_argv(cli_files, command), path, tmp_path)
+
+    def test_kb_out_that_is_a_file(self, cli_files, tmp_path):
+        path = tmp_path / "kb"
+        path.write_text("a file\n", encoding="utf-8")
+        self._check(_writing_argv(cli_files, "build-kb"), path, tmp_path)
+        assert path.read_text(encoding="utf-8") == "a file\n"
+
+    @staticmethod
+    def _check(argv, path, root) -> None:
+        before = sorted(root.rglob("*"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = _run([*argv, "--out", str(path)])
+        _assert_one_error_line(code, err, f"'{path}'")
+        assert sorted(root.rglob("*")) == before
+
+
+def test_module_run_logs_as_the_entry_point(tmp_path):
+    """``python -m propner.cli`` writes what ``main`` writes for the same
+    arguments: its warnings come from the ``propner.cli`` logger, not from
+    one named ``__main__``."""
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(f"{record_line('Q1', 'Paris')}\nnot json\n", encoding="utf-8")
+    argv = ["build-kb", "--dump", str(dump), "--lang", "en", "--out"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code, err = _run([*argv, str(tmp_path / "kb-main")])
+    env = {**os.environ, "PYTHONPATH": str(Path(propner.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "propner.cli", *argv, str(tmp_path / "kb-module")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err)
+    assert err.startswith("WARNING:propner.cli:dump line 2 skipped: "), err

@@ -4,8 +4,9 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-# The digests at seed 1 of the artifacts that hold no float. The others
-# depend on the BLAS build, so they are compared between checkouts, not pinned.
+# The digests at seed 1 of the artifacts that no model output reaches. The
+# others depend on the BLAS build, so they are compared between checkouts,
+# not pinned.
 TEXT_ARTIFACT_DIGESTS = Path(__file__).with_name("text_artifact_digests.txt")
 
 
@@ -52,10 +53,15 @@ def test_artifact_digest_prints_one_sha256_per_artifact():
     lines = run.stdout.splitlines()
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
     expected = ["kb/contexts.tsv", "kb/meta.json", "kb/surfaces.tsv", "pairs.jsonl", "plan.json"]
+    runs = ["build-kb", "retrieve", "split", "coverage"]
     for mode in ("default", "strict-paper"):
         expected += [f"test.{mode}.aug.jsonl", f"train.{mode}.aug.jsonl", f"ab.{mode}.json", f"{mode}.voted.tsv"]
         expected += [f"{mode}.seed{seed}{suffix}" for seed in (1, 2) for suffix in (".bin", ".tsv", ".tsv.dist.jsonl")]
+        runs += [f"augment.train.{mode}", f"augment.test.{mode}", f"vote.{mode}", f"synthetic-ab.{mode}"]
+        runs += [f"{command}.{mode}.seed{seed}" for command in ("train", "predict") for seed in (1, 2)]
+        runs += [f"score.{mode}.{report}" for report in ("json", "text")]
+    expected += [f"log/{run}.{stream}" for run in runs for stream in ("stdout", "stderr")]
     assert [line.split()[0] for line in lines] == sorted(expected)
     pinned = dict(line.split() for line in TEXT_ARTIFACT_DIGESTS.read_text(encoding="utf-8").splitlines())
-    assert len(pinned) == 9
+    assert len(pinned) == 12
     assert {name: digest for name, digest in map(str.split, lines) if name in pinned} == pinned

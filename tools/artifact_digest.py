@@ -5,12 +5,15 @@
 The inputs are the benchmark's smoke-size workload (``bench/workloads.py``,
 ``SMOKE``) at the seed: a dump, a training and a test CoNLL file. In a
 temporary directory the tool runs, through ``propner.cli.main``:
-``build-kb``; ``retrieve``; ``split``; then in each mask mode ``augment``
-of both CoNLL files, ``train`` of two models (seeds 1 and 2), ``predict``
-with each (its ``.tsv`` and its sidecar), ``vote`` over the two sidecars
-and ``synthetic-ab --out``. It prints one ``name sha256`` line per file
-written, sorted by name. Two checkouts that print the same lines wrote the
-same bytes. The package is imported from ``src/`` beside ``tools/``.
+``build-kb``; ``retrieve``; ``split``; ``coverage`` of the training set;
+then in each mask mode ``augment`` of both CoNLL files, ``train`` of two
+models (seeds 1 and 2), ``predict`` with each (its ``.tsv`` and its
+sidecar), ``vote`` over the two sidecars, ``score`` of the voted tags
+(``--report json`` and ``text``) and ``synthetic-ab --out``. What each
+command prints is kept too, as the files ``log/<run>.stdout`` and
+``log/<run>.stderr``. It prints one ``name sha256`` line per file written,
+sorted by name. Two checkouts that print the same lines wrote the same
+bytes. The package is imported from ``src/`` beside ``tools/``.
 """
 
 from __future__ import annotations
@@ -34,13 +37,16 @@ MASK_MODES = ("default", "strict-paper")
 MODEL_SEEDS = (1, 2)
 
 
-def _propner(*argv) -> None:
-    """Run one command; its output and warnings are shown only if it fails."""
-    log = io.StringIO()
-    with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+def _propner(out: Path, run: str, *argv) -> None:
+    """Run one command and keep what it prints as ``log/<run>.stdout`` and
+    ``log/<run>.stderr`` in ``out``; a command that fails stops the tool."""
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    with contextlib.redirect_stdout(streams["stdout"]), contextlib.redirect_stderr(streams["stderr"]):
         code = cli.main([str(arg) for arg in argv])
     if code != 0:
-        raise SystemExit(f"propner {argv[0]} exited with {code}:\n{log.getvalue()}")
+        raise SystemExit(f"propner {argv[0]} exited with {code}:\n" + "".join(s.getvalue() for s in streams.values()))
+    for name, text in streams.items():
+        (out / "log" / f"{run}.{name}").write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
 def run_commands(seed: int, work: Path) -> Path:
@@ -53,26 +59,32 @@ def run_commands(seed: int, work: Path) -> Path:
         cli.write_conll([Sentence(sid, tokens, tags) for sid, tokens, tags in rows], path)
 
     out = work / "out"
+    (out / "log").mkdir(parents=True)
     kb = out / "kb"
-    _propner("build-kb", "--dump", dump, "--lang", "en", "--out", kb, "--qid-cap", QID_CAP)
-    _propner("retrieve", "--kb", kb, "--data", train, "--out", out / "pairs.jsonl")
-    _propner("split", "--data", train, "--k", SMOKE.folds, "--seed", seed, "--out", out / "plan.json")
+    _propner(out, "build-kb", "build-kb", "--dump", dump, "--lang", "en", "--out", kb, "--qid-cap", QID_CAP)
+    _propner(out, "retrieve", "retrieve", "--kb", kb, "--data", train, "--out", out / "pairs.jsonl")
+    _propner(out, "split", "split", "--data", train, "--k", SMOKE.folds, "--seed", seed, "--out", out / "plan.json")
+    _propner(out, "coverage", "coverage", "--kb", kb, "--data", train)
     for mode in MASK_MODES:
         augs = {}
         for name, data in (("train", train), ("test", test)):
             augs[name] = out / f"{name}.{mode}.aug.jsonl"
-            _propner("augment", "--kb", kb, "--data", data, "--out", augs[name], "--max-len", TAG_MAX_LEN,
-                     "--mask-mode", mode)
+            _propner(out, f"augment.{name}.{mode}", "augment", "--kb", kb, "--data", data, "--out", augs[name],
+                     "--max-len", TAG_MAX_LEN, "--mask-mode", mode)
         sidecars = []
         for model_seed in MODEL_SEEDS:
             model, pred = out / f"{mode}.seed{model_seed}.bin", out / f"{mode}.seed{model_seed}.tsv"
-            _propner("train", "--aug", augs["train"], "--out", model, "--seed", model_seed,
-                     "--epochs", SMOKE.fold_epochs, "--max-len", TAG_MAX_LEN)
-            _propner("predict", "--model", model, "--aug", augs["test"], "--out", pred)
+            _propner(out, f"train.{mode}.seed{model_seed}", "train", "--aug", augs["train"], "--out", model,
+                     "--seed", model_seed, "--epochs", SMOKE.fold_epochs, "--max-len", TAG_MAX_LEN)
+            _propner(out, f"predict.{mode}.seed{model_seed}", "predict", "--model", model, "--aug", augs["test"],
+                     "--out", pred)
             sidecars.append(f"{pred}.dist.jsonl")
-        _propner("vote", "--preds", *sidecars, "--weights", "0.75,0.25", "--out", out / f"{mode}.voted.tsv")
-        _propner("synthetic-ab", "--seed", seed, "--epochs", AB_EPOCHS, "--mask-mode", mode,
-                 "--out", out / f"ab.{mode}.json")
+        voted = out / f"{mode}.voted.tsv"
+        _propner(out, f"vote.{mode}", "vote", "--preds", *sidecars, "--weights", "0.75,0.25", "--out", voted)
+        for report in ("json", "text"):
+            _propner(out, f"score.{mode}.{report}", "score", "--gold", test, "--pred", voted, "--report", report)
+        _propner(out, f"synthetic-ab.{mode}", "synthetic-ab", "--seed", seed, "--epochs", AB_EPOCHS,
+                 "--mask-mode", mode, "--out", out / f"ab.{mode}.json")
     return out
 
 
