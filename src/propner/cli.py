@@ -257,16 +257,21 @@ def cmd_split(args) -> None:
 
 def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tuple[list[str], list[dict]]:
     """The labels and the rows of a ``.dist.jsonl`` sidecar of format 2,
-    each row's ``dist`` decoded to a (tokens, labels) float64 array. The
+    each row's ``dist`` a (tokens, labels) float64 view into one array that
+    holds the whole file's values, decoded at once. The
     header's labels pass ``check_labels``, each row passes
     ``check_id_and_tokens`` and the row ids are distinct;
     given ``first``, the labels and rows of the first prediction file, the
     labels are the same and each row has the id and tokens of the row at its
-    place there. A bad line raises an InputError naming ``path:line``."""
+    place there. A bad line raises an InputError naming ``path:line``; of
+    several, the first in the file."""
     first_labels, first_rows = first or (None, None)
     labels: list[str] = []  # empty until the header is read
     rows: list[dict] = []
     ids: set[str] = set()
+    data = bytearray()  # the rows' ``dist`` bytes, one after another
+    row_lines: list[int] = []  # the line of each row
+    line_number = 0
 
     def parse_header(line: str) -> None:
         try:
@@ -280,6 +285,8 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
         labels.extend(first_labels or check_labels(header.get("labels")))
 
     def parse(line: str) -> None:
+        nonlocal line_number
+        line_number += 1
         if not labels:
             return parse_header(line)
         if not line.strip():
@@ -299,18 +306,37 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
                 raise ValueError(f"duplicate id {row['id']!r}")
             ids.add(row["id"])
         try:
-            data = base64.b64decode(row["dist"], validate=True)
+            dist = base64.b64decode(row.pop("dist"), validate=True)
         except (KeyError, TypeError, ValueError):
             raise ValueError("'dist' must be a string of padded base64") from None
         n, k = len(row["tokens"]), len(labels)
-        if len(data) != 8 * n * k:
-            raise ValueError(f"'dist' holds {len(data)} bytes, not the {8 * n * k} of {n} rows of {k} float64")
-        row["dist"] = np.frombuffer(data, "<f8").reshape(n, k)
-        if not np.isfinite(row["dist"]).all():
-            raise ValueError("'dist' must be finite")
+        if len(dist) != 8 * n * k:
+            raise ValueError(f"'dist' holds {len(dist)} bytes, not the {8 * n * k} of {n} rows of {k} float64")
+        data.extend(dist)
+        row_lines.append(line_number)
         rows.append(row)
 
-    parse_lines(path, parse)
+    def decode() -> np.ndarray:
+        """The values of the rows read so far, or an InputError at the
+        first row that holds a non-finite one."""
+        values = np.frombuffer(data, "<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            ends = np.cumsum([len(row["tokens"]) * len(labels) for row in rows])
+            row = int(np.searchsorted(ends, finite.argmin(), side="right"))
+            raise InputError(path, row_lines[row], "'dist' must be finite")
+        return values
+
+    try:
+        parse_lines(path, parse)
+    except InputError:
+        decode()  # a non-finite row comes before the defect that stopped the read
+        raise
+    values, start = decode(), 0
+    for row in rows:
+        size = len(row["tokens"]) * len(labels)
+        row["dist"] = values[start : start + size].reshape(-1, len(labels))
+        start += size
     if first_rows is not None and len(rows) != len(first_rows):
         raise InputError(path, None, f"{len(rows)} rows where the first prediction file has {len(first_rows)}")
     return labels, rows

@@ -378,16 +378,24 @@ def save_model(model: ToyEncoderModel, path: str | Path) -> None:
     }
     header["digest"] = _digest(header, body)
     with naming(path), open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n")
+        handle.write(_header_line(header))
         handle.write(body)
+
+
+def _header_line(header: dict) -> bytes:
+    """The one layout of a model file's header line: sorted keys, no ASCII
+    escapes, ``json.dumps``'s separators, then a newline."""
+    return json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n"
 
 
 def load_model(path: str | Path) -> ToyEncoderModel:
     """Read a ``save_model`` file. A header line that is not such a header,
     that holds a string UTF-8 cannot encode (the digest encodes the header),
     or whose array list is not the one its hyperparameters give, a body of
-    another length than those arrays, and a digest that does not match
-    raise an InputError naming the file."""
+    another length than those arrays, a digest that does not match, and
+    then a header whose bytes are not the ones ``save_model`` writes for
+    its values (the digest covers the values, not their layout) raise an
+    InputError naming the file."""
     with open(path, "rb") as handle:
         header_line, body = handle.readline(), handle.read()
     with located(path, 1):
@@ -426,4 +434,6 @@ def load_model(path: str | Path) -> ToyEncoderModel:
         raise InputError(path, None, f"non-finite values in {name!r}")
     if header.get("digest") != _digest(header, body):
         raise InputError(path, None, "the digest does not match the header and body")
+    if header_line != _header_line(header):
+        raise InputError(path, 1, "the header is not laid out as propner writes it")
     return model

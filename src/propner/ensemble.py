@@ -84,9 +84,10 @@ class WeightedPredictions:
     Weights are the folds' validation micro F1 scores, used unnormalized:
     the voted argmax is invariant to scaling them by any positive constant.
     Labels are distinct and sorted, so an argmax tie goes to the smallest
-    label. The shapes are the caller's to check: every fold covers the same
-    sentences, and each distribution has one row per token and one column
-    per label.
+    label. Every fold covers the first fold's sentences in its order: each
+    fold has as many distributions as the first, and each has the row count
+    of the first fold's at its place, one row per token, and one column per
+    label. A fold of other shapes raises a ValueError.
     """
 
     labels: list[str]
@@ -101,6 +102,11 @@ class WeightedPredictions:
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one fold weight must be positive")
         check_labels(self.labels)
+        shapes = [(len(dist), len(self.labels)) for dist in self.distributions[0]]
+        for number, fold in enumerate(self.distributions, start=1):
+            if [dist.shape for dist in fold] != shapes:
+                raise ValueError(f"fold {number} does not have one distribution for each of the {len(shapes)} sentences "
+                                 f"of fold 1, with one row per token and one column per label ({len(self.labels)})")
 
 
 def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
@@ -121,12 +127,23 @@ def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
 
 
 def weighted_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[str]]:
-    """Per-token weighted vote, argmax ties going to the smallest label."""
+    """Per-token weighted vote, argmax ties going to the smallest label.
+
+    Each fold's sentences are stacked into one (tokens, labels) array, one
+    fold at a time, and its weighted votes are added, in fold order, to one
+    float64 score array over all tokens; the voted tags are then split by
+    sentence and repaired."""
+    first = preds.distributions[0]
+    if not first:
+        return []
+    scores = np.zeros((sum(len(dist) for dist in first), len(preds.labels)))
     one_hot = np.eye(len(preds.labels))
-    voted = []
-    for s in range(len(preds.distributions[0])):
-        scores = np.zeros_like(preds.distributions[0][s])
-        for weight, dists in zip(preds.weights, preds.distributions):
-            scores += weight * (one_hot[dists[s].argmax(axis=1)] if hard else dists[s])
-        voted.append(repair_bio([preds.labels[i] for i in scores.argmax(axis=1)]))
+    for weight, dists in zip(preds.weights, preds.distributions):
+        fold = np.concatenate(dists)
+        scores += weight * (one_hot[fold.argmax(axis=1)] if hard else fold)
+    tags = [preds.labels[i] for i in scores.argmax(axis=1).tolist()]
+    voted, start = [], 0
+    for dist in first:
+        voted.append(repair_bio(tags[start : start + len(dist)]))
+        start += len(dist)
     return voted

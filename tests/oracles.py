@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: exhaustive span scans, cell-by-cell
 rule application, per-label counting. None of it shares code with the
-package internals it verifies, except the encoder probes at the end: the
-gradient check differentiates the package's own loss numerically, and the
-hidden states are read off its own forward pass.
+package internals it verifies, with two exceptions. The per-sentence vote
+repairs its tags with the package's ``repair_bio``. In the encoder probes at
+the end, the gradient check differentiates the package's own loss
+numerically, and the hidden states are read off its own forward pass.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import numpy as np
 
 from propner.encoder import ToyEncoderModel, _cross_entropy, _example, _forward_pass, _loss_and_grads, _prepare
+from propner.ensemble import WeightedPredictions, repair_bio
 from propner.kbstore import KnowledgeBase, normalize_surface
 from propner.matcher import EntityMatch
 
@@ -151,6 +153,21 @@ def counting_vote(labels: list[str], fold_votes: list[list[str]], weights: list[
         totals[vote] += weight
     best = max(totals.values())
     return min(label for label, total in totals.items() if total == best)
+
+
+def per_sentence_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[str]]:
+    """The weighted vote one sentence at a time: a zero score array per
+    sentence gets each fold's weighted distribution (or, ``hard``, its
+    one-hot argmax) added in fold order, and the argmax, ties going to the
+    smallest label, is repaired into valid BIO."""
+    one_hot = np.eye(len(preds.labels))
+    voted = []
+    for s in range(len(preds.distributions[0])):
+        scores = np.zeros_like(preds.distributions[0][s])
+        for weight, dists in zip(preds.weights, preds.distributions):
+            scores += weight * (one_hot[dists[s].argmax(axis=1)] if hard else dists[s])
+        voted.append(repair_bio([preds.labels[i] for i in scores.argmax(axis=1)]))
+    return voted
 
 
 def reference_spans(tags: list[str]) -> set[tuple[int, int, str]]:

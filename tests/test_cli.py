@@ -836,6 +836,27 @@ class TestSidecarValidation:
         argv = ["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(tmp_path / "v.tsv")]
         _assert_one_error_line(*_run(argv), f"{other}{needle}")
 
+    @pytest.mark.parametrize("later", ["[1, 2]\n", _sidecar_row("s0"), _sidecar_row("s3", dist="not base64!")],
+                             ids=["not an object", "repeated id", "dist not base64"])
+    def test_non_finite_row_is_reported_before_a_later_defect(self, tmp_path, later):
+        """The file's values are checked for finiteness at once, after its
+        rows are read, and still the first defect in the file is the one
+        reported."""
+        not_finite = _sidecar_row("s1", values=[[0.2, 0.8], [np.nan, 0.4]])
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row("s0"), not_finite, _sidecar_row("s2"), later)
+        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
+        _assert_one_error_line(code, err, f"{sidecar}:3: 'dist' must be finite")
+
+    @pytest.mark.parametrize("rows,line", [
+        ([_sidecar_row(), _sidecar_row("s2", values=[[0.2, np.inf], [0.6, 0.4]])], 3),
+        ([_sidecar_row(values=[[0.2, 0.8], [0.6, -np.inf]])], 2),  # before the missing row is noticed
+    ], ids=["second row", "first of too few rows"])
+    def test_non_finite_value_in_a_later_file_is_named_at_its_line(self, tmp_path, rows, line):
+        first = _write_sidecar(tmp_path / "first.dist.jsonl", _sidecar_row(), _sidecar_row("s2"))
+        other = _write_sidecar(tmp_path / "other.dist.jsonl", *rows)
+        argv = ["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(tmp_path / "v.tsv")]
+        _assert_one_error_line(*_run(argv), f"error: {other}:{line}: 'dist' must be finite")
+
     def test_predict_without_inputs_writes_the_header(self, cli_files, tmp_path):
         aug = tmp_path / "empty.jsonl"
         aug.write_bytes(b"")
@@ -1022,8 +1043,9 @@ def cli_files(tmp_path_factory):
 
 
 def _edit_header(edit, redigest: bool = False):
-    """A model file transform that applies ``edit`` to the parsed header. The
-    digest is left stale unless ``redigest``."""
+    """A model file transform that applies ``edit`` to the parsed header and
+    writes it back in ``save_model``'s layout, a lone surrogate as its JSON
+    escape. The digest is left stale unless ``redigest``."""
     def apply(data: bytes) -> bytes:
         header, body = data.split(b"\n", 1)
         record = json.loads(header)
@@ -1032,7 +1054,8 @@ def _edit_header(edit, redigest: bool = False):
             rest = {key: value for key, value in record.items() if key != "digest"}
             canonical = json.dumps(rest, sort_keys=True, ensure_ascii=False).encode("utf-8")
             record["digest"] = hashlib.blake2b(canonical + body).hexdigest()
-        return json.dumps(record).encode("utf-8") + b"\n" + body
+        layout = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        return layout.encode("utf-8", "backslashreplace") + b"\n" + body
     return apply
 
 
@@ -1056,7 +1079,17 @@ def _surrogate_token(header):
     vocab["x\ud800"] = vocab.pop(next(token for token in vocab if token != "[UNK]"))
 
 
+def _relayout(dumps):
+    """A model file transform that writes the header's values again as
+    ``dumps`` lays them out."""
+    def apply(data: bytes) -> bytes:
+        header, body = data.split(b"\n", 1)
+        return dumps(json.loads(header)).encode("utf-8") + b"\n" + body
+    return apply
+
+
 _LOSSES = ":1: 'epoch_losses' must be a list of finite numbers"
+_LAYOUT = ":1: the header is not laid out as propner writes it"
 MODEL_DEFECTS = {
     "body truncated": (lambda data: data[:-5], ": the arrays take"),
     "8 bytes appended": (lambda data: data + bytes(8), ": the arrays take"),
@@ -1084,6 +1117,10 @@ MODEL_DEFECTS = {
     "epoch_losses not finite": (_edit_header(lambda h: h["epoch_losses"].append(float("nan")), redigest=True), _LOSSES),
     "epoch_losses missing": (_edit_header(lambda h: h.pop("epoch_losses"), redigest=True), ":1: missing key 'epoch_losses'"),
     "vocab token with a lone surrogate": (_edit_header(_surrogate_token), ":1: '\\ud800' is a lone surrogate"),
+    # The same values, so the digest matches, in another layout.
+    "header without spaces": (_relayout(lambda h: json.dumps(h, separators=(",", ":"))), _LAYOUT),
+    "header keys reversed": (_relayout(lambda h: json.dumps(dict(reversed(h.items())))), _LAYOUT),
+    "header with a space after '{'": (lambda data: b"{ " + data[1:], _LAYOUT),
 }
 
 
@@ -1389,9 +1426,8 @@ class TestRobustness:
     @example(edit=("header", [("insert", 1, b" ")]))  # the same header values, in another layout
     def test_model_reads_what_its_writer_writes_back(self, cli_files, edit):
         """As above for a model file, edited in its header line or anywhere:
-        ``save_model`` writes back the same bytes. The digest covers the
-        header's values, not its JSON layout, so a header that loads is
-        written back in ``save_model``'s layout."""
+        ``save_model`` writes back the same bytes. A header with the same
+        values in another JSON layout is refused."""
         root = cli_files["root"]
         mutated, written = root / "round-trip-model.bin", root / "written-model.bin"
         data = cli_files["model"].read_bytes()
@@ -1408,9 +1444,7 @@ class TestRobustness:
             assert str(exc).startswith(f"{mutated}:")
             return
         save_model(model, written)
-        header, body = data.split(b"\n", 1)
-        layout = json.dumps(json.loads(header), sort_keys=True, ensure_ascii=False).encode("utf-8")
-        assert written.read_bytes() == layout + b"\n" + body
+        assert written.read_bytes() == data
 
     @settings(max_examples=50, deadline=None)
     @given(edits=EDITS)

@@ -2,12 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from propner.ensemble import WeightedPredictions, extract_spans, kfold_split, repair_bio, weighted_vote
 from propner.matcher import Sentence
 
-from oracles import counting_vote
+from oracles import counting_vote, per_sentence_vote
 
 LABELS = ["B-X", "I-X", "O"]
 
@@ -29,6 +29,27 @@ def preds_from_tags(weights, fold_tags):
         for fold in fold_tags
     ]
     return WeightedPredictions(labels=LABELS, weights=weights, distributions=distributions)
+
+
+TIED = (0.0, 0.25, 0.5, 1.0)  # exact in binary, so sums of them tie exactly
+
+
+@st.composite
+def vote_cases(draw) -> WeightedPredictions:
+    """1-8 folds over 0-6 sentences of 1-6 rows and 1-5 labels. The values,
+    and some of the weights, are either from ``TIED``, zero included, or
+    drawn from [0, 1)."""
+    tags = st.sampled_from(["B-A", "B-B", "I-A", "I-B", "O"])
+    labels = sorted(draw(st.lists(tags, min_size=1, max_size=5, unique=True)))
+    n_folds = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.sampled_from(TIED) | st.floats(0, 1), min_size=n_folds, max_size=n_folds).filter(any))
+    rows = draw(st.lists(st.integers(1, 6), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        distributions = [[rng.choice(TIED, size=(n, len(labels))) for n in rows] for _ in range(n_folds)]
+    else:
+        distributions = [[rng.random((n, len(labels))) for n in rows] for _ in range(n_folds)]
+    return WeightedPredictions(labels, weights, distributions)
 
 
 class TestKfoldSplit:
@@ -158,6 +179,32 @@ class TestWeightedVote:
     def test_labels_checked_at_construction(self, labels, needle):
         with pytest.raises(ValueError, match=re.escape(needle)):
             WeightedPredictions(labels, [1.0], [[np.zeros((2, len(labels)))]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(preds=vote_cases(), hard=st.booleans())
+    def test_matches_the_per_sentence_oracle(self, preds, hard):
+        assert weighted_vote(preds, hard) == per_sentence_vote(preds, hard)
+
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_no_sentences(self, hard):
+        assert weighted_vote(WeightedPredictions(LABELS, [1.0, 0.5], [[], []]), hard) == []
+
+    @pytest.mark.parametrize("folds", [
+        [[np.eye(3)], [np.eye(3)[:1]]],  # a 1-row fold against a 3-row first fold
+        [[np.eye(3)[:2], np.eye(3)[:1]], [np.eye(3)[:1], np.eye(3)[:2]]],  # the same rows in all, split otherwise
+        [[np.eye(3)], [np.eye(3), np.eye(3)]],  # one sentence more
+        [[np.eye(3)], []],  # no sentences
+        [[np.eye(3)], [np.eye(3)[:, :1]]],  # one column where there are three labels
+    ], ids=["fewer rows", "rows split otherwise", "more sentences", "no sentences", "fewer columns"])
+    def test_fold_of_other_shapes_rejected(self, folds):
+        with pytest.raises(ValueError, match=f"fold 2 does not have one distribution for each of the {len(folds[0])} "):
+            WeightedPredictions(LABELS, [1.0, 1.0], folds)
+
+    def test_first_fold_needs_a_column_per_label(self):
+        with pytest.raises(ValueError, match=re.escape("fold 1 does not have one distribution for each of the 1 "
+                                                       "sentences of fold 1, with one row per token and one column "
+                                                       "per label (3)")):
+            WeightedPredictions(LABELS, [1.0], [[np.ones((2, 4))]])
 
     def test_output_is_valid_bio(self):
         preds = preds_from_tags([1.0], [[["I-X", "I-X", "O"]]])
