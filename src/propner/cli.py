@@ -221,33 +221,43 @@ def cmd_train(args) -> None:
     print(f"trained {config.epochs} epochs, final loss {model.epoch_losses[-1]:.6f}" if model.epoch_losses else "trained")
 
 
-SIDECAR_FORMAT = {"format": "propner-dist", "version": 2}
+SIDECAR_FORMAT = {"format": "propner-dist", "version": 3}
+SIDECAR_BLOCK_ROWS = 1024  # the most rows that one block line of a sidecar holds
 
 
 def sidecar_header(labels: list[str]) -> str:
     """Line 1 of a ``.dist.jsonl`` sidecar: its format, and the labels that
-    name the columns of every ``dist``."""
+    name the columns of every block's ``dist``."""
     return json.dumps({**SIDECAR_FORMAT, "labels": labels}, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def sidecar_row(sentence_id: str, tokens: list[str], dist: np.ndarray) -> str:
-    """The sidecar line of one sentence. ``dist``, of shape (tokens,
-    labels), is stored as padded base64 of its row-major little-endian
-    float64 bytes, which read back bit for bit."""
-    encoded = base64.b64encode(dist.astype("<f8", copy=False).tobytes()).decode("ascii")
-    return json.dumps({"dist": encoded, "id": sentence_id, "tokens": tokens}, sort_keys=True, ensure_ascii=False) + "\n"
+def sidecar_block(rows: list[tuple[str, list[str], np.ndarray]]) -> str:
+    """The sidecar line of one block of ``rows``, each an id, its tokens and
+    its (tokens, labels) distribution: their ids, their tokens and, as
+    padded base64, their distributions stacked into one array of row-major
+    little-endian float64, which reads back bit for bit."""
+    ids, tokens, dists = zip(*rows)
+    dist = base64.b64encode(np.concatenate(dists).astype("<f8", copy=False)).decode("ascii")
+    return json.dumps({"dist": dist, "ids": ids, "tokens": tokens}, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def write_sidecar(path, labels: list[str], rows: list[tuple[str, list[str], np.ndarray]]) -> None:
+    """Write the sidecar of ``rows`` to ``path``: the header, then one block
+    line for each ``SIDECAR_BLOCK_ROWS`` rows."""
+    starts = range(0, len(rows), SIDECAR_BLOCK_ROWS)
+    write_text(path, [sidecar_header(labels), *(sidecar_block(rows[at : at + SIDECAR_BLOCK_ROWS]) for at in starts)])
 
 
 def cmd_predict(args) -> None:
     model = load_model(args.model)
     augs = augmenter.read_jsonl(args.aug, max_len=model.max_len)
-    rows, sidecar = [], [sidecar_header(model.labels)]
+    tagged, sidecar = [], []
     for aug in augs:
         sentence_tokens = aug.tokens[1 : aug.n_sentence + 1]
-        rows.append((aug.sentence_id, sentence_tokens, predict_tags(model, aug)))
-        sidecar.append(sidecar_row(aug.sentence_id, sentence_tokens, predict(model, aug)))
-    _write_tagged(rows, args.out)  # first: an --out that cannot be written leaves no sidecar
-    write_text(str(args.out) + ".dist.jsonl", sidecar)
+        tagged.append((aug.sentence_id, sentence_tokens, predict_tags(model, aug)))
+        sidecar.append((aug.sentence_id, sentence_tokens, predict(model, aug)))
+    _write_tagged(tagged, args.out)  # first: an --out that cannot be written leaves no sidecar
+    write_sidecar(str(args.out) + ".dist.jsonl", model.labels, sidecar)
 
 
 def cmd_split(args) -> None:
@@ -255,23 +265,22 @@ def cmd_split(args) -> None:
     _dump_json({"k": plan.k, "seed": plan.seed, "assignments": plan.assignments}, args.out)
 
 
-def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tuple[list[str], list[dict]]:
-    """The labels and the rows of a ``.dist.jsonl`` sidecar of format 2,
-    each row's ``dist`` a (tokens, labels) float64 view into one array that
-    holds the whole file's values, decoded at once. The
-    header's labels pass ``check_labels``, each row passes
-    ``check_id_and_tokens`` and the row ids are distinct;
-    given ``first``, the labels and rows of the first prediction file, the
-    labels are the same and each row has the id and tokens of the row at its
-    place there. A bad line raises an InputError naming ``path:line``; of
-    several, the first in the file."""
-    first_labels, first_rows = first or (None, None)
+def _read_sidecar(path, first: tuple[list[str], list[tuple]] | None = None) -> tuple[list[str], list[tuple]]:
+    """The labels and the rows (id, tokens, dist) of a ``.dist.jsonl``
+    sidecar of format 3, each ``dist`` a (tokens, labels) float64 view into
+    one array per block. The header's labels pass ``check_labels``. Each
+    block line is checked whole as it is read: it holds 1 to
+    ``SIDECAR_BLOCK_ROWS`` rows, each row passes ``check_id_and_tokens``
+    with an id not seen before, and ``dist`` is padded base64 of exactly
+    the rows' values, all finite. Given ``first``, the labels and rows of
+    the first prediction file, the labels are the same and each block holds
+    the ids and tokens of the rows at its place there, compared block by
+    block. A defect raises an InputError at its line, the first one in the
+    file; a row's defect names the row, and its id if it has one."""
+    first_labels, first_rows = first or (None, [])
     labels: list[str] = []  # empty until the header is read
-    rows: list[dict] = []
-    ids: set[str] = set()
-    data = bytearray()  # the rows' ``dist`` bytes, one after another
-    row_lines: list[int] = []  # the line of each row
-    line_number = 0
+    rows: list[tuple] = []
+    seen: set[str] = set()
 
     def parse_header(line: str) -> None:
         try:
@@ -279,65 +288,60 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
         except ValueError:
             header = None
         if not isinstance(header, dict) or any(header.get(key) != value for key, value in SIDECAR_FORMAT.items()):
-            raise ValueError("not a propner-dist sidecar of version 2 (re-run propner predict)")
+            raise ValueError("not a propner-dist sidecar of version 3 (re-run propner predict)")
         if first_labels is not None and header.get("labels") != first_labels:
             raise ValueError("'labels' does not match the first prediction file")
         labels.extend(first_labels or check_labels(header.get("labels")))
 
+    def row_defect(number: int, sid, message: str) -> ValueError:
+        return ValueError(f"row {number} ({sid!r}): {message}" if isinstance(sid, str) else f"row {number}: {message}")
+
     def parse(line: str) -> None:
-        nonlocal line_number
-        line_number += 1
         if not labels:
             return parse_header(line)
         if not line.strip():
             return
-        row = json.loads(line)
-        if not isinstance(row, dict):
-            raise ValueError("row must be a JSON object")
-        if first_rows is not None:
-            if len(rows) == len(first_rows):
-                raise ValueError(f"row {len(rows) + 1} is past the {len(first_rows)} rows of the first prediction file")
-            for key in ("id", "tokens"):
-                if row.get(key) != first_rows[len(rows)][key]:
-                    raise ValueError(f"{key!r} does not match row {len(rows) + 1} of the first prediction file")
-        else:
-            augmenter.check_id_and_tokens(row.get("id"), row.get("tokens"))
-            if row["id"] in ids:
-                raise ValueError(f"duplicate id {row['id']!r}")
-            ids.add(row["id"])
+        block = json.loads(line)
+        if not isinstance(block, dict):
+            raise ValueError("block must be a JSON object")
+        block_ids, block_tokens = block.get("ids"), block.get("tokens")
+        if not (isinstance(block_ids, list) and isinstance(block_tokens, list)
+                and 0 < len(block_ids) == len(block_tokens) <= SIDECAR_BLOCK_ROWS):
+            raise ValueError(f"'ids' and 'tokens' must be lists of one entry per row, 1 to {SIDECAR_BLOCK_ROWS} rows")
+        start, stop = len(rows), len(rows) + len(block_ids)
+        if first is None:
+            for number, sid, row_tokens in zip(range(start + 1, stop + 1), block_ids, block_tokens):
+                try:
+                    augmenter.check_id_and_tokens(sid, row_tokens)
+                except ValueError as exc:
+                    raise row_defect(number, sid, str(exc)) from None
+                if sid in seen:
+                    raise row_defect(number, sid, f"duplicate id {sid!r}")
+                seen.add(sid)
+        elif list(zip(block_ids, block_tokens)) != [row[:2] for row in first_rows[start:stop]]:
+            for number, *row in zip(range(start + 1, stop + 1), block_ids, block_tokens):
+                if number > len(first_rows):
+                    raise ValueError(f"row {number} is past the {len(first_rows)} rows of the first prediction file")
+                for key, value, want in zip(("id", "tokens"), row, first_rows[number - 1]):
+                    if value != want:
+                        raise ValueError(f"{key!r} does not match row {number} of the first prediction file")
         try:
-            dist = base64.b64decode(row.pop("dist"), validate=True)
+            data = base64.b64decode(block["dist"], validate=True)
         except (KeyError, TypeError, ValueError):
             raise ValueError("'dist' must be a string of padded base64") from None
-        n, k = len(row["tokens"]), len(labels)
-        if len(dist) != 8 * n * k:
-            raise ValueError(f"'dist' holds {len(dist)} bytes, not the {8 * n * k} of {n} rows of {k} float64")
-        data.extend(dist)
-        row_lines.append(line_number)
-        rows.append(row)
-
-    def decode() -> np.ndarray:
-        """The values of the rows read so far, or an InputError at the
-        first row that holds a non-finite one."""
-        values = np.frombuffer(data, "<f8")
-        finite = np.isfinite(values)
+        ends = np.cumsum([len(row_tokens) for row_tokens in block_tokens]).tolist()
+        n, k = ends[-1], len(labels)
+        if len(data) != 8 * n * k:
+            raise ValueError(f"'dist' holds {len(data)} bytes, not the {8 * n * k} of {n} rows of {k} float64")
+        values = np.frombuffer(data, "<f8").reshape(n, k)
+        finite = np.isfinite(values).all(axis=1)
         if not finite.all():
-            ends = np.cumsum([len(row["tokens"]) * len(labels) for row in rows])
             row = int(np.searchsorted(ends, finite.argmin(), side="right"))
-            raise InputError(path, row_lines[row], "'dist' must be finite")
-        return values
+            raise row_defect(start + row + 1, block_ids[row], "'dist' must be finite")
+        rows.extend(zip(block_ids, block_tokens, (values[begin:end] for begin, end in zip([0, *ends], ends))))
 
-    try:
-        parse_lines(path, parse)
-    except InputError:
-        decode()  # a non-finite row comes before the defect that stopped the read
-        raise
-    values, start = decode(), 0
-    for row in rows:
-        size = len(row["tokens"]) * len(labels)
-        row["dist"] = values[start : start + size].reshape(-1, len(labels))
-        start += size
-    if first_rows is not None and len(rows) != len(first_rows):
+    parse_lines(path, parse)
+    if first is not None and len(rows) != len(first_rows):
         raise InputError(path, None, f"{len(rows)} rows where the first prediction file has {len(first_rows)}")
     return labels, rows
 
@@ -345,13 +349,9 @@ def _read_sidecar(path, first: tuple[list[str], list[dict]] | None = None) -> tu
 def cmd_vote(args) -> None:
     labels, rows = first = _read_sidecar(args.preds[0])
     folds = [rows] + [_read_sidecar(path, first)[1] for path in args.preds[1:]]
-    preds = WeightedPredictions(
-        labels=labels,
-        weights=args.weights,
-        distributions=[[row["dist"] for row in fold] for fold in folds],
-    )
+    preds = WeightedPredictions(labels, args.weights, [[dist for _, _, dist in fold] for fold in folds])
     voted = weighted_vote(preds, hard=args.hard)
-    _write_tagged([(row["id"], row["tokens"], tags) for row, tags in zip(rows, voted)], args.out)
+    _write_tagged([(sid, tokens, tags) for (sid, tokens, _), tags in zip(rows, voted)], args.out)
 
 
 def cmd_score(args) -> None:

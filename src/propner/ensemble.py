@@ -131,8 +131,11 @@ def weighted_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[s
 
     Each fold's sentences are stacked into one (tokens, labels) array, one
     fold at a time, and its weighted votes are added, in fold order, to one
-    float64 score array over all tokens; the voted tags are then split by
-    sentence and repaired."""
+    float64 score array over all tokens. The voted labels are repaired as
+    ``repair_bio`` repairs them, but on label indices, whose labels
+    ``check_labels`` has passed: a token keeps an ``I-X`` label only when
+    the token before it in its sentence has type X, and takes ``B-X`` for
+    any other label of type X."""
     first = preds.distributions[0]
     if not first:
         return []
@@ -141,9 +144,12 @@ def weighted_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[s
     for weight, dists in zip(preds.weights, preds.distributions):
         fold = np.concatenate(dists)
         scores += weight * (one_hot[fold.argmax(axis=1)] if hard else fold)
-    tags = [preds.labels[i] for i in scores.argmax(axis=1).tolist()]
-    voted, start = [], 0
-    for dist in first:
-        voted.append(repair_bio(tags[start : start + len(dist)]))
-        start += len(dist)
-    return voted
+    best = scores.argmax(axis=1)
+    kind = np.array([label[2:] for label in preds.labels])[best]  # each token's type, "" for O
+    ends = np.cumsum([len(dist) for dist in first])
+    before = np.concatenate(([""], kind[:-1]))  # the type of the token before, "" at a sentence's start
+    before[ends[:-1][ends[:-1] < len(best)]] = ""
+    inside = np.array([label[0] == "I" for label in preds.labels])[best] & (before == kind)
+    names = [label if label == "O" else f"B-{label[2:]}" for label in preds.labels] + preds.labels
+    tags = [names[i] for i in (best + len(preds.labels) * inside).tolist()]
+    return [tags[start:end] for start, end in zip([0, *ends[:-1].tolist()], ends.tolist())]

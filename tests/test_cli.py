@@ -19,9 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import propner
-from propner import augmenter
+from propner import augmenter, cli
 from propner.augmenter import Segment
-from propner.cli import _read_blocks, _read_sidecar, main, read_conll, sidecar_header, sidecar_row, write_conll
+from propner.cli import _read_blocks, _read_sidecar, main, read_conll, sidecar_block, sidecar_header, write_conll
+from propner.cli import write_sidecar
 from propner.cli import _write_tagged
 from propner.encoder import TrainConfig, load_model, predict, save_model, train
 from propner.ensemble import WeightedPredictions, weighted_vote
@@ -709,91 +710,146 @@ class TestAugFileMeetsTheModel:
 
 LABELS = ["B-X", "O"]
 DIST = np.array([[0.2, 0.8], [0.6, 0.4]])
+NOT_FINITE = [[0.2, 0.8], [np.nan, 0.4]]
 
 
 def _b64(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _sidecar_row(sid="s1", tokens=("a", "b"), values=DIST, **fields) -> str:
-    """A format-2 sidecar line as ``predict`` writes it for ``values``, then
-    with each of ``fields`` set or, when None, removed."""
-    line = sidecar_row(sid, list(tokens), np.asarray(values, dtype=float))
+def _row(sid="s1", tokens=("a", "b"), values=DIST) -> tuple[str, list[str], np.ndarray]:
+    return sid, list(tokens), np.asarray(values, dtype=float)
+
+
+def _block(*rows, **fields) -> str:
+    """The block line ``predict`` writes for ``rows``, or for one ``_row()``
+    if none are given, then with each of ``fields`` set or, when None,
+    removed."""
+    line = sidecar_block(list(rows) or [_row()])
     if not fields:
         return line
-    row = {**json.loads(line), **fields}
-    return json.dumps({key: value for key, value in row.items() if value is not None}) + "\n"
+    block = {**json.loads(line), **fields}
+    return json.dumps({key: value for key, value in block.items() if value is not None}) + "\n"
 
 
-def _write_sidecar(path, *rows: str, labels=LABELS):
-    path.write_text(sidecar_header(labels) + "".join(rows), encoding="utf-8")
+def _write_sidecar(path, *blocks: str, labels=LABELS):
+    path.write_text(sidecar_header(labels) + "".join(blocks), encoding="utf-8")
     return path
 
 
+def _vote(tmp_path, *sidecars) -> tuple[int, str]:
+    """Exit code and stderr of ``propner vote`` over ``sidecars``, weight 1
+    each, into ``tmp_path / "v.tsv"``."""
+    weights = ",".join("1" for _ in sidecars)
+    return _run(["vote", "--preds", *map(str, sidecars), "--weights", weights, "--out", str(tmp_path / "v.tsv")])
+
+
+def _after_s2(row=_row(), **fields) -> str:
+    """A block of row ``s2``, then ``row``, with ``fields`` set."""
+    return _block(_row("s2"), row, **fields)
+
+
+# Defects of a sidecar's block 2, line 3, whose rows are rows 2 and 3 of the
+# file, and the message of each; a row's defect names its row and its id.
 SIDECAR_DEFECTS = {
-    "not an object": "[1, 2]\n",
-    "missing dist": _sidecar_row(dist=None),
-    "id with a space": _sidecar_row("s 1"),
-    "repeated id": _sidecar_row("s0"),
-    "tokens not strings": _sidecar_row(tokens=["a", 2]),
-    "token with whitespace": _sidecar_row(tokens=["New York", "b"]),
-    "empty token": _sidecar_row(tokens=["", "b"]),
-    "no tokens": _sidecar_row(tokens=[], values=np.zeros((0, 2))),
-    "dist row count": _sidecar_row(values=DIST[:1]),
-    "dist row length": _sidecar_row(dist=_b64([0.2, 0.8, 0.6])),
-    "dist not numbers": _sidecar_row(dist=[[0.2, "0.8"], [0.6, 0.4]]),
-    "dist not base64": _sidecar_row(dist="not base64!"),
-    "dist base64 without padding": _sidecar_row(dist=_b64(DIST).rstrip("=")),
-    "dist not finite": _sidecar_row(values=[[0.2, 0.8], [np.nan, 0.4]]),
-    "dist too large for a float": _sidecar_row(values=[[0.2, 0.8], [np.inf, 0.4]]),
-    "invalid UTF-8": "\udcff\n",
-    "id with a lone surrogate": _sidecar_row(id="s\ud800"),  # json.dumps writes the escape "\ud800"
-    "token with a lone surrogate": _sidecar_row(tokens=["a\ud800", "b"], dist=_b64(DIST)),
+    "not an object": ("[1, 2]\n", "block must be a JSON object"),
+    "not JSON": ("{\n", "Expecting property name"),
+    "missing ids": (_block(ids=None), "'ids' and 'tokens' must be lists of one entry per row, 1 to 1024 rows"),
+    "ids and tokens of different lengths": (_after_s2(ids=["s2"]), "'ids' and 'tokens' must be lists of one entry"),
+    "no rows": (_block(ids=[], tokens=[], dist=""), "'ids' and 'tokens' must be lists of one entry per row, 1 to"),
+    "missing dist": (_block(dist=None), "'dist' must be a string of padded base64"),
+    "id with a space": (_after_s2(_row("s 1")), "row 3 ('s 1'): 'id' must be a non-empty string without whitespace"),
+    "id not a string": (_after_s2(ids=["s2", 7]), "row 3: 'id' must be a non-empty string without whitespace, got 7"),
+    "repeated id": (_after_s2(_row("s0")), "row 3 ('s0'): duplicate id 's0'"),
+    "id repeated in its block": (_after_s2(_row("s2")), "row 3 ('s2'): duplicate id 's2'"),
+    "tokens not strings": (_after_s2(_row(tokens=["a", 2])), "row 3 ('s1'): sentence tokens must be non-empty strings"),
+    "token with whitespace": (_after_s2(_row(tokens=["New York", "b"])), "row 3 ('s1'): sentence tokens must be"),
+    "empty token": (_after_s2(_row(tokens=["", "b"])), "row 3 ('s1'): sentence tokens must be non-empty strings"),
+    "no tokens": (_after_s2(_row(tokens=[], values=np.zeros((0, 2)))), "row 3 ('s1'): the sentence has no tokens"),
+    "dist row count": (_after_s2(_row(values=DIST[:1])), "'dist' holds 48 bytes, not the 64 of 4 rows of 2 float64"),
+    "dist row length": (_block(dist=_b64([0.2, 0.8, 0.6])), "'dist' holds 24 bytes, not the 32 of 2 rows of 2 float64"),
+    "dist not numbers": (_block(dist=[[0.2, "0.8"], [0.6, 0.4]]), "'dist' must be a string of padded base64"),
+    "dist not base64": (_block(dist="not base64!"), "'dist' must be a string of padded base64"),
+    "dist base64 without padding": (_block(dist=_b64(DIST).rstrip("=")), "'dist' must be a string of padded base64"),
+    "dist not finite": (_after_s2(_row(values=NOT_FINITE)), "row 3 ('s1'): 'dist' must be finite"),
+    "dist too large for a float": (_after_s2(_row(values=[[0.2, 0.8], [np.inf, 0.4]])),
+                                   "row 3 ('s1'): 'dist' must be finite"),
+    "invalid UTF-8": ("\udcff\n", "'utf-8' codec can't decode byte 0xff"),
+    # json.dumps writes a lone surrogate as the escape "\ud800"
+    "id with a lone surrogate": (_after_s2(ids=["s2", "s\ud800"]), "row 3 ('s\\ud800'): '\\ud800' is a lone surrogate"),
+    "token with a lone surrogate": (_after_s2(tokens=[["a", "b"], ["a\ud800", "b"]]),
+                                    "row 3 ('s1'): '\\ud800' is a lone surrogate"),
 }
+
+# A sidecar of format 2, one JSON line per row, as ``predict`` wrote it
+# before format 3.
+FORMAT_2 = ('{"format": "propner-dist", "labels": ["B-X", "O"], "version": 2}\n'
+            + json.dumps({"dist": _b64(DIST), "id": "s1", "tokens": ["a", "b"]}) + "\n")
 
 HEADER_DEFECTS = {
     "format-1 file": json.dumps({"id": "s1", "tokens": ["a", "b"], "labels": LABELS, "dist": DIST.tolist()}) + "\n",
+    "format-2 file": FORMAT_2,
     "empty file": "",
     "not JSON": "{\n",
     "version 1": '{"format": "propner-dist", "labels": ["B-X", "O"], "version": 1}\n',
-    "format missing": '{"labels": ["B-X", "O"], "version": 2}\n',
+    "format missing": '{"labels": ["B-X", "O"], "version": 3}\n',
     "labels not a list": sidecar_header("O"),
-    "labels with a lone surrogate": '{"format": "propner-dist", "labels": ["B-\\ud800", "O"], "version": 2}\n',
+    "labels with a lone surrogate": '{"format": "propner-dist", "labels": ["B-\\ud800", "O"], "version": 3}\n',
 }
 
 
 class TestSidecarValidation:
     @pytest.mark.parametrize("defect", sorted(SIDECAR_DEFECTS))
     def test_defect_is_one_error_line(self, tmp_path, defect):
+        block, needle = SIDECAR_DEFECTS[defect]
         sidecar = tmp_path / "p.dist.jsonl"
-        text = sidecar_header(LABELS) + _sidecar_row("s0") + SIDECAR_DEFECTS[defect]
+        text = sidecar_header(LABELS) + _block(_row("s0")) + block
         sidecar.write_bytes(text.encode("utf-8", "surrogateescape"))
-        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
-        _assert_one_error_line(code, err, f"{sidecar}:3:")
+        _assert_one_error_line(*_vote(tmp_path, sidecar), f"{sidecar}:3: {needle}")
+
+    def test_block_of_more_rows_than_a_block_holds(self, tmp_path, monkeypatch):
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _block(_row(), _row("s2")))
+        monkeypatch.setattr(cli, "SIDECAR_BLOCK_ROWS", 1)
+        _assert_one_error_line(*_vote(tmp_path, sidecar), f"{sidecar}:2: 'ids' and 'tokens' must be lists of one "
+                                                          "entry per row, 1 to 1 rows")
 
     @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
     def test_header_defect(self, tmp_path, defect):
         """A file of format 1, which has labels and numbers in every row and
-        no header, is refused at its first line, as is any other first line
-        that is not a format-2 header."""
+        no header, or of format 2, one line per row, is refused at its first
+        line, as is any other first line that is not a format-3 header."""
         sidecar = tmp_path / "p.dist.jsonl"
         sidecar.write_text(HEADER_DEFECTS[defect], encoding="utf-8")
-        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
         needle = {
             "labels not a list": "'labels' must be",
             "labels with a lone surrogate": "'labels': invalid BIO tag 'B-\\ud800'",
-        }.get(defect, "not a propner-dist sidecar of version 2 (re-run")
-        _assert_one_error_line(code, err, f"{sidecar}:1: {needle}")
+        }.get(defect, "not a propner-dist sidecar of version 3 (re-run")
+        _assert_one_error_line(*_vote(tmp_path, sidecar), f"{sidecar}:1: {needle}")
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "later"])
+    def test_format_2_sidecar_is_refused(self, tmp_path, position):
+        """A sidecar that ``predict`` wrote before format 3, first or later
+        in ``--preds``, fails at its line 1, and no voted file is written."""
+        old = tmp_path / "old.dist.jsonl"
+        old.write_text(FORMAT_2, encoding="utf-8")
+        sidecars = [_write_sidecar(tmp_path / "new.dist.jsonl", _block())] * 2
+        sidecars[position] = old
+        _assert_one_error_line(*_vote(tmp_path, *sidecars),
+                               f"error: {old}:1: not a propner-dist sidecar of version 3 (re-run propner predict)")
+        assert not (tmp_path / "v.tsv").exists()
 
     def test_valid_rows_vote(self, tmp_path):
-        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(), _sidecar_row("s2", ["c"], [[0.9, 0.1]]))
+        """The files' rows need not be cut into blocks at the same places."""
+        rows = [_row(), _row("s2", ["c"], [[0.9, 0.1]])]
+        first = _write_sidecar(tmp_path / "first.dist.jsonl", _block(rows[0]), _block(rows[1]))
+        other = _write_sidecar(tmp_path / "other.dist.jsonl", _block(*rows))
         out = tmp_path / "v.tsv"
-        assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
+        assert main(["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "# id s1\na\tO\nb\tB-X\n\n# id s2\nc\tB-X\n\n"
 
     def test_weight_count_must_match_the_files(self, tmp_path):
         """``WeightedPredictions`` holds the rule; the CLI reports it."""
-        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row())
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _block())
         argv = ["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1,1", "--out", str(tmp_path / "v.tsv")]
         _assert_one_error_line(*_run(argv), "error: 3 weights for 2 folds")
         assert not (tmp_path / "v.tsv").exists()
@@ -803,59 +859,60 @@ class TestSidecarValidation:
     ])
     def test_labels_repeated_or_empty(self, tmp_path, labels, dist):
         """Repeated, empty or unsorted labels in the header."""
-        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(values=dist), labels=labels)
-        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _block(_row(values=dist)), labels=labels)
         rule = "distinct and in sorted order" if labels else "a non-empty list of strings"
-        _assert_one_error_line(code, err, f"{sidecar}:1: 'labels' must be {rule}")
+        _assert_one_error_line(*_vote(tmp_path, sidecar), f"{sidecar}:1: 'labels' must be {rule}")
 
     def test_empty_sidecars_vote(self, tmp_path):
-        """Sidecars of a header and no rows, as ``predict`` writes for no inputs."""
+        """Sidecars of a header and no blocks, as ``predict`` writes for no inputs."""
         sidecar = _write_sidecar(tmp_path / "p.dist.jsonl")
         out = tmp_path / "v.tsv"
         assert main(["vote", "--preds", str(sidecar), str(sidecar), "--weights", "1,1", "--out", str(out)]) == 0
         assert out.read_bytes() == b""
 
     def test_label_not_a_bio_tag(self, tmp_path):
-        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row(), labels=["PER", "O"])
-        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
-        _assert_one_error_line(code, err, f"{sidecar}:1:", "invalid BIO tag 'PER'")
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _block(), labels=["PER", "O"])
+        _assert_one_error_line(*_vote(tmp_path, sidecar), f"{sidecar}:1:", "invalid BIO tag 'PER'")
 
     @pytest.mark.parametrize("rows,needle", [
-        ([sidecar_header(["B-Y", "O"]), _sidecar_row(), _sidecar_row("s2")], ":1: 'labels'"),
-        ([sidecar_header(LABELS), _sidecar_row("s3"), _sidecar_row("s2")], ":2: 'id'"),
-        ([sidecar_header(LABELS), _sidecar_row("s1", ["a"], [[0.5, 0.5]]), _sidecar_row("s2")], ":2: 'tokens'"),
-        ([sidecar_header(LABELS), _sidecar_row("s1", ["a", "c"]), _sidecar_row("s2")], ":2: 'tokens'"),
-        ([sidecar_header(LABELS), _sidecar_row(), _sidecar_row("s2"), _sidecar_row("s3")], ":4: row 3 is past the 2 rows"),
-        ([sidecar_header(LABELS), _sidecar_row()], ": 1 rows where the first prediction file has 2"),
+        ([sidecar_header(["B-Y", "O"]), _block(_row(), _row("s2"))], ":1: 'labels'"),
+        ([sidecar_header(LABELS), _block(_row("s3")), _block(_row("s2"))], ":2: 'id'"),
+        ([sidecar_header(LABELS), _block(_row("s1", ["a"], [[0.5, 0.5]]), _row("s2"))], ":2: 'tokens'"),
+        ([sidecar_header(LABELS), _block(_row("s1", ["a", "c"]), _row("s2"))], ":2: 'tokens'"),
+        ([sidecar_header(LABELS), _block(_row()), _block(_row("s2")), _block(_row("s3"))], ":4: row 3 is past the 2 rows"),
+        ([sidecar_header(LABELS), _block()], ": 1 rows where the first prediction file has 2"),
+        ([sidecar_header(LABELS), _block(_row(), _row("s3"))], ":2: 'id' does not match row 2 of the first prediction"),
+        ([sidecar_header(LABELS), _block(_row(), _row("s2", ["b"]))], ":2: 'tokens' does not match row 2 of the first"),
+        ([sidecar_header(LABELS), _block(_row()), _block(_row("s3"))], ":3: 'id' does not match row 2 of the first"),
+        ([sidecar_header(LABELS), _block(_row(), _row("s2"), _row("s3"))], ":2: row 3 is past the 2 rows of the first"),
     ])
     def test_fold_rows_must_match_the_first_file(self, tmp_path, rows, needle):
-        """``rows`` are the lines of the second file, its header first."""
-        first = _write_sidecar(tmp_path / "first.dist.jsonl", _sidecar_row(), _sidecar_row("s2"))
+        """``rows`` are the lines of the second file, its header first; the
+        first file holds rows ``s1`` and ``s2`` in one block."""
+        first = _write_sidecar(tmp_path / "first.dist.jsonl", _block(_row(), _row("s2")))
         other = tmp_path / "other.dist.jsonl"
         other.write_text("".join(rows), encoding="utf-8")
-        argv = ["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(tmp_path / "v.tsv")]
-        _assert_one_error_line(*_run(argv), f"{other}{needle}")
+        _assert_one_error_line(*_vote(tmp_path, first, other), f"{other}{needle}")
 
-    @pytest.mark.parametrize("later", ["[1, 2]\n", _sidecar_row("s0"), _sidecar_row("s3", dist="not base64!")],
-                             ids=["not an object", "repeated id", "dist not base64"])
+    @pytest.mark.parametrize("later", ["[1, 2]\n", _block(_row("s0")), _block(_row("s3"), dist="not base64!"), "{\n"],
+                             ids=["not an object", "repeated id", "dist not base64", "not JSON"])
     def test_non_finite_row_is_reported_before_a_later_defect(self, tmp_path, later):
-        """The file's values are checked for finiteness at once, after its
-        rows are read, and still the first defect in the file is the one
-        reported."""
-        not_finite = _sidecar_row("s1", values=[[0.2, 0.8], [np.nan, 0.4]])
-        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", _sidecar_row("s0"), not_finite, _sidecar_row("s2"), later)
-        code, err = _run(["vote", "--preds", str(sidecar), "--weights", "1", "--out", str(tmp_path / "v.tsv")])
-        _assert_one_error_line(code, err, f"{sidecar}:3: 'dist' must be finite")
+        """Each block line is checked whole as it is read, the finiteness of
+        its values included, so the first defect in the file is the one
+        reported: here block 1's, not block 2's."""
+        block = _block(_row("s0"), _row("s1", values=NOT_FINITE), _row("s2"))
+        sidecar = _write_sidecar(tmp_path / "p.dist.jsonl", block, later)
+        _assert_one_error_line(*_vote(tmp_path, sidecar), f"{sidecar}:2: row 2 ('s1'): 'dist' must be finite")
 
-    @pytest.mark.parametrize("rows,line", [
-        ([_sidecar_row(), _sidecar_row("s2", values=[[0.2, np.inf], [0.6, 0.4]])], 3),
-        ([_sidecar_row(values=[[0.2, 0.8], [0.6, -np.inf]])], 2),  # before the missing row is noticed
-    ], ids=["second row", "first of too few rows"])
-    def test_non_finite_value_in_a_later_file_is_named_at_its_line(self, tmp_path, rows, line):
-        first = _write_sidecar(tmp_path / "first.dist.jsonl", _sidecar_row(), _sidecar_row("s2"))
-        other = _write_sidecar(tmp_path / "other.dist.jsonl", *rows)
-        argv = ["vote", "--preds", str(first), str(other), "--weights", "1,1", "--out", str(tmp_path / "v.tsv")]
-        _assert_one_error_line(*_run(argv), f"error: {other}:{line}: 'dist' must be finite")
+    @pytest.mark.parametrize("blocks,where", [
+        ([_block(_row(), _row("s2", values=[[0.2, np.inf], [0.6, 0.4]]))], "2: row 2 ('s2')"),
+        ([_block(_row(values=[[0.2, 0.8], [0.6, -np.inf]]))], "2: row 1 ('s1')"),  # before the missing row is noticed
+        ([_block(_row()), _block(_row("s2", values=[[0.2, 0.8], [np.nan, 0.4]]))], "3: row 2 ('s2')"),
+    ], ids=["second row", "first of too few rows", "second block"])
+    def test_non_finite_value_in_a_later_file_is_named_at_its_line(self, tmp_path, blocks, where):
+        first = _write_sidecar(tmp_path / "first.dist.jsonl", _block(_row(), _row("s2")))
+        other = _write_sidecar(tmp_path / "other.dist.jsonl", *blocks)
+        _assert_one_error_line(*_vote(tmp_path, first, other), f"error: {other}:{where}: 'dist' must be finite")
 
     def test_predict_without_inputs_writes_the_header(self, cli_files, tmp_path):
         aug = tmp_path / "empty.jsonl"
@@ -864,6 +921,16 @@ class TestSidecarValidation:
         assert main(["predict", "--model", str(cli_files["model"]), "--aug", str(aug), "--out", str(pred)]) == 0
         labels = json.loads(cli_files["sidecar"].read_text(encoding="utf-8").splitlines()[0])["labels"]
         assert Path(f"{pred}.dist.jsonl").read_text(encoding="utf-8") == sidecar_header(labels)
+
+    def test_predict_writes_a_line_per_block(self, cli_files, tmp_path, monkeypatch):
+        """With blocks of one row, each input gets its own block line, and
+        the sidecar reads back as the one of one block."""
+        one_block = _read_sidecar(cli_files["sidecar"])
+        monkeypatch.setattr(cli, "SIDECAR_BLOCK_ROWS", 1)
+        pred = tmp_path / "p.tsv"
+        assert main(["predict", "--model", str(cli_files["model"]), "--aug", str(cli_files["aug"]), "--out", str(pred)]) == 0
+        assert len(read_lines(f"{pred}.dist.jsonl")) == 1 + len(one_block[1]) == 3
+        _assert_rows_equal(_read_sidecar(f"{pred}.dist.jsonl"), one_block)
 
     def test_predict_to_a_directory_writes_no_sidecar(self, cli_files, tmp_path):
         out = tmp_path / "out"
@@ -876,24 +943,51 @@ class TestSidecarValidation:
         model = load_model(cli_files["model"])
         augs = augmenter.read_jsonl(cli_files["aug"])
         labels, rows = _read_sidecar(cli_files["sidecar"])
-        assert labels == model.labels and [row["id"] for row in rows] == [aug.sentence_id for aug in augs]
-        for row, aug in zip(rows, augs):
-            assert row["dist"].tobytes() == predict(model, aug).tobytes()
+        assert labels == model.labels and [sid for sid, _, _ in rows] == [aug.sentence_id for aug in augs]
+        for (_, _, dist), aug in zip(rows, augs):
+            assert dist.tobytes() == predict(model, aug).tobytes()
+
+
+def _assert_rows_equal(got, want) -> None:
+    """Two sidecars' labels and rows are equal, each ``dist`` bit for bit."""
+    (got_labels, got_rows), (want_labels, want_rows) = got, want
+    assert got_labels == want_labels and len(got_rows) == len(want_rows)
+    for (sid, tokens, dist), (want_sid, want_tokens, want_dist) in zip(got_rows, want_rows):
+        assert (sid, tokens, dist.shape, dist.tobytes()) == (want_sid, want_tokens, want_dist.shape, want_dist.tobytes())
 
 
 FLOAT64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
 
 
+@st.composite
+def sidecar_rows(draw) -> tuple[list[str], list[tuple[str, list[str], np.ndarray]]]:
+    """1-4 labels and 0-5 rows of 1-4 tokens, each value any finite float64."""
+    n_labels = draw(st.integers(1, 4))
+    rows = []
+    for index in range(draw(st.integers(0, 5))):
+        n_tokens = draw(st.integers(1, 4))
+        dist = draw(hnp.arrays(np.float64, (n_tokens, n_labels), elements=FLOAT64))
+        rows.append((f"s{index}", [f"t{index}.{i}" for i in range(n_tokens)], dist))
+    return [f"B-L{i}" for i in range(n_labels)], rows
+
+
+EDGE_VALUES = np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [np.finfo(float).max, -np.finfo(float).tiny]])
+
+
 @settings(max_examples=100, deadline=None)
-@given(dist=st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=FLOAT64)))
-@example(dist=np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [np.finfo(float).max, -np.finfo(float).tiny]]))
-def test_sidecar_round_trip_is_bit_identical(tmp_path_factory, dist):
-    labels = [f"B-L{i}" for i in range(dist.shape[1])]
-    path = _write_sidecar(tmp_path_factory.mktemp("sidecar") / "p.dist.jsonl", sidecar_row("s1", ["t"] * len(dist), dist),
-                          labels=labels)
-    read_labels, [row] = _read_sidecar(path)
-    assert read_labels == labels and (row["id"], row["tokens"]) == ("s1", ["t"] * len(dist))
-    assert row["dist"].shape == dist.shape and row["dist"].tobytes() == dist.astype("<f8").tobytes()
+@given(case=sidecar_rows())
+@example(case=(["B-L0", "B-L1"], [("s0", ["t"] * 3, EDGE_VALUES)]))
+def test_sidecar_round_trip_is_bit_identical(tmp_path_factory, case):
+    """With blocks of 2 rows, a sidecar of no rows, of full blocks and of a
+    part block reads back as written: labels, ids and tokens in order, and
+    each distribution bit for bit."""
+    labels, rows = case
+    path = tmp_path_factory.mktemp("sidecar") / "p.dist.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "SIDECAR_BLOCK_ROWS", 2)
+        write_sidecar(path, labels, rows)
+        assert len(read_lines(path)) == 1 + (len(rows) + 1) // 2
+        _assert_rows_equal(_read_sidecar(path), (labels, rows))
 
 
 @pytest.mark.parametrize("hard", [False, True])
@@ -908,8 +1002,9 @@ def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights)
     folds.append([dist[:, ::-1] for dist in folds[0]])
     paths = []
     for index, dists in enumerate(folds):
-        rows = [sidecar_row(aug.sentence_id, aug.tokens[1 : aug.n_sentence + 1], dist) for aug, dist in zip(augs, dists)]
-        paths.append(str(_write_sidecar(tmp_path / f"fold{index}.dist.jsonl", *rows, labels=model.labels)))
+        rows = [(aug.sentence_id, aug.tokens[1 : aug.n_sentence + 1], dist) for aug, dist in zip(augs, dists)]
+        write_sidecar(tmp_path / f"fold{index}.dist.jsonl", model.labels, rows)
+        paths.append(str(tmp_path / f"fold{index}.dist.jsonl"))
     out = tmp_path / "voted.tsv"
     argv = ["vote", "--preds", *paths, "--weights", ",".join(map(str, weights)), "--out", str(out)]
     assert main(argv + ["--hard"] * hard) == 0
@@ -1382,11 +1477,8 @@ class TestRobustness:
         except InputError as exc:
             assert str(exc).startswith(f"{mutated}:")
             return
-        _write_sidecar(written, *(sidecar_row(row["id"], row["tokens"], row["dist"]) for row in rows), labels=labels)
-        again_labels, again_rows = _read_sidecar(written)
-        assert again_labels == labels and len(again_rows) == len(rows)
-        for row, again in zip(rows, again_rows):
-            assert (again["id"], again["tokens"], again["dist"].tobytes()) == (row["id"], row["tokens"], row["dist"].tobytes())
+        write_sidecar(written, labels, rows)
+        _assert_rows_equal(_read_sidecar(written), (labels, rows))
 
     @settings(max_examples=100, deadline=None)
     @given(edit=st.one_of(
@@ -1537,7 +1629,7 @@ def _deep_sidecar_header(cli_files, tmp_path):
 
 
 def _deep_sidecar_dist(cli_files, tmp_path):
-    sidecar = _write_sidecar(tmp_path / "deep.dist.jsonl", '{"dist": ' + DEEP_JSON + ', "id": "s1", "tokens": ["a"]}\n')
+    sidecar = _write_sidecar(tmp_path / "deep.dist.jsonl", '{"dist": ' + DEEP_JSON + ', "ids": ["s1"], "tokens": [["a"]]}\n')
     return ["vote", "--preds", sidecar, sidecar, "--weights", "1,1", "--out", tmp_path / "voted.tsv"], f"{sidecar}:2:"
 
 
