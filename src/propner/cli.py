@@ -20,31 +20,18 @@ import dataclasses
 import json
 import logging
 import sys
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from propner import augmenter
-from propner.encoder import (
-    TrainConfig,
-    load_model,
-    predict,
-    predict_tags,
-    save_model,
-    train,
-)
+from propner.encoder import TrainConfig, load_model, predict, predict_tags, save_model, train
 from propner.ensemble import WeightedPredictions, check_labels, check_tag, kfold_split, weighted_vote
 from propner.evaluator import coverage_rate, score
-from propner.inputs import InputError, parse_lines, refuse_bom, write_text
-from propner.kbstore import (
-    DEFAULT_QID_CAP,
-    FULL_PROPERTY_MASK,
-    DumpErrorReport,
-    build_knowledge_base,
-    load_kb,
-    parse_dump,
-    save_kb,
-)
+from propner.inputs import InputError, parse_lines, read_lines, refuse_bom, write_text
+from propner.kbstore import (DEFAULT_QID_CAP, FULL_PROPERTY_MASK, DumpErrorReport, build_knowledge_base, load_kb,
+                              parse_dump, save_kb)
 from propner.matcher import Sentence, build_matcher, retrieve
 from propner.synthetic import SyntheticConfig, run_synthetic_ab
 
@@ -60,13 +47,19 @@ def _read_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str
     other line, ``#love _ _ O`` included, is a row of one of ``widths``
     fields, as many as the first row of its block. A row of 2 (token, tag)
     or 4 (token _ _ tag) fields ends in a BIO tag; each distinct tag is
-    checked once."""
+    checked once.
+
+    One loop runs over the lines of ``read_lines`` and one empty line past
+    the end, which closes the last block; a defect found there is reported
+    at the file's last line, or at line 1 of an empty file, as
+    ``parse_lines`` reports it."""
     blocks: list[tuple[str, list[list[str]], int]] = []
     starts: dict[str, int] = {}  # the first line of each id's block
     sentence_id: str | None = None
     rows: list[list[str]] = []
     tags: set[str] = set()
-    number = 0  # of the line being parsed
+    lines = [*read_lines(path), ""]
+    number = width = 0  # the line being parsed, and the number of fields of each row of its block
 
     def claim(sid: str) -> str:
         if sid in starts:
@@ -74,37 +67,37 @@ def _read_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str
         starts[sid] = number
         return sid
 
-    def parse(line: str) -> None:
-        nonlocal sentence_id, rows, number
-        number += 1
-        fields = line.split()
-        if not fields:
-            if rows:
-                blocks.append((sentence_id, rows, starts[sentence_id]))
-                sentence_id, rows = None, []
-            elif sentence_id is not None:
-                raise ValueError(f"header for id {sentence_id!r} has no token lines")
-        elif fields[0] == "#" and fields[1:2] == ["id"]:
-            if len(fields) != 3:
-                raise ValueError("header must look like '# id <string>'")
-            if rows:
-                raise ValueError("'# id' header inside a sentence block")
-            if sentence_id is not None:
-                raise ValueError(f"header for id {sentence_id!r} has no token lines")
-            sentence_id = claim(fields[2])
-        else:
-            if sentence_id is None:
-                sentence_id = claim(str(len(blocks)))
-            width = len(fields)
-            if width not in widths:
-                raise ValueError(f"expected {' or '.join(map(str, widths))} columns, got {width}")
-            if rows and width != len(rows[0]):
-                raise ValueError(f"{width} columns in a block whose first line has {len(rows[0])}")
-            if width % 2 == 0 and fields[-1] not in tags:
-                tags.add(check_tag(fields[-1]))
-            rows.append(fields)
-
-    parse_lines(path, parse)
+    try:
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not fields:
+                if rows:
+                    blocks.append((sentence_id, rows, starts[sentence_id]))
+                    sentence_id, rows = None, []
+                elif sentence_id is not None:
+                    raise ValueError(f"header for id {sentence_id!r} has no token lines")
+            elif fields[0] == "#" and fields[1:2] == ["id"]:
+                if len(fields) != 3:
+                    raise ValueError("header must look like '# id <string>'")
+                if rows:
+                    raise ValueError("'# id' header inside a sentence block")
+                if sentence_id is not None:
+                    raise ValueError(f"header for id {sentence_id!r} has no token lines")
+                sentence_id = claim(fields[2])
+            else:
+                if sentence_id is None:
+                    sentence_id = claim(str(len(blocks)))
+                if not rows or len(fields) != width:  # the block's first row, or a defect
+                    if len(fields) not in widths:
+                        raise ValueError(f"expected {' or '.join(map(str, widths))} columns, got {len(fields)}")
+                    if rows:
+                        raise ValueError(f"{len(fields)} columns in a block whose first line has {width}")
+                    width = len(fields)
+                if width % 2 == 0 and fields[-1] not in tags:
+                    tags.add(check_tag(fields[-1]))
+                rows.append(fields)
+    except ValueError as exc:
+        raise InputError(path, min(number, len(lines) - 1) or 1, str(exc)) from None
     return blocks
 
 
@@ -131,7 +124,7 @@ def write_conll(sentences: list[Sentence], path) -> None:
     write_text(path, (f"# id {sentence.id}\n" + "".join(rows(sentence)) + "\n" for sentence in sentences))
 
 
-def _write_tagged(rows: list[tuple[str, list[str], list[str]]], path) -> None:
+def _write_tagged(rows: Iterable[tuple[str, list[str], list[str]]], path) -> None:
     """Prediction output: '# id' headers and token<TAB>tag lines."""
     write_text(path, (f"# id {sid}\n" + "".join(f"{token}\t{tag}\n" for token, tag in zip(tokens, tags)) + "\n"
                       for sid, tokens, tags in rows))
@@ -235,17 +228,20 @@ def sidecar_block(rows: list[tuple[str, list[str], np.ndarray]]) -> str:
     """The sidecar line of one block of ``rows``, each an id, its tokens and
     its (tokens, labels) distribution: their ids, their tokens and, as
     padded base64, their distributions stacked into one array of row-major
-    little-endian float64, which reads back bit for bit."""
+    little-endian float64, which reads back bit for bit. The line is the
+    one ``json.dumps`` writes with sorted keys, but it is joined from its
+    parts, so the base64 text, which needs no escape, is copied once."""
     ids, tokens, dists = zip(*rows)
     dist = base64.b64encode(np.concatenate(dists).astype("<f8", copy=False)).decode("ascii")
-    return json.dumps({"dist": dist, "ids": ids, "tokens": tokens}, sort_keys=True, ensure_ascii=False) + "\n"
+    rest = json.dumps({"ids": ids, "tokens": tokens}, sort_keys=True, ensure_ascii=False)
+    return "".join(('{"dist": "', dist, '", ', rest[1:], "\n"))
 
 
 def write_sidecar(path, labels: list[str], rows: list[tuple[str, list[str], np.ndarray]]) -> None:
     """Write the sidecar of ``rows`` to ``path``: the header, then one block
-    line for each ``SIDECAR_BLOCK_ROWS`` rows."""
-    starts = range(0, len(rows), SIDECAR_BLOCK_ROWS)
-    write_text(path, [sidecar_header(labels), *(sidecar_block(rows[at : at + SIDECAR_BLOCK_ROWS]) for at in starts)])
+    line for each ``SIDECAR_BLOCK_ROWS`` rows, each made as it is written."""
+    blocks = (sidecar_block(rows[at : at + SIDECAR_BLOCK_ROWS]) for at in range(0, len(rows), SIDECAR_BLOCK_ROWS))
+    write_text(path, chain([sidecar_header(labels)], blocks))
 
 
 def cmd_predict(args) -> None:
@@ -265,21 +261,36 @@ def cmd_split(args) -> None:
     _dump_json({"k": plan.k, "seed": plan.seed, "assignments": plan.assignments}, args.out)
 
 
-def _read_sidecar(path, first: tuple[list[str], list[tuple]] | None = None) -> tuple[list[str], list[tuple]]:
-    """The labels and the rows (id, tokens, dist) of a ``.dist.jsonl``
-    sidecar of format 3, each ``dist`` a (tokens, labels) float64 view into
-    one array per block. The header's labels pass ``check_labels``. Each
-    block line is checked whole as it is read: it holds 1 to
-    ``SIDECAR_BLOCK_ROWS`` rows, each row passes ``check_id_and_tokens``
-    with an id not seen before, and ``dist`` is padded base64 of exactly
-    the rows' values, all finite. Given ``first``, the labels and rows of
-    the first prediction file, the labels are the same and each block holds
-    the ids and tokens of the rows at its place there, compared block by
-    block. A defect raises an InputError at its line, the first one in the
-    file; a row's defect names the row, and its id if it has one."""
-    first_labels, first_rows = first or (None, [])
+def _block_rows_pass(ids: list, tokens: list, seen: set[str]) -> bool:
+    """Whether every row of a sidecar block passes ``check_id_and_tokens``
+    with an id in neither ``seen`` nor an earlier row: one check of all the
+    block's ids and tokens at once."""
+    try:
+        augmenter.check_id_and_tokens("block", [*ids, *chain.from_iterable(tokens)])
+    except (TypeError, ValueError):  # a row of tokens that is not a list may not iterate
+        return False
+    return set(map(type, tokens)) <= {list} and all(tokens) and len(set(ids)) == len(ids) and seen.isdisjoint(ids)
+
+
+def _read_sidecar(path, first: tuple | None = None) -> tuple[list[str], list[str], list[list[str]], np.ndarray]:
+    """The labels, the ids, the tokens and the distributions of a
+    ``.dist.jsonl`` sidecar of format 3: one (Σtokens, labels) float64 array
+    of all its rows in order, the block's own array when the file has one
+    block. The header's labels pass ``check_labels``. Each block line is
+    checked whole as it is read: it holds 1 to ``SIDECAR_BLOCK_ROWS`` rows,
+    each row passes ``check_id_and_tokens`` with an id not seen before, and
+    ``dist`` is padded base64 of exactly the rows' values, all finite. Given
+    ``first``, what this returned for the first prediction file, the labels
+    are the same and each block holds the ids and tokens of the rows at its
+    place there. Either check runs over the block as a whole, and row by row
+    only to name the row of a defect. A defect raises an InputError at its
+    line, the first one in the file; a row's defect names the row, and its
+    id if it has one."""
+    first_labels, first_ids, first_tokens, _ = first or (None, [], [], None)
     labels: list[str] = []  # empty until the header is read
-    rows: list[tuple] = []
+    ids: list[str] = []
+    tokens: list[list[str]] = []
+    arrays: list[np.ndarray] = []  # one per block
     seen: set[str] = set()
 
     def parse_header(line: str) -> None:
@@ -308,50 +319,52 @@ def _read_sidecar(path, first: tuple[list[str], list[tuple]] | None = None) -> t
         if not (isinstance(block_ids, list) and isinstance(block_tokens, list)
                 and 0 < len(block_ids) == len(block_tokens) <= SIDECAR_BLOCK_ROWS):
             raise ValueError(f"'ids' and 'tokens' must be lists of one entry per row, 1 to {SIDECAR_BLOCK_ROWS} rows")
-        start, stop = len(rows), len(rows) + len(block_ids)
+        start, stop = len(ids), len(ids) + len(block_ids)
         if first is None:
-            for number, sid, row_tokens in zip(range(start + 1, stop + 1), block_ids, block_tokens):
-                try:
-                    augmenter.check_id_and_tokens(sid, row_tokens)
-                except ValueError as exc:
-                    raise row_defect(number, sid, str(exc)) from None
-                if sid in seen:
-                    raise row_defect(number, sid, f"duplicate id {sid!r}")
-                seen.add(sid)
-        elif list(zip(block_ids, block_tokens)) != [row[:2] for row in first_rows[start:stop]]:
+            if not _block_rows_pass(block_ids, block_tokens, seen):
+                for number, sid, row_tokens in zip(range(start + 1, stop + 1), block_ids, block_tokens):
+                    try:
+                        augmenter.check_id_and_tokens(sid, row_tokens)
+                    except ValueError as exc:
+                        raise row_defect(number, sid, str(exc)) from None
+                    if sid in seen:
+                        raise row_defect(number, sid, f"duplicate id {sid!r}")
+                    seen.add(sid)
+            seen.update(block_ids)
+        elif block_ids != first_ids[start:stop] or block_tokens != first_tokens[start:stop]:
             for number, *row in zip(range(start + 1, stop + 1), block_ids, block_tokens):
-                if number > len(first_rows):
-                    raise ValueError(f"row {number} is past the {len(first_rows)} rows of the first prediction file")
-                for key, value, want in zip(("id", "tokens"), row, first_rows[number - 1]):
+                if number > len(first_ids):
+                    raise ValueError(f"row {number} is past the {len(first_ids)} rows of the first prediction file")
+                for key, value, want in zip(("id", "tokens"), row, (first_ids[number - 1], first_tokens[number - 1])):
                     if value != want:
                         raise ValueError(f"{key!r} does not match row {number} of the first prediction file")
         try:
             data = base64.b64decode(block["dist"], validate=True)
         except (KeyError, TypeError, ValueError):
             raise ValueError("'dist' must be a string of padded base64") from None
-        ends = np.cumsum([len(row_tokens) for row_tokens in block_tokens]).tolist()
-        n, k = ends[-1], len(labels)
+        n, k = sum(map(len, block_tokens)), len(labels)
         if len(data) != 8 * n * k:
             raise ValueError(f"'dist' holds {len(data)} bytes, not the {8 * n * k} of {n} rows of {k} float64")
         values = np.frombuffer(data, "<f8").reshape(n, k)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
-            row = int(np.searchsorted(ends, finite.argmin(), side="right"))
+            row = int(np.searchsorted(np.cumsum(list(map(len, block_tokens))), finite.argmin(), side="right"))
             raise row_defect(start + row + 1, block_ids[row], "'dist' must be finite")
-        rows.extend(zip(block_ids, block_tokens, (values[begin:end] for begin, end in zip([0, *ends], ends))))
+        ids.extend(block_ids)
+        tokens.extend(block_tokens)
+        arrays.append(values)
 
     parse_lines(path, parse)
-    if first is not None and len(rows) != len(first_rows):
-        raise InputError(path, None, f"{len(rows)} rows where the first prediction file has {len(first_rows)}")
-    return labels, rows
+    if first is not None and len(ids) != len(first_ids):
+        raise InputError(path, None, f"{len(ids)} rows where the first prediction file has {len(first_ids)}")
+    return labels, ids, tokens, arrays[0] if len(arrays) == 1 else np.concatenate([np.zeros((0, len(labels))), *arrays])
 
 
 def cmd_vote(args) -> None:
-    labels, rows = first = _read_sidecar(args.preds[0])
-    folds = [rows] + [_read_sidecar(path, first)[1] for path in args.preds[1:]]
-    preds = WeightedPredictions(labels, args.weights, [[dist for _, _, dist in fold] for fold in folds])
-    voted = weighted_vote(preds, hard=args.hard)
-    _write_tagged([(sid, tokens, tags) for (sid, tokens, _), tags in zip(rows, voted)], args.out)
+    labels, ids, tokens, dist = first = _read_sidecar(args.preds[0])
+    folds = [dist] + [_read_sidecar(path, first)[3] for path in args.preds[1:]]
+    preds = WeightedPredictions(labels, args.weights, list(map(len, tokens)), folds)
+    _write_tagged(zip(ids, tokens, weighted_vote(preds, hard=args.hard)), args.out)
 
 
 def cmd_score(args) -> None:
@@ -389,12 +402,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparser of each command, or only of
+    the command named ``only`` when it names one; for help, no command or
+    an unknown one, the usage text names every command."""
     parser = _ArgumentParser(prog="propner", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     subs: dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, help_text: str, fn) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, fn) -> argparse.ArgumentParser | None:
+        if only not in (None, name):
+            return None
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(func=fn)
         sub.add_argument("--config", help="key = value file supplying defaults for any flag")
@@ -402,72 +420,72 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         subs[name] = sub
         return sub
 
-    sub = command("build-kb", "compile a dump into a knowledge base directory", cmd_build_kb)
-    sub.add_argument("--dump", required=True, help="JSON-lines entity dump")
-    sub.add_argument("--lang", required=True, help="language code for names and labels")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--properties", type=_parse_properties, default=FULL_PROPERTY_MASK,
-                     help="comma list of instanceof,subclassof,occupation")
-    sub.add_argument("--qid-cap", type=int, default=DEFAULT_QID_CAP, help="max qids kept per surface")
+    if sub := command("build-kb", "compile a dump into a knowledge base directory", cmd_build_kb):
+        sub.add_argument("--dump", required=True, help="JSON-lines entity dump")
+        sub.add_argument("--lang", required=True, help="language code for names and labels")
+        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument("--properties", type=_parse_properties, default=FULL_PROPERTY_MASK,
+                         help="comma list of instanceof,subclassof,occupation")
+        sub.add_argument("--qid-cap", type=int, default=DEFAULT_QID_CAP, help="max qids kept per surface")
 
-    sub = command("coverage", "fraction of gold mentions found in the kb", cmd_coverage)
-    sub.add_argument("--kb", required=True)
-    sub.add_argument("--data", required=True)
+    if sub := command("coverage", "fraction of gold mentions found in the kb", cmd_coverage):
+        sub.add_argument("--kb", required=True)
+        sub.add_argument("--data", required=True)
 
-    sub = command("retrieve", "entity/context pairs per sentence as JSON lines", cmd_retrieve)
-    sub.add_argument("--kb", required=True)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--out", required=True)
+    if sub := command("retrieve", "entity/context pairs per sentence as JSON lines", cmd_retrieve):
+        sub.add_argument("--kb", required=True)
+        sub.add_argument("--data", required=True)
+        sub.add_argument("--out", required=True)
 
-    sub = command("augment", "assemble model inputs with entity-aware masks", cmd_augment)
-    sub.add_argument("--kb", required=True)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--max-len", type=int, default=TrainConfig.max_len)
-    sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
+    if sub := command("augment", "assemble model inputs with entity-aware masks", cmd_augment):
+        sub.add_argument("--kb", required=True)
+        sub.add_argument("--data", required=True)
+        sub.add_argument("--out", required=True)
+        sub.add_argument("--max-len", type=int, default=TrainConfig.max_len)
+        sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
 
-    sub = command("train", "train the tagger on augmented inputs", cmd_train)
-    sub.add_argument("--aug", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    sub.add_argument("--lr", type=float, default=TrainConfig.lr)
-    sub.add_argument("--d-model", type=int, default=TrainConfig.d_model)
-    sub.add_argument("--heads", dest="n_heads", type=int, default=TrainConfig.n_heads)
-    sub.add_argument("--layers", dest="n_layers", type=int, default=TrainConfig.n_layers)
-    sub.add_argument("--ff-dim", type=int, default=TrainConfig.ff_dim)
-    sub.add_argument("--max-len", type=int, default=TrainConfig.max_len)
+    if sub := command("train", "train the tagger on augmented inputs", cmd_train):
+        sub.add_argument("--aug", required=True)
+        sub.add_argument("--out", required=True)
+        sub.add_argument("--seed", type=int, required=True)
+        sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        sub.add_argument("--lr", type=float, default=TrainConfig.lr)
+        sub.add_argument("--d-model", type=int, default=TrainConfig.d_model)
+        sub.add_argument("--heads", dest="n_heads", type=int, default=TrainConfig.n_heads)
+        sub.add_argument("--layers", dest="n_layers", type=int, default=TrainConfig.n_layers)
+        sub.add_argument("--ff-dim", type=int, default=TrainConfig.ff_dim)
+        sub.add_argument("--max-len", type=int, default=TrainConfig.max_len)
 
-    sub = command("predict", "tag augmented inputs; writes tags plus a .dist.jsonl sidecar", cmd_predict)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--aug", required=True)
-    sub.add_argument("--out", required=True)
+    if sub := command("predict", "tag augmented inputs; writes tags plus a .dist.jsonl sidecar", cmd_predict):
+        sub.add_argument("--model", required=True)
+        sub.add_argument("--aug", required=True)
+        sub.add_argument("--out", required=True)
 
-    sub = command("split", "deterministic k-fold assignment", cmd_split)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--k", type=int, default=8)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--out", help="plan file; stdout when omitted")
+    if sub := command("split", "deterministic k-fold assignment", cmd_split):
+        sub.add_argument("--data", required=True)
+        sub.add_argument("--k", type=int, default=8)
+        sub.add_argument("--seed", type=int, required=True)
+        sub.add_argument("--out", help="plan file; stdout when omitted")
 
-    sub = command("vote", "F1-weighted vote over prediction sidecars", cmd_vote)
-    sub.add_argument("--preds", nargs="+", required=True, help="one .dist.jsonl file per fold")
-    sub.add_argument("--weights", type=_parse_weights, required=True, help="comma list, one weight per fold")
-    sub.add_argument("--hard", action="store_true", help="one-hot votes instead of distributions")
-    sub.add_argument("--out", required=True)
+    if sub := command("vote", "F1-weighted vote over prediction sidecars", cmd_vote):
+        sub.add_argument("--preds", nargs="+", required=True, help="one .dist.jsonl file per fold")
+        sub.add_argument("--weights", type=_parse_weights, required=True, help="comma list, one weight per fold")
+        sub.add_argument("--hard", action="store_true", help="one-hot votes instead of distributions")
+        sub.add_argument("--out", required=True)
 
-    sub = command("score", "entity-level micro/macro F1", cmd_score)
-    sub.add_argument("--gold", required=True)
-    sub.add_argument("--pred", required=True)
-    sub.add_argument("--report", choices=("json", "text"), default="text")
+    if sub := command("score", "entity-level micro/macro F1", cmd_score):
+        sub.add_argument("--gold", required=True)
+        sub.add_argument("--pred", required=True)
+        sub.add_argument("--report", choices=("json", "text"), default="text")
 
-    sub = command("synthetic-ab", "baseline vs knowledge-augmented A/B on a seeded corpus", cmd_synthetic_ab)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--out", help="report file; stdout when omitted")
-    sub.add_argument("--properties", type=_parse_properties, default=FULL_PROPERTY_MASK)
-    sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
-    sub.add_argument("--epochs", type=int, default=SyntheticConfig.epochs)
+    if sub := command("synthetic-ab", "baseline vs knowledge-augmented A/B on a seeded corpus", cmd_synthetic_ab):
+        sub.add_argument("--seed", type=int, required=True)
+        sub.add_argument("--out", help="report file; stdout when omitted")
+        sub.add_argument("--properties", type=_parse_properties, default=FULL_PROPERTY_MASK)
+        sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
+        sub.add_argument("--epochs", type=int, default=SyntheticConfig.epochs)
 
-    return parser, subs
+    return (parser, subs) if subs else _build_parser()
 
 
 _CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -523,7 +541,7 @@ def main(argv=None) -> int:
     one ``error:`` line on stderr when it raises a ValueError, an OSError
     or a KeyError."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subs = _build_parser()
+    parser, subs = _build_parser(argv[0] if argv else None)
     try:
         if argv and argv[0] in subs:
             config = _ArgumentParser(prog=subs[argv[0]].prog, add_help=False)

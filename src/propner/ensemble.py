@@ -79,20 +79,21 @@ class FoldPlan:
 
 @dataclass
 class WeightedPredictions:
-    """One label distribution per token per fold, plus a weight per fold.
+    """The sentences' token counts, one label distribution per token per
+    fold, and a weight per fold.
 
     Weights are the folds' validation micro F1 scores, used unnormalized:
     the voted argmax is invariant to scaling them by any positive constant.
     Labels are distinct and sorted, so an argmax tie goes to the smallest
-    label. Every fold covers the first fold's sentences in its order: each
-    fold has as many distributions as the first, and each has the row count
-    of the first fold's at its place, one row per token, and one column per
-    label. A fold of other shapes raises a ValueError.
+    label. Each fold is one array of the sentences' rows in order: one row
+    per token, as many as ``lengths`` adds up to, and one column per label.
+    A fold of another shape raises a ValueError.
     """
 
     labels: list[str]
     weights: list[float]
-    distributions: list[list[np.ndarray]]  # [fold][sentence] -> (n_tokens, n_labels)
+    lengths: list[int]  # [sentence] -> its tokens
+    distributions: list[np.ndarray]  # [fold] -> (sum(lengths), n_labels)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.distributions):
@@ -102,11 +103,11 @@ class WeightedPredictions:
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one fold weight must be positive")
         check_labels(self.labels)
-        shapes = [(len(dist), len(self.labels)) for dist in self.distributions[0]]
+        shape = (sum(self.lengths), len(self.labels))
         for number, fold in enumerate(self.distributions, start=1):
-            if [dist.shape for dist in fold] != shapes:
-                raise ValueError(f"fold {number} does not have one distribution for each of the {len(shapes)} sentences "
-                                 f"of fold 1, with one row per token and one column per label ({len(self.labels)})")
+            if fold.shape != shape:
+                raise ValueError(f"fold {number} does not have one row for each of the {shape[0]} tokens of the "
+                                 f"{len(self.lengths)} sentences, and one column per label ({shape[1]})")
 
 
 def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
@@ -129,24 +130,20 @@ def kfold_split(dataset: list, k: int, seed: int) -> FoldPlan:
 def weighted_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[str]]:
     """Per-token weighted vote, argmax ties going to the smallest label.
 
-    Each fold's sentences are stacked into one (tokens, labels) array, one
-    fold at a time, and its weighted votes are added, in fold order, to one
-    float64 score array over all tokens. The voted labels are repaired as
+    Each fold's weighted votes are added, in fold order, to one float64
+    score array over all tokens. The voted labels are repaired as
     ``repair_bio`` repairs them, but on label indices, whose labels
     ``check_labels`` has passed: a token keeps an ``I-X`` label only when
     the token before it in its sentence has type X, and takes ``B-X`` for
-    any other label of type X."""
-    first = preds.distributions[0]
-    if not first:
-        return []
-    scores = np.zeros((sum(len(dist) for dist in first), len(preds.labels)))
+    any other label of type X. The tags are cut into sentences by
+    ``preds.lengths``."""
+    scores = np.zeros((sum(preds.lengths), len(preds.labels)))
     one_hot = np.eye(len(preds.labels))
-    for weight, dists in zip(preds.weights, preds.distributions):
-        fold = np.concatenate(dists)
+    for weight, fold in zip(preds.weights, preds.distributions):
         scores += weight * (one_hot[fold.argmax(axis=1)] if hard else fold)
     best = scores.argmax(axis=1)
     kind = np.array([label[2:] for label in preds.labels])[best]  # each token's type, "" for O
-    ends = np.cumsum([len(dist) for dist in first])
+    ends = np.cumsum(preds.lengths, dtype=int)  # an int index also when there are no sentences
     before = np.concatenate(([""], kind[:-1]))  # the type of the token before, "" at a sentence's start
     before[ends[:-1][ends[:-1] < len(best)]] = ""
     inside = np.array([label[0] == "I" for label in preds.labels])[best] & (before == kind)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 
 from propner.augmenter import AugmentedInput, assemble
+from propner.ensemble import WeightedPredictions
 from propner.kbstore import DumpErrorReport, KnowledgeBase, build_knowledge_base, parse_dump
 from propner.matcher import EntityMatch, Sentence, retrieve
 
@@ -96,3 +97,12 @@ def random_augmented(rng: np.random.Generator, mask_mode: str, labeled: bool = F
 
 def retrieved_augmented(kb: KnowledgeBase, matcher, sentence: Sentence, max_len: int, mask_mode: str) -> AugmentedInput:
     return assemble(sentence, retrieve(kb, matcher, sentence), max_len, mask_mode)
+
+
+def stacked_predictions(labels: list[str], weights: list[float], folds: list[list[np.ndarray]]) -> WeightedPredictions:
+    """``WeightedPredictions`` of ``folds``, each one (tokens, labels) array
+    per sentence: the sentences' lengths are the first fold's row counts,
+    and each fold's arrays are stacked into one."""
+    lengths = [len(dist) for dist in folds[0]] if folds else []
+    return WeightedPredictions(labels, weights, lengths,
+                               [np.concatenate(fold) if fold else np.zeros((0, len(labels))) for fold in folds])

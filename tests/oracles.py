@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: exhaustive span scans, cell-by-cell
 rule application, per-label counting. None of it shares code with the
-package internals it verifies, with two exceptions. The per-sentence vote
-repairs its tags with the package's ``repair_bio``. In the encoder probes at
-the end, the gradient check differentiates the package's own loss
-numerically, and the hidden states are read off its own forward pass.
+package internals it verifies, with three exceptions. The line-by-line
+block reader feeds its lines through the package's ``parse_lines`` and checks
+its tags with ``check_tag``. The per-sentence vote repairs its tags with the
+package's ``repair_bio``. In the encoder probes at the end, the gradient
+check differentiates the package's own loss numerically, and the hidden
+states are read off its own forward pass.
 """
 
 from __future__ import annotations
@@ -15,9 +17,61 @@ import json
 import numpy as np
 
 from propner.encoder import ToyEncoderModel, _cross_entropy, _example, _forward_pass, _loss_and_grads, _prepare
-from propner.ensemble import WeightedPredictions, repair_bio
+from propner.ensemble import WeightedPredictions, check_tag, repair_bio
+from propner.inputs import parse_lines
 from propner.kbstore import KnowledgeBase, normalize_surface
 from propner.matcher import EntityMatch
+
+
+def line_by_line_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str]], int]]:
+    """``cli._read_blocks`` as it was first written: one closure call per
+    line through ``parse_lines``, which adds the empty line past the end and
+    names the line of a defect."""
+    blocks: list[tuple[str, list[list[str]], int]] = []
+    starts: dict[str, int] = {}  # the first line of each id's block
+    sentence_id: str | None = None
+    rows: list[list[str]] = []
+    tags: set[str] = set()
+    number = 0  # of the line being parsed
+
+    def claim(sid: str) -> str:
+        if sid in starts:
+            raise ValueError(f"duplicate id {sid!r}")
+        starts[sid] = number
+        return sid
+
+    def parse(line: str) -> None:
+        nonlocal sentence_id, rows, number
+        number += 1
+        fields = line.split()
+        if not fields:
+            if rows:
+                blocks.append((sentence_id, rows, starts[sentence_id]))
+                sentence_id, rows = None, []
+            elif sentence_id is not None:
+                raise ValueError(f"header for id {sentence_id!r} has no token lines")
+        elif fields[0] == "#" and fields[1:2] == ["id"]:
+            if len(fields) != 3:
+                raise ValueError("header must look like '# id <string>'")
+            if rows:
+                raise ValueError("'# id' header inside a sentence block")
+            if sentence_id is not None:
+                raise ValueError(f"header for id {sentence_id!r} has no token lines")
+            sentence_id = claim(fields[2])
+        else:
+            if sentence_id is None:
+                sentence_id = claim(str(len(blocks)))
+            width = len(fields)
+            if width not in widths:
+                raise ValueError(f"expected {' or '.join(map(str, widths))} columns, got {width}")
+            if rows and width != len(rows[0]):
+                raise ValueError(f"{width} columns in a block whose first line has {len(rows[0])}")
+            if width % 2 == 0 and fields[-1] not in tags:
+                tags.add(check_tag(fields[-1]))
+            rows.append(fields)
+
+    parse_lines(path, parse)
+    return blocks
 
 
 def brute_force_candidates(kb: KnowledgeBase, tokens: list[str]) -> list[tuple[int, int, str, str]]:
@@ -156,16 +210,19 @@ def counting_vote(labels: list[str], fold_votes: list[list[str]], weights: list[
 
 
 def per_sentence_vote(preds: WeightedPredictions, hard: bool = False) -> list[list[str]]:
-    """The weighted vote one sentence at a time: a zero score array per
-    sentence gets each fold's weighted distribution (or, ``hard``, its
-    one-hot argmax) added in fold order, and the argmax, ties going to the
-    smallest label, is repaired into valid BIO."""
+    """The weighted vote one sentence at a time: each fold's rows are cut
+    into sentences by ``preds.lengths``, a zero score array per sentence gets
+    each fold's weighted distribution (or, ``hard``, its one-hot argmax)
+    added in fold order, and the argmax, ties going to the smallest label,
+    is repaired into valid BIO."""
     one_hot = np.eye(len(preds.labels))
+    bounds = np.cumsum([0, *preds.lengths]).tolist()
     voted = []
-    for s in range(len(preds.distributions[0])):
-        scores = np.zeros_like(preds.distributions[0][s])
-        for weight, dists in zip(preds.weights, preds.distributions):
-            scores += weight * (one_hot[dists[s].argmax(axis=1)] if hard else dists[s])
+    for start, end in zip(bounds, bounds[1:]):
+        scores = np.zeros((end - start, len(preds.labels)))
+        for weight, fold in zip(preds.weights, preds.distributions):
+            rows = fold[start:end]
+            scores += weight * (one_hot[rows.argmax(axis=1)] if hard else rows)
         voted.append(repair_bio([preds.labels[i] for i in scores.argmax(axis=1)]))
     return voted
 

@@ -11,14 +11,14 @@ import pytest
 
 from propner.cli import main
 from propner.encoder import TrainConfig, build_vocab, init_model, masked_attention
-from propner.ensemble import WeightedPredictions, repair_bio, weighted_vote
+from propner.ensemble import repair_bio, weighted_vote
 from propner.evaluator import coverage_rate, score
 from propner.kbstore import build_knowledge_base, parse_dump, save_kb
 from propner.matcher import Sentence, build_matcher, find_candidates, resolve_overlaps
 from propner.synthetic import run_synthetic_ab
 
 from conftest import table_dump_lines
-from helpers import random_augmented, random_matcher_case
+from helpers import random_augmented, random_matcher_case, stacked_predictions
 from oracles import brute_force_candidates, check_selection, counting_vote, gradient_check, hidden_states, rule_mask
 
 
@@ -182,8 +182,8 @@ def test_criterion_7_ensemble_properties():
             dist = rng.dirichlet(np.ones(len(labels)), size=n_tokens)
             n_folds = int(rng.integers(1, 5))
             weights = [float(rng.random()) + 0.01 for _ in range(n_folds)]
-            preds = WeightedPredictions(labels, weights, [[dist.copy()] for _ in range(n_folds)])
-            single = WeightedPredictions(labels, [1.0], [[dist.copy()]])
+            preds = stacked_predictions(labels, weights, [[dist.copy()] for _ in range(n_folds)])
+            single = stacked_predictions(labels, [1.0], [[dist.copy()]])
             assert weighted_vote(preds) == weighted_vote(single)
 
         for _ in range(1000):  # weight-scale invariance
@@ -192,8 +192,8 @@ def test_criterion_7_ensemble_properties():
             dists = [[rng.dirichlet(np.ones(len(labels)), size=n_tokens)] for _ in range(n_folds)]
             weights = [float(rng.random()) + 0.01 for _ in range(n_folds)]
             scale = float(rng.uniform(0.1, 50.0))
-            base = weighted_vote(WeightedPredictions(labels, weights, dists))
-            scaled = weighted_vote(WeightedPredictions(labels, [scale * w for w in weights], dists))
+            base = weighted_vote(stacked_predictions(labels, weights, dists))
+            scaled = weighted_vote(stacked_predictions(labels, [scale * w for w in weights], dists))
             assert base == scaled
 
         for _ in range(1000):  # soft vote equals the counting oracle on one-hot input
@@ -207,7 +207,7 @@ def test_criterion_7_ensemble_properties():
                 for t, vote in enumerate(fold):
                     rows[t, labels.index(vote)] = 1.0
                 dists.append([rows])
-            got = weighted_vote(WeightedPredictions(labels, weights, dists))[0]
+            got = weighted_vote(stacked_predictions(labels, weights, dists))[0]
             want = [counting_vote(labels, [fold[t] for fold in votes], weights) for t in range(n_tokens)]
             assert got == repair_bio(want)
 

@@ -25,14 +25,14 @@ from propner.cli import _read_blocks, _read_sidecar, main, read_conll, sidecar_b
 from propner.cli import write_sidecar
 from propner.cli import _write_tagged
 from propner.encoder import TrainConfig, load_model, predict, save_model, train
-from propner.ensemble import WeightedPredictions, weighted_vote
+from propner.ensemble import weighted_vote
 from propner.inputs import InputError, read_lines
 from propner.kbstore import CONTEXTS_FILE, SURFACES_FILE, load_kb, save_kb
 from propner.matcher import Sentence
 
 from conftest import table_dump_lines
-from helpers import record_line
-from oracles import rule_mask
+from helpers import record_line, stacked_predictions
+from oracles import line_by_line_blocks, rule_mask
 
 
 @pytest.fixture
@@ -150,6 +150,49 @@ class TestReadConll:
         path = tmp_path_factory.mktemp("conll") / "gen.conll"
         write_conll(sentences, path)
         assert read_conll(path) == sentences
+
+
+# Lines of a generated CoNLL file: blank lines, headers over a few ids (so
+# ids repeat, "0" and "1" also as block indexes), malformed headers, and rows
+# of 1 to 6 fields, most of 4, all but those of one ending in a tag, most of
+# them valid. Rows are drawn twice as often as each other kind.
+CONLL_ROWS = st.builds(lambda token, blanks, tag: " ".join([token, *["_"] * blanks, tag]),
+                       st.sampled_from(["w", "#love", "#", "x\ty"]), st.sampled_from([0, 1, 2, 2, 2, 3, 4]),
+                       st.sampled_from(["O", "O", "B-X", "I-X", "I-Y", "X", "B-"]))
+CONLL_LINES = st.one_of(
+    st.sampled_from(["", "  ", "\t", "w", "w\t_ _"]),
+    st.sampled_from(["a", "b", "0", "1"]).map("# id {}".format),
+    st.sampled_from(["# id", "# id a b", "#  id  c", "# idx 1", "#id a"]),
+    CONLL_ROWS,
+    CONLL_ROWS,
+)
+
+
+def _blocks_or_error(reader, path, widths):
+    try:
+        return reader(path, widths)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(CONLL_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans(),
+       widths=st.sampled_from([(2, 4), (3, 4), (4,)]))
+@example(lines=["# id a", "w _ _ O", "", "# id a", "w _ _ O"], newline="\n", last=True, widths=(4,))  # duplicate id
+@example(lines=["# id a", "", "w _ _ O"], newline="\n", last=True, widths=(4,))  # header without rows
+@example(lines=["w _ _ O", "# id a", "w _ _ O"], newline="\n", last=True, widths=(4,))  # header inside a block
+@example(lines=["w _ O"], newline="\n", last=True, widths=(2, 4))  # a bad width
+@example(lines=["w _ _ O", "w O"], newline="\n", last=True, widths=(2, 4))  # mixed widths
+@example(lines=["w _ _ X"], newline="\n", last=True, widths=(4,))  # a bad tag
+@example(lines=["w _ _ O", "", "# id a"], newline="\n", last=False, widths=(4,))  # a trailing header
+@example(lines=["w _ _ O", "", "# id a", ""], newline="\r\n", last=True, widths=(4,))  # CRLF, header without rows
+@example(lines=[], newline="\n", last=False, widths=(4,))  # an empty file
+def test_read_blocks_matches_the_line_by_line_reader(tmp_path_factory, lines, newline, last, widths):
+    """The block loop returns the blocks of the line-by-line reader, or
+    raises its ``file:line: message``."""
+    path = tmp_path_factory.getbasetemp() / "blocks.conll"
+    path.write_bytes((newline.join(lines) + newline * (last and bool(lines))).encode("utf-8"))
+    assert _blocks_or_error(_read_blocks, path, widths) == _blocks_or_error(line_by_line_blocks, path, widths)
 
 
 class TestPipeline:
@@ -352,6 +395,74 @@ class TestCliBehavior:
         captured = capsys.readouterr()
         _assert_one_error_line(code, captured.err, needle)
         assert captured.out == ""
+
+
+COMMANDS = ["build-kb", "coverage", "retrieve", "augment", "train", "predict", "split", "vote", "score", "synthetic-ab"]
+
+# For each command: flags that, with the config file's line, give every
+# required flag; the config line; and the dest and value it sets.
+CONFIG_CASES = {
+    "build-kb": (["--dump", "d.jsonl", "--lang", "en"], "out = kb", "out", "kb"),
+    "coverage": (["--kb", "kb"], "data = d.conll", "data", "d.conll"),
+    "retrieve": (["--kb", "kb", "--data", "d.conll"], "out = p.jsonl", "out", "p.jsonl"),
+    "augment": (["--kb", "kb", "--data", "d.conll", "--out", "a.jsonl"], "mask-mode = strict-paper", "mask_mode",
+                "strict-paper"),
+    "train": (["--aug", "a.jsonl", "--out", "m.bin"], "seed = 3", "seed", 3),
+    "predict": (["--model", "m.bin", "--aug", "a.jsonl"], "out = p.tsv", "out", "p.tsv"),
+    "split": (["--data", "d.conll"], "seed = 4", "seed", 4),
+    "vote": (["--preds", "a", "b", "--out", "v.tsv"], "weights = 1,2", "weights", [1.0, 2.0]),
+    "score": (["--gold", "g.conll"], "pred = p.tsv", "pred", "p.tsv"),
+    "synthetic-ab": (["--seed", "1"], "heads = 2", None, None),  # no such flag: a config error
+}
+
+
+class TestOneSubparserPerCall:
+    """``main`` builds the subparser of the command it runs and no other,
+    and all of them only for help, no command or an unknown one; what each
+    call prints or parses is what the full parser gives."""
+
+    @pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in COMMANDS)], ids=" ".join)
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        parser, subs = cli._build_parser()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (subs[argv[0]] if argv[0] in subs else parser).format_help()
+
+    @pytest.mark.parametrize("argv,line", [
+        ([], "error: propner: the following arguments are required: command"),
+        (["bogus"], "error: propner: argument command: invalid choice: 'bogus' (choose from 'build-kb', 'coverage', "
+                    "'retrieve', 'augment', 'train', 'predict', 'split', 'vote', 'score', 'synthetic-ab')"),
+        (["--verbose", "split"], "error: propner split: the following arguments are required: --data, --seed"),
+    ], ids=["no command", "unknown command", "a flag first"])
+    def test_no_command_or_an_unknown_one(self, argv, line):
+        assert _run(argv) == (1, line + "\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_flag_is_the_full_parsers_error(self, command):
+        with pytest.raises(ValueError, match=f"^propner {command}: the following arguments are required: --") as want:
+            cli._build_parser()[0].parse_args([command])
+        assert _run([command]) == (1, f"error: {want.value}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_default_is_the_full_parsers(self, tmp_path, monkeypatch, command):
+        """The command's function gets the arguments that the full parser
+        parses with the config file's defaults; a key that names no flag of
+        the command is the same error."""
+        flags, line, dest, value = CONFIG_CASES[command]
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        argv = [command, *flags, "--config", str(config)]
+        parser, subs = cli._build_parser()
+        if dest is None:
+            with pytest.raises(InputError) as want:
+                cli._apply_config_defaults(subs[command], str(config))
+            assert _run(argv) == (1, f"error: {want.value}\n")
+            return
+        cli._apply_config_defaults(subs[command], str(config))
+        want = vars(parser.parse_args(argv))
+        got = []
+        monkeypatch.setattr(cli, want.pop("func").__name__, lambda args: got.append(vars(args)))
+        assert main(argv) == 0
+        assert got[0].pop("func") is not None and got == [want] and want[dest] == value
 
 
 class TestDeterminism:
@@ -930,7 +1041,7 @@ class TestSidecarValidation:
         pred = tmp_path / "p.tsv"
         assert main(["predict", "--model", str(cli_files["model"]), "--aug", str(cli_files["aug"]), "--out", str(pred)]) == 0
         assert len(read_lines(f"{pred}.dist.jsonl")) == 1 + len(one_block[1]) == 3
-        _assert_rows_equal(_read_sidecar(f"{pred}.dist.jsonl"), one_block)
+        _assert_rows_equal(_read_sidecar(f"{pred}.dist.jsonl"), _rows(one_block))
 
     def test_predict_to_a_directory_writes_no_sidecar(self, cli_files, tmp_path):
         out = tmp_path / "out"
@@ -942,15 +1053,25 @@ class TestSidecarValidation:
     def test_dist_is_predict_bit_for_bit(self, cli_files):
         model = load_model(cli_files["model"])
         augs = augmenter.read_jsonl(cli_files["aug"])
-        labels, rows = _read_sidecar(cli_files["sidecar"])
+        labels, rows = _rows(_read_sidecar(cli_files["sidecar"]))
         assert labels == model.labels and [sid for sid, _, _ in rows] == [aug.sentence_id for aug in augs]
         for (_, _, dist), aug in zip(rows, augs):
             assert dist.tobytes() == predict(model, aug).tobytes()
 
 
+def _rows(read) -> tuple[list[str], list[tuple[str, list[str], np.ndarray]]]:
+    """The labels and the rows (id, tokens, dist) of a ``_read_sidecar``
+    result, each ``dist`` its rows of the file's one array."""
+    labels, ids, tokens, dist = read
+    assert dist.shape == (sum(map(len, tokens)), len(labels)) and dist.dtype == np.float64
+    ends = np.cumsum([len(row) for row in tokens], dtype=int).tolist()
+    return labels, [(sid, row, dist[end - len(row) : end]) for sid, row, end in zip(ids, tokens, ends)]
+
+
 def _assert_rows_equal(got, want) -> None:
-    """Two sidecars' labels and rows are equal, each ``dist`` bit for bit."""
-    (got_labels, got_rows), (want_labels, want_rows) = got, want
+    """A ``_read_sidecar`` result holds the labels and rows of ``want``,
+    each ``dist`` bit for bit."""
+    (got_labels, got_rows), (want_labels, want_rows) = _rows(got), want
     assert got_labels == want_labels and len(got_rows) == len(want_rows)
     for (sid, tokens, dist), (want_sid, want_tokens, want_dist) in zip(got_rows, want_rows):
         assert (sid, tokens, dist.shape, dist.tobytes()) == (want_sid, want_tokens, want_dist.shape, want_dist.tobytes())
@@ -990,6 +1111,22 @@ def test_sidecar_round_trip_is_bit_identical(tmp_path_factory, case):
         _assert_rows_equal(_read_sidecar(path), (labels, rows))
 
 
+WORDS = st.text(min_size=1, max_size=4).filter(lambda text: text.split() == [text])  # quotes, escapes and non-ASCII
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(WORDS, st.lists(WORDS, min_size=1, max_size=3)), min_size=1, max_size=4),
+       n_labels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_sidecar_block_is_the_json_dumps_line(rows, n_labels, seed):
+    """The block line, joined from its parts, is byte for byte the line
+    ``json.dumps`` writes of its fields with sorted keys."""
+    rng = np.random.default_rng(seed)
+    rows = [(sid, tokens, rng.random((len(tokens), n_labels))) for sid, tokens in rows]
+    fields = {"dist": _b64(np.concatenate([dist for _, _, dist in rows])), "ids": [sid for sid, _, _ in rows],
+              "tokens": [tokens for _, tokens, _ in rows]}
+    assert sidecar_block(rows) == json.dumps(fields, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 @pytest.mark.parametrize("hard", [False, True])
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 0.2)])
 def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights):
@@ -1008,7 +1145,7 @@ def test_vote_over_sidecars_is_weighted_vote(cli_files, tmp_path, hard, weights)
     out = tmp_path / "voted.tsv"
     argv = ["vote", "--preds", *paths, "--weights", ",".join(map(str, weights)), "--out", str(out)]
     assert main(argv + ["--hard"] * hard) == 0
-    expected = weighted_vote(WeightedPredictions(model.labels, list(weights), folds), hard=hard)
+    expected = weighted_vote(stacked_predictions(model.labels, list(weights), folds), hard=hard)
     voted = [(sid, [tag for _, tag in rows]) for sid, rows, _ in _read_blocks(out, (2, 4))]
     assert voted == [(aug.sentence_id, tags) for aug, tags in zip(augs, expected)]
     config, from_config = tmp_path / "vote.cfg", tmp_path / "voted-by-config.tsv"
@@ -1473,7 +1610,7 @@ class TestRobustness:
         mutated, written = root / "mutated.dist.jsonl", root / "written.dist.jsonl"
         mutated.write_bytes(_mutate(cli_files["sidecar"].read_bytes(), edits))
         try:
-            labels, rows = _read_sidecar(mutated)
+            labels, rows = _rows(_read_sidecar(mutated))
         except InputError as exc:
             assert str(exc).startswith(f"{mutated}:")
             return

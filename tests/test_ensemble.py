@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from propner.ensemble import WeightedPredictions, extract_spans, kfold_split, repair_bio, weighted_vote
 from propner.matcher import Sentence
 
+from helpers import stacked_predictions
 from oracles import counting_vote, per_sentence_vote
 
 LABELS = ["B-X", "I-X", "O"]
@@ -28,7 +29,7 @@ def preds_from_tags(weights, fold_tags):
         [np.stack([one_hot(tag) for tag in tags]) for tags in fold]
         for fold in fold_tags
     ]
-    return WeightedPredictions(labels=LABELS, weights=weights, distributions=distributions)
+    return stacked_predictions(LABELS, weights, distributions)
 
 
 TIED = (0.0, 0.25, 0.5, 1.0)  # exact in binary, so sums of them tie exactly
@@ -49,7 +50,7 @@ def vote_cases(draw) -> WeightedPredictions:
         distributions = [[rng.choice(TIED, size=(n, len(labels))) for n in rows] for _ in range(n_folds)]
     else:
         distributions = [[rng.random((n, len(labels))) for n in rows] for _ in range(n_folds)]
-    return WeightedPredictions(labels, weights, distributions)
+    return stacked_predictions(labels, weights, distributions)
 
 
 class TestKfoldSplit:
@@ -133,7 +134,7 @@ class TestWeightedVote:
                 [min(label for label, p in zip(LABELS, row) if p == row.max()) for row in fold[0]] for fold in dists
             ]
             want = [counting_vote(LABELS, [votes[t] for votes in fold_votes], weights) for t in range(4)]
-            assert weighted_vote(WeightedPredictions(LABELS, weights, dists), hard=True) == [repair_bio(want)]
+            assert weighted_vote(stacked_predictions(LABELS, weights, dists), hard=True) == [repair_bio(want)]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
@@ -141,9 +142,9 @@ class TestWeightedVote:
             n_folds = int(rng.integers(1, 4))
             dists = [[rng.dirichlet(np.ones(len(LABELS)), size=4)] for _ in range(n_folds)]
             weights = [float(rng.random()) + 0.01 for _ in range(n_folds)]
-            base = weighted_vote(WeightedPredictions(LABELS, weights, dists))
+            base = weighted_vote(stacked_predictions(LABELS, weights, dists))
             for c in (0.25, 3.0, 117.0):
-                scaled = weighted_vote(WeightedPredictions(LABELS, [c * w for w in weights], dists))
+                scaled = weighted_vote(stacked_predictions(LABELS, [c * w for w in weights], dists))
                 assert scaled == base
 
     def test_soft_and_hard_modes_differ_when_expected(self):
@@ -153,7 +154,7 @@ class TestWeightedVote:
             [np.array([[0.6, 0.0, 0.4]])],
             [np.array([[0.0, 0.0, 1.0]])],
         ]
-        preds = WeightedPredictions(LABELS, [1.0, 1.0, 1.9], dists)
+        preds = stacked_predictions(LABELS, [1.0, 1.0, 1.9], dists)
         assert weighted_vote(preds, hard=False) == [["O"]]
         assert weighted_vote(preds, hard=True) == [["B-X"]]
 
@@ -170,7 +171,7 @@ class TestWeightedVote:
 
     def test_repeated_label_rejected(self):
         with pytest.raises(ValueError, match="'labels' must be distinct and in sorted order"):
-            WeightedPredictions(["O", "B-X", "O"], [1.0], [[np.zeros((1, 3))]])
+            WeightedPredictions(["O", "B-X", "O"], [1.0], [1], [np.zeros((1, 3))])
 
     @pytest.mark.parametrize("labels,needle", [
         ([], "'labels' must be a non-empty list of strings"),
@@ -178,7 +179,7 @@ class TestWeightedVote:
     ])
     def test_labels_checked_at_construction(self, labels, needle):
         with pytest.raises(ValueError, match=re.escape(needle)):
-            WeightedPredictions(labels, [1.0], [[np.zeros((2, len(labels)))]])
+            WeightedPredictions(labels, [1.0], [2], [np.zeros((2, len(labels)))])
 
     @settings(max_examples=200, deadline=None)
     @given(preds=vote_cases(), hard=st.booleans())
@@ -187,24 +188,25 @@ class TestWeightedVote:
 
     @pytest.mark.parametrize("hard", [False, True])
     def test_no_sentences(self, hard):
-        assert weighted_vote(WeightedPredictions(LABELS, [1.0, 0.5], [[], []]), hard) == []
+        assert weighted_vote(WeightedPredictions(LABELS, [1.0, 0.5], [], [np.zeros((0, 3))] * 2), hard) == []
 
-    @pytest.mark.parametrize("folds", [
-        [[np.eye(3)], [np.eye(3)[:1]]],  # a 1-row fold against a 3-row first fold
-        [[np.eye(3)[:2], np.eye(3)[:1]], [np.eye(3)[:1], np.eye(3)[:2]]],  # the same rows in all, split otherwise
-        [[np.eye(3)], [np.eye(3), np.eye(3)]],  # one sentence more
-        [[np.eye(3)], []],  # no sentences
-        [[np.eye(3)], [np.eye(3)[:, :1]]],  # one column where there are three labels
-    ], ids=["fewer rows", "rows split otherwise", "more sentences", "no sentences", "fewer columns"])
-    def test_fold_of_other_shapes_rejected(self, folds):
-        with pytest.raises(ValueError, match=f"fold 2 does not have one distribution for each of the {len(folds[0])} "):
-            WeightedPredictions(LABELS, [1.0, 1.0], folds)
+    @pytest.mark.parametrize("lengths,folds", [
+        ([3], [np.eye(3), np.eye(3)[:1]]),  # a 1-row fold against 3 tokens
+        ([3], [np.eye(3), np.eye(3).ravel()]),  # the 9 values of the 3 rows, flat
+        ([1], [np.eye(3)[:1], np.eye(3)[:2]]),  # the rows of one sentence more
+        ([3], [np.eye(3), np.zeros((0, 3))]),  # no rows
+        ([3], [np.eye(3), np.eye(3)[:, :1]]),  # one column where there are three labels
+    ], ids=["fewer rows", "flat", "more sentences", "no sentences", "fewer columns"])
+    def test_fold_of_other_shapes_rejected(self, lengths, folds):
+        with pytest.raises(ValueError, match=re.escape(f"fold 2 does not have one row for each of the {sum(lengths)} "
+                                                       f"tokens of the {len(lengths)} sentences, and one column per "
+                                                       "label (3)")):
+            WeightedPredictions(LABELS, [1.0, 1.0], lengths, folds)
 
     def test_first_fold_needs_a_column_per_label(self):
-        with pytest.raises(ValueError, match=re.escape("fold 1 does not have one distribution for each of the 1 "
-                                                       "sentences of fold 1, with one row per token and one column "
-                                                       "per label (3)")):
-            WeightedPredictions(LABELS, [1.0], [[np.ones((2, 4))]])
+        with pytest.raises(ValueError, match=re.escape("fold 1 does not have one row for each of the 2 tokens of the "
+                                                       "1 sentences, and one column per label (3)")):
+            WeightedPredictions(LABELS, [1.0], [2], [np.ones((2, 4))])
 
     def test_output_is_valid_bio(self):
         preds = preds_from_tags([1.0], [[["I-X", "I-X", "O"]]])

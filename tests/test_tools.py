@@ -1,3 +1,6 @@
+import contextlib
+import json
+import os
 import re
 import subprocess
 import sys
@@ -126,3 +129,36 @@ def test_bench_pairs_table_reads_canned_results():
     assert "setup_s" not in "".join([header, row])  # the parent's runs do not report it
     assert (parent_failed, change_failed) == ("parent failed 0 of 100 checked operations",
                                               "change failed 1 of 100 checked operations")
+
+
+def test_bench_pairs_header_and_json_keep_every_run(tmp_path, monkeypatch, capsys):
+    """With canned runs in place of ``bench/run.py``: the header names nproc
+    and both commits, and ``--json`` keeps each run in the order it ran and
+    the summary rows that the table prints."""
+    def run_bench(root, workload, seed, seconds, trace):
+        rate = 100.0 + seed if root == tmp_path else 130.0 + seed
+        return {"metrics": {"vote_sentences_per_s": {"value": rate, "unit": "1/s"}}, "failed": 0, "attempted": 10}
+
+    @contextlib.contextmanager
+    def worktree(rev):
+        yield tmp_path
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "worktree", worktree)
+    monkeypatch.setattr(bench_pairs, "commits", lambda rev: {"parent": "a" * 40, "change": "b" * 40, "uncommitted": True})
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", "HEAD~1", "--workload", "predict-vote", "--pairs", "10", "--first-seed", "3", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert header == (f"predict-vote: 10 pairs, seeds 3-12, --seconds 12 --trace 0, nproc {nproc}, parent HEAD~1 = "
+                      f"{'a' * 12}, change {'b' * 12} with uncommitted edits")
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["parent"], report["change"], report["nproc"], report["parent_rev"]) == ("a" * 40, "b" * 40, nproc, "HEAD~1")
+    assert [(run["pair"], run["seed"], run["side"], run["order"]) for run in report["runs"][:4]] == [
+        (1, 3, "parent", 0), (1, 3, "change", 1), (2, 4, "change", 0), (2, 4, "parent", 1)]
+    assert len(report["runs"]) == 20 and report["runs"][1]["metrics"]["vote_sentences_per_s"]["value"] == 133.0
+    [row] = report["summary"]
+    assert (row["metric"], row["parent"], row["change"], row["wins"], row["pairs"], row["verdict"]) == (
+        "vote_sentences_per_s", [105.25, 107.5, 109.75], [135.25, 137.5, 139.75], 10, 10, "gain")
+    assert lines[1].split()[0] == "vote_sentences_per_s" and lines[1].split()[-1] == "gain"
