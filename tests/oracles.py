@@ -24,8 +24,8 @@ from propner.matcher import EntityMatch
 
 
 def line_by_line_blocks(path, widths: tuple[int, ...]) -> list[tuple[str, list[list[str]], int]]:
-    """``cli._read_blocks`` as it was first written: one closure call per
-    line through ``parse_lines``, which adds the empty line past the end and
+    """The blocks of ``cli._read_blocks``, read by one closure call per line
+    through ``parse_lines``, which adds the empty line past the end and
     names the line of a defect."""
     blocks: list[tuple[str, list[list[str]], int]] = []
     starts: dict[str, int] = {}  # the first line of each id's block

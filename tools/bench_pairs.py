@@ -178,7 +178,6 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     revisions = commits(args.parent)
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     log = []  # every run in the order it ran
     with worktree(args.parent) as parent_root:
         roots = {"parent": parent_root, "change": ROOT}
@@ -186,9 +185,9 @@ def main(argv=None) -> int:
             for place, side in enumerate(order):
                 print(f"pair {number}/{args.pairs} seed {seed}: {side}", file=sys.stderr, flush=True)
                 result = run_bench(roots[side], args.workload, seed, benchmark["run_seconds"], args.trace)
-                runs[side].append(result)
                 log.append({"pair": number, "seed": seed, "side": side, "order": place, "metrics": result["metrics"],
                             "failed": result["failed"], "attempted": result["attempted"]})
+    runs = {side: [run for run in log if run["side"] == side] for side in SIDES}  # each side's runs in pair order
     print(header(args, revisions, nproc, benchmark["run_seconds"]))
     print("\n".join(table(runs, benchmark)))
     if args.json:
