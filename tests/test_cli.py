@@ -152,20 +152,32 @@ class TestReadConll:
         assert read_conll(path) == sentences
 
 
-# Lines of a generated CoNLL file: blank lines, headers over a few ids (so
-# ids repeat, "0" and "1" also as block indexes), malformed headers, and rows
-# of 1 to 6 fields, most of 4, all but those of one ending in a tag, most of
-# them valid. Rows are drawn twice as often as each other kind.
+# Rows of 2 to 7 fields, most of 4, ending in a tag, most of them valid; and
+# stray lines: blank lines, rows of 1 and 3 fields, headers over a few ids,
+# malformed headers, and rows.
 CONLL_ROWS = st.builds(lambda token, blanks, tag: " ".join([token, *["_"] * blanks, tag]),
-                       st.sampled_from(["w", "#love", "#", "x\ty"]), st.sampled_from([0, 1, 2, 2, 2, 3, 4]),
-                       st.sampled_from(["O", "O", "B-X", "I-X", "I-Y", "X", "B-"]))
+                       st.sampled_from(["w", "w", "w", "#love", "#", "x\ty"]), st.sampled_from([2] * 6 + [0, 1, 3, 4]),
+                       st.sampled_from(["O"] * 4 + ["B-X", "I-X", "I-Y", "X", "B-"]))
 CONLL_LINES = st.one_of(
     st.sampled_from(["", "  ", "\t", "w", "w\t_ _"]),
     st.sampled_from(["a", "b", "0", "1"]).map("# id {}".format),
     st.sampled_from(["# id", "# id a b", "#  id  c", "# idx 1", "#id a"]),
     CONLL_ROWS,
-    CONLL_ROWS,
 )
+
+
+@st.composite
+def conll_lines(draw) -> list[str]:
+    """The lines of 0 to 4 blank-line separated blocks, each of 1 to 3 rows
+    after a header over a few ids (so ids repeat, "0" and "1" also as block
+    indexes) or none, with up to 3 stray lines put anywhere."""
+    lines = []
+    for sid, rows in draw(st.lists(st.tuples(st.sampled_from([None, "a", "b", "0", "1"]),
+                                             st.lists(CONLL_ROWS, min_size=1, max_size=3)), max_size=4)):
+        lines += [f"# id {sid}"] * (sid is not None) + rows + [""]
+    for at, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), CONLL_LINES), max_size=3)):
+        lines.insert(at, line)
+    return lines[: draw(st.integers(0, len(lines)))] if draw(st.booleans()) else lines  # a file may end anywhere
 
 
 def _blocks_or_error(reader, path, widths):
@@ -176,7 +188,7 @@ def _blocks_or_error(reader, path, widths):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=st.lists(CONLL_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans(),
+@given(lines=conll_lines(), newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans(),
        widths=st.sampled_from([(2, 4), (3, 4), (4,)]))
 @example(lines=["# id a", "w _ _ O", "", "# id a", "w _ _ O"], newline="\n", last=True, widths=(4,))  # duplicate id
 @example(lines=["# id a", "", "w _ _ O"], newline="\n", last=True, widths=(4,))  # header without rows
