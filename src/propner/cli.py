@@ -407,8 +407,7 @@ def _build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dic
     the command named ``only`` when it names one; for help, no command or
     an unknown one, the usage text names every command."""
     parser = _ArgumentParser(prog="propner", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
+    commands = parser.add_subparsers(dest="command", required=True)  # its choices map each name to its subparser
 
     def command(name: str, help_text: str, fn) -> argparse.ArgumentParser | None:
         if only not in (None, name):
@@ -417,7 +416,6 @@ def _build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dic
         sub.set_defaults(func=fn)
         sub.add_argument("--config", help="key = value file supplying defaults for any flag")
         sub.add_argument("--verbose", action="store_true", help="log at INFO level")
-        subs[name] = sub
         return sub
 
     if sub := command("build-kb", "compile a dump into a knowledge base directory", cmd_build_kb):
@@ -485,7 +483,7 @@ def _build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dic
         sub.add_argument("--mask-mode", choices=augmenter.MASK_MODES, default="default")
         sub.add_argument("--epochs", type=int, default=SyntheticConfig.epochs)
 
-    return (parser, subs) if subs else _build_parser()
+    return (parser, commands.choices) if commands.choices else _build_parser()
 
 
 _CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
